@@ -12,6 +12,7 @@ import time
 
 from pultr import _fallback
 from pultr.adjoints import omega_odd_path
+from pultr.engine import MODE_EXISTS, kernel_args
 from pultr.functors import builtin_template, gamma_functor, lambda_functor
 from pultr.duality import shift_graph
 from pultr.graphs import (
@@ -28,26 +29,8 @@ except ImportError:
     _speedups = None
 
 
-def solve_args(g, h, mode=0, budget=10**9, limit=-1):
-    full = (1 << h.n) - 1
-    doms = [full] * g.n
-    arcs = []
-    for u, v in g.arc_list:
-        if u == v:
-            doms[u] &= h.loop_mask
-        else:
-            arcs.append((u, v))
-    return (
-        g.n,
-        h.n,
-        arcs,
-        doms,
-        list(h.out_masks),
-        list(h.in_masks),
-        mode,
-        budget,
-        limit,
-    )
+def solve_args(g, h):
+    return kernel_args(g, h, MODE_EXISTS, budget=10**9)
 
 
 def workload_adjunction_pairs():

@@ -10,7 +10,8 @@ enumeration order is lexicographic on the map tuple.
 
 pultr._speedups implements the identical algorithm in C.  Both kernels
 must produce bit-identical results (same first witness, same counts, same
-decision counts); tests/test_parity.py enforces this.
+decision counts); tests/test_parity.py checks this whenever the
+compiled kernel is importable.
 
 Unary constraints (loops of G, pinned vertices) must already be applied
 to the initial domains; `arcs` must be loop-free.

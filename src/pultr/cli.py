@@ -171,9 +171,7 @@ def cmd_circular_gr(args):
 
 
 def cmd_verify(args):
-    report = run_suite(
-        args.suite, nmax=args.nmax, workers=args.workers, budget=None
-    )
+    report = run_suite(args.suite, nmax=args.nmax)
     print(report.verdict_line())
     for note in report.notes:
         _note(note)
@@ -241,14 +239,6 @@ def build_parser():
         "--unsafe-size",
         action="store_true",
         help="disable the construction size guard",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker threads for verification suites (results are "
-        "identical for any value; the suites are wrapper-bound, so more "
-        "threads rarely help)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -342,12 +332,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.budget is not None:
-        limits.set_default_budget(args.budget)
-    if args.unsafe_size:
-        limits.set_size_guard(math.inf)
+    guard = math.inf if args.unsafe_size else None
     try:
-        return args.fn(args)
+        with limits.scope(budget=args.budget, size_guard=guard):
+            return args.fn(args)
     except (ParameterError, ParseError) as e:
         _note(f"error: {e}")
         return EXIT_RESOURCE

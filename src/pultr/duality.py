@@ -11,6 +11,7 @@ from itertools import combinations, product
 from . import engine, limits
 from .engine import HomWitness
 from .errors import ParameterError
+from .functors import _find, _union
 from .graphs import (
     Digraph,
     complete_graph,
@@ -150,29 +151,17 @@ def sproink(recipe):
         offsets.append(total)
         total += piece.n
     parent = list(range(total))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            root = min(ra, rb)
-            parent[ra] = parent[rb] = root
-
     for ei, (u, v) in enumerate(t.arc_list):
-        union(
+        _union(
+            parent,
             offsets[u] + recipe.attachments[u][ei],
             offsets[v] + recipe.attachments[v][ei],
         )
     arcs = set()
     for u, (piece, _levels) in enumerate(recipe.pieces):
         for a, b in piece.arcs():
-            arcs.add((find(offsets[u] + a), find(offsets[u] + b)))
-    roots = sorted({find(x) for x in range(total)})
+            arcs.add((_find(parent, offsets[u] + a), _find(parent, offsets[u] + b)))
+    roots = sorted({_find(parent, x) for x in range(total)})
     index = {r: i for i, r in enumerate(roots)}
     out = Digraph(len(roots), ((index[a], index[b]) for a, b in arcs))
     if not is_oriented_tree(out):

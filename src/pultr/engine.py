@@ -88,7 +88,11 @@ def _checked(g, h, mapping):
     return HomWitness(g.n, h.n, tuple(mapping))
 
 
-def _solve(g, h, mode, pins=None, budget=None, limit=-1):
+def kernel_args(g, h, mode, pins=None, budget=None, limit=-1):
+    """The positional arguments of the kernels' `solve` for a search
+    g -> h: loops of g and pins become unary domain restrictions, the
+    remaining arcs of g are the binary constraints.  budget=None means
+    the scoped default (`limits.default_budget`)."""
     if budget is None:
         budget = limits.default_budget()
     full = (1 << h.n) - 1
@@ -102,10 +106,7 @@ def _solve(g, h, mode, pins=None, budget=None, limit=-1):
     if pins:
         for u, val in pins.items():
             doms[u] &= 1 << val
-    need = g.n * 3 + 200
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
-    status, payload, decisions = _kernel.solve(
+    return (
         g.n,
         h.n,
         arcs,
@@ -115,6 +116,15 @@ def _solve(g, h, mode, pins=None, budget=None, limit=-1):
         mode,
         budget,
         limit,
+    )
+
+
+def _solve(g, h, mode, pins=None, budget=None, limit=-1):
+    need = g.n * 3 + 200
+    if sys.getrecursionlimit() < need:
+        sys.setrecursionlimit(need)
+    status, payload, decisions = _kernel.solve(
+        *kernel_args(g, h, mode, pins, budget, limit)
     )
     if status != 0:
         raise BudgetExceededError(decisions)

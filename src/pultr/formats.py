@@ -212,9 +212,14 @@ def parse_witness(text):
         bits = line.split()
         if len(bits) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", lineno)
-        u, v = int(bits[0]), int(bits[1])
+        try:
+            u, v = int(bits[0]), int(bits[1])
+        except ValueError:
+            raise ParseError(f"bad vertex in {line!r}", lineno) from None
         if not (0 <= u < n and 0 <= v < m):
             raise ParseError("witness entry out of range", lineno)
+        if u in mapping:
+            raise ParseError(f"duplicate witness entry for {u}", lineno)
         mapping[u] = v
     if len(mapping) != n:
         raise ParseError("witness does not cover the source")

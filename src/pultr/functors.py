@@ -113,6 +113,8 @@ def _find(parent, x):
 
 
 def _union(parent, a, b):
+    """Join the classes of a and b under the smaller root, so every root
+    is the minimum of its class."""
     ra, rb = _find(parent, a), _find(parent, b)
     if ra == rb:
         return

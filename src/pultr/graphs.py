@@ -456,9 +456,6 @@ def odd_girth(g):
     best = math.inf
     rows = g.out_masks
     for s in range(g.n):
-        if 2 * g.n - 1 >= best:
-            # distances are at least 1; cannot beat current best from here
-            pass
         dist = {(s, 0): 0}
         frontier = [(s, 0)]
         found = None

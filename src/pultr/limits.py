@@ -4,11 +4,15 @@ The size guard bounds vertices+arcs of any single constructed graph
 (the Omega and exponential constructions explode quickly).  The node
 budget bounds backtracking decisions per engine call; exceeding it is an
 error, never a guess.
+
+Both limits are scoped: `scope(budget=..., size_guard=...)` sets them
+for the code it wraps and restores the enclosing values on exit.  A
+per-call `budget=` argument still takes precedence over the scope.
 """
 
-import math
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .errors import SizeGuardError
 
@@ -16,50 +20,43 @@ DEFAULT_SIZE_GUARD = 2_000_000
 DEFAULT_NODE_BUDGET = 100_000_000
 BUDGET_ENV = "PULTR_BUDGET"
 
-_size_guard = DEFAULT_SIZE_GUARD
-
-
-def size_guard():
-    return _size_guard
-
-
-def set_size_guard(value):
-    global _size_guard
-    if value is None:
-        value = math.inf
-    _size_guard = value
+# (budget, size guard) of the innermost scope.  A budget of None defers
+# to PULTR_BUDGET and then to the default.
+_limits = ContextVar("pultr_limits", default=(None, DEFAULT_SIZE_GUARD))
 
 
 @contextmanager
-def guard_override(value):
-    """Temporarily replace the size guard (math.inf disables it)."""
-    global _size_guard
-    old = _size_guard
-    _size_guard = value
+def scope(budget=None, size_guard=None):
+    """Run the enclosed code under these limits.  None inherits the
+    enclosing value; size_guard=math.inf disables the guard."""
+    outer_budget, outer_guard = _limits.get()
+    token = _limits.set(
+        (
+            outer_budget if budget is None else budget,
+            outer_guard if size_guard is None else size_guard,
+        )
+    )
     try:
         yield
     finally:
-        _size_guard = old
+        _limits.reset(token)
+
+
+def size_guard():
+    return _limits.get()[1]
 
 
 def check_size(estimate, what="construction"):
     """Raise SizeGuardError if the estimated vertices+arcs exceed the guard."""
-    if estimate > _size_guard:
-        raise SizeGuardError(estimate, _size_guard, what)
-
-
-_budget_override = None
-
-
-def set_default_budget(value):
-    """Process-wide budget override; None restores env/default lookup."""
-    global _budget_override
-    _budget_override = value
+    guard = size_guard()
+    if estimate > guard:
+        raise SizeGuardError(estimate, guard, what)
 
 
 def default_budget():
-    if _budget_override is not None:
-        return _budget_override
+    budget = _limits.get()[0]
+    if budget is not None:
+        return budget
     raw = os.environ.get(BUDGET_ENV)
     if raw:
         try:

@@ -1,12 +1,10 @@
 """Named verification suites: exhaustive small-instance checks for the
 theorem families the library implements.  Each suite returns a
 deterministic report whose verdict line is byte-identical across runs
-and worker counts (items are generated in a fixed order and results are
-collected in submission order)."""
+(items are generated and checked in a fixed order)."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,13 +67,6 @@ class SuiteReport:
         return line
 
 
-def _run(fn, items, workers):
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _gshort(g):
     kind = "u" if g.is_symmetric else "d"
     return f"{kind}{g.n}:" + ",".join(f"{a}-{b}" for a, b in g.arcs())
@@ -84,7 +75,7 @@ def _gshort(g):
 ADJUNCTION_TEMPLATES = ("t3", "t5", "lex-k2", "tensor-c3", "arc-graph", "iota-2")
 
 
-def suite_adjunction(nmax=3, workers=1, budget=None):
+def suite_adjunction(nmax=3, budget=None):
     """Thin adjunction of the left and central functors, for the six
     reference templates, over every labelled (di)graph pair with up to
     nmax vertices (loops allowed)."""
@@ -101,27 +92,19 @@ def suite_adjunction(nmax=3, workers=1, budget=None):
             )
         )
         lams = [lambda_functor(t, g, undirected=not directed) for g in universe]
-
-        def check_target(k, t=t, tname=tname, universe=universe, lams=lams):
-            gam = gamma_functor(t, k, undirected=t.symmetry is not None, budget=budget)
-            bad = []
+        for k in universe:
+            gam = gamma_functor(t, k, undirected=not directed, budget=budget)
             for g, lam in zip(universe, lams):
                 left = engine.hom_exists(lam, k, budget=budget) is not None
                 right = engine.hom_exists(g, gam, budget=budget) is not None
                 if left != right:
-                    bad.append((g, k, left, right))
-            return bad
-
-        results = _run(check_target, universe, workers)
+                    failures.append(
+                        f"{tname}: lambda-side={left} gamma-side={right} "
+                        f"G=({_gshort(g)}) K=({_gshort(k)})"
+                    )
+                    artifacts.append((f"{tname}-G", g))
+                    artifacts.append((f"{tname}-K", k))
         checked += len(universe) * len(universe)
-        for bad in results:
-            for g, k, left, right in bad:
-                failures.append(
-                    f"{tname}: lambda-side={left} gamma-side={right} "
-                    f"G=({_gshort(g)}) K=({_gshort(k)})"
-                )
-                artifacts.append((f"{tname}-G", g))
-                artifacts.append((f"{tname}-K", k))
         notes.append(f"{tname}: {len(universe)}x{len(universe)} pairs")
     return SuiteReport(
         "adjunction",
@@ -133,7 +116,7 @@ def suite_adjunction(nmax=3, workers=1, budget=None):
     )
 
 
-def suite_omega(nmax=4, workers=1, budget=None):
+def suite_omega(nmax=4, budget=None):
     """Right-adjoint checks for the odd-path walk powers: the adjunction
     biconditional on small graphs, the chromatic identity for the
     subset-tuple graphs of complete graphs, their circular structure, and
@@ -150,21 +133,14 @@ def suite_omega(nmax=4, workers=1, budget=None):
         enumerate_graphs(nmax, directed=False, loops=True, all_orders=True)
     )
     combos = [(m, hname, h) for m in (3, 5) for hname, h in targets]
-
-    def check_combo(combo):
-        m, hname, h = combo
+    for m, hname, h in combos:
         tm = path_template(m)
         om = omega_odd_path(m, h)
-        bad = []
         for g in universe:
             left = engine.hom_exists(gamma_functor(tm, g), h, budget=budget) is not None
             right = engine.hom_exists(g, om, budget=budget) is not None
             if left != right:
-                bad.append(f"m={m} H={hname} G=({_gshort(g)}) {left}!={right}")
-        return bad
-
-    for bad in _run(check_combo, combos, workers):
-        failures.extend(bad)
+                failures.append(f"m={m} H={hname} G=({_gshort(g)}) {left}!={right}")
     checked += len(combos) * len(universe)
     notes.append(f"adjunction: {len(combos)} targets x {len(universe)} graphs")
 
@@ -199,7 +175,7 @@ def suite_omega(nmax=4, workers=1, budget=None):
     )
 
 
-def suite_duality(nmax=4, workers=1, budget=None):
+def suite_duality(nmax=4, budget=None):
     """Path/tournament duality and the minimal-sproink duality for the
     arc graphs of transitive tournaments."""
     failures = []
@@ -211,9 +187,7 @@ def suite_duality(nmax=4, workers=1, budget=None):
     checked += 1
 
     jobs = [("path", k) for k in (2, 3, 4)] + [("sproink", k) for k in (3, 4)]
-
-    def check(job):
-        kind, k = job
+    for kind, k in jobs:
         if kind == "path":
             rep = verify_duality(
                 [directed_path(k)], transitive_tournament(k), nmax, budget=budget
@@ -229,9 +203,6 @@ def suite_duality(nmax=4, workers=1, budget=None):
                 budget=budget,
             )
             label = f"sproinks/delta(T{k})"
-        return label, rep
-
-    for label, rep in _run(check, jobs, workers):
         checked += rep.checked
         if not rep.ok:
             failures.append(
@@ -243,7 +214,7 @@ def suite_duality(nmax=4, workers=1, budget=None):
     )
 
 
-def suite_shift(workers=1, budget=None):
+def suite_shift(budget=None):
     """Shift graphs as iterated arc graphs, their odd girth and chromatic
     number, and the colour-set lift bound on the arc graph of K_8."""
     failures = []
@@ -281,7 +252,7 @@ def suite_shift(workers=1, budget=None):
     )
 
 
-def suite_yeh_zhu(workers=1, budget=None):
+def suite_yeh_zhu(budget=None):
     """Hom-equivalence of circular cliques with the symmetrized
     interleaved adjoints of transitive tournaments."""
     failures = []
@@ -305,7 +276,7 @@ def _power_grid_pairs():
     ]
 
 
-def suite_ordering(nmax=4, workers=1, budget=None):
+def suite_ordering(nmax=4, budget=None):
     """Monotonicity of the power functors: s/r <= s'/r' gives a
     homomorphism P^s_r(G) -> P^{s'}_{r'}(G), for all connected G up to
     order nmax."""
@@ -317,23 +288,17 @@ def suite_ordering(nmax=4, workers=1, budget=None):
         if is_connected(g)
     ]
     pairs = _power_grid_pairs()
-
-    def check(g):
+    failures = []
+    for g in universe:
         powers = {}
-        bad = []
         for (s, r), (s2, r2) in pairs:
             for key in ((s, r), (s2, r2)):
                 if key not in powers:
                     powers[key] = power_functor(key[0], key[1], g)
             if engine.hom_exists(powers[(s, r)], powers[(s2, r2)], budget=budget) is None:
-                bad.append(
+                failures.append(
                     f"P^{s}_{r} -/-> P^{s2}_{r2} on ({_gshort(g)})"
                 )
-        return bad
-
-    failures = []
-    for bad in _run(check, universe, workers):
-        failures.extend(bad)
     checked = len(universe) * len(pairs)
     notes = (f"{len(universe)} connected graphs x {len(pairs)} grid pairs",)
     return SuiteReport(
@@ -341,7 +306,7 @@ def suite_ordering(nmax=4, workers=1, budget=None):
     )
 
 
-def suite_powers_chi_c(workers=1, budget=None):
+def suite_powers_chi_c(budget=None):
     """The grid bound through power functors hits the circular chromatic
     number of the 5- and 7-cycles on the stated grids."""
     failures = []
@@ -372,12 +337,17 @@ _SUITES = {
 
 
 def run_suite(name, nmax=None, workers=1, budget=None):
+    """Run one named suite.  Suites run in the calling thread; `workers`
+    is kept so that callers passing workers=1 (perfbench/passes.py) keep
+    working, and any other value is a ParameterError."""
+    if workers != 1:
+        raise ParameterError(f"workers={workers!r}: suites run in one thread")
     if name not in _SUITES:
         raise ParameterError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         )
     fn = _SUITES[name]
-    kwargs = {"workers": workers, "budget": budget}
+    kwargs = {"budget": budget}
     if nmax is not None and name in ("adjunction", "omega", "duality", "ordering"):
         kwargs["nmax"] = nmax
     return fn(**kwargs)

@@ -10,7 +10,9 @@ from pultr.graphs import (
     directed_path,
     transitive_tournament,
 )
-from pultr import engine
+from pultr.suites import run_suite
+from pultr import engine, limits
+from pultr.errors import BudgetExceededError, ParameterError
 
 
 @pytest.fixture
@@ -105,11 +107,17 @@ def test_verify_suite(files, capsys):
 
 
 def test_verify_deterministic_verdict(files, capsys):
-    main(["--workers", "1", "verify", "--suite", "powers-chi-c"])
+    main(["verify", "--suite", "powers-chi-c"])
     first = capsys.readouterr().out
-    main(["--workers", "4", "verify", "--suite", "powers-chi-c"])
+    main(["verify", "--suite", "powers-chi-c"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_run_suite_is_single_threaded():
+    assert run_suite("yeh-zhu", workers=1).verdict_line() == "VERDICT yeh-zhu PASS checked=2"
+    with pytest.raises(ParameterError):
+        run_suite("yeh-zhu", workers=4)
 
 
 def test_verify_duality_cli(files, capsys, tmp_path):
@@ -165,16 +173,26 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["chi", "--input", str(bad)]) == 2
 
 
-def test_size_guard_exit_code(files, capsys, monkeypatch):
-    from pultr import limits
-
-    monkeypatch.setattr(limits, "_size_guard", 5)
-    assert main(["apply", "--functor", "omega", "--m", "5", "--input", files["c5"]]) == 2
+def test_size_guard_exit_code(files, capsys):
+    with limits.scope(size_guard=5):
+        assert main(["apply", "--functor", "omega", "--m", "5", "--input", files["c5"]]) == 2
     assert "size guard" in capsys.readouterr().err
 
 
 def test_budget_flag(files, capsys):
     assert main(["--budget", "1", "chi-c", "--input", files["c7"]]) == 2
-    from pultr import limits
+    # main scopes its flags: the next call runs under the default budget
+    g, h = cycle_graph(7), cycle_graph(5)
+    with pytest.raises(BudgetExceededError):
+        engine.hom_exists(g, h, budget=1)
+    assert engine.hom_exists(g, h) is not None
+    # without the flag, main inherits the enclosing scope
+    with limits.scope(budget=1):
+        assert main(["chi-c", "--input", files["c7"]]) == 2
 
-    limits.set_default_budget(None)
+
+def test_unsafe_size_flag_is_scoped(files, capsys):
+    with limits.scope(size_guard=5):
+        assert main(["--unsafe-size", "apply", "--functor", "omega", "--m", "3", "--input", files["k3"]]) == 0
+        assert limits.size_guard() == 5
+    assert limits.size_guard() == limits.DEFAULT_SIZE_GUARD

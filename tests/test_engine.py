@@ -60,6 +60,38 @@ def test_c5_to_k3_matches_exhaustive():
     assert w is not None and verify_witness(c5, k3, w.mapping)
 
 
+def test_invalid_witness_is_rejected(monkeypatch):
+    """A kernel that returns a non-homomorphism is caught by the
+    independent re-check on every path that hands out witnesses."""
+    c5, k3 = cycle_graph(5), complete_graph(3)
+    solve = engine._kernel.solve
+    corrupted = []
+
+    def corrupt(mapping):
+        bad = list(mapping)
+        bad[0] = bad[1]  # 0 and 1 are adjacent in C5; K3 has no loops
+        corrupted.append(tuple(bad))
+        return tuple(bad)
+
+    def faulty_solve(*args):
+        status, payload, decisions = solve(*args)
+        if args[6] == engine.MODE_ENUM:
+            payload = [corrupt(payload[0])] + payload[1:]
+        else:
+            payload = corrupt(payload)
+        return status, payload, decisions
+
+    monkeypatch.setattr(engine._kernel, "solve", faulty_solve)
+    with pytest.raises(RuntimeError):
+        engine.hom_exists(c5, k3)
+    with pytest.raises(RuntimeError):
+        engine.hom_exists_pinned(c5, k3, {0: 0})
+    with pytest.raises(RuntimeError):
+        engine.hom_enumerate(c5, k3, limit=3)
+    assert len(corrupted) == 3
+    assert not any(verify_witness(c5, k3, m) for m in corrupted)
+
+
 def test_odd_cycle_to_bipartite_fails():
     assert engine.hom_exists(complete_graph(3), complete_graph(2)) is None
 

@@ -114,3 +114,9 @@ def test_witness_round_trip():
     assert parse_witness(serialize_witness(w)) == w
     with pytest.raises(ParseError):
         parse_witness("hom 2 2\n0 0\n")  # missing an entry
+    with pytest.raises(ParseError) as e:
+        parse_witness("hom 2 2\n0 x\n1 0\n")  # non-integer entry
+    assert e.value.line == 2
+    with pytest.raises(ParseError) as e:
+        parse_witness("hom 1 2\n0 1\n0 0\n")  # repeated source
+    assert e.value.line == 3

@@ -287,7 +287,7 @@ def test_dominated_reduction_keeps_hom_class(rng):
 
 
 def test_size_guard():
-    with limits.guard_override(10):
+    with limits.scope(size_guard=10):
         with pytest.raises(SizeGuardError):
             exponential_graph(complete_graph(3), complete_graph(3))
     # guard restored afterwards

@@ -5,6 +5,7 @@ same witnesses, same counts, same enumeration order, same decision counts.
 import pytest
 
 from pultr import _fallback
+from pultr.engine import kernel_args
 from pultr.graphs import Digraph, cycle_graph, complete_graph, enumerate_graphs
 from pultr.adjoints import omega_odd_path
 
@@ -13,31 +14,9 @@ from conftest import random_digraph
 speedups = pytest.importorskip("pultr._speedups")
 
 
-def _args(g, h, mode, budget=10**9, limit=-1):
-    full = (1 << h.n) - 1
-    doms = [full] * g.n
-    arcs = []
-    for u, v in g.arc_list:
-        if u == v:
-            doms[u] &= h.loop_mask
-        else:
-            arcs.append((u, v))
-    return (
-        g.n,
-        h.n,
-        arcs,
-        doms,
-        list(h.out_masks),
-        list(h.in_masks),
-        mode,
-        budget,
-        limit,
-    )
-
-
-def both(g, h, mode, **kw):
-    a = speedups.solve(*_args(g, h, mode, **kw))
-    b = _fallback.solve(*_args(g, h, mode, **kw))
+def both(g, h, mode, budget=10**9, limit=-1):
+    a = speedups.solve(*kernel_args(g, h, mode, budget=budget, limit=limit))
+    b = _fallback.solve(*kernel_args(g, h, mode, budget=budget, limit=limit))
     return a, b
 
 
