@@ -10,7 +10,7 @@ this script times them on representative workloads and prints a table.
 import argparse
 import time
 
-from pultr import _fallback
+from pultr import _fallback, limits
 from pultr.adjoints import omega_odd_path
 from pultr.engine import MODE_EXISTS, kernel_args
 from pultr.functors import builtin_template, gamma_functor, lambda_functor
@@ -30,7 +30,8 @@ except ImportError:
 
 
 def solve_args(g, h):
-    return kernel_args(g, h, MODE_EXISTS, budget=10**9)
+    with limits.scope(budget=10**9):
+        return kernel_args(g, h, MODE_EXISTS)
 
 
 def workload_adjunction_pairs():

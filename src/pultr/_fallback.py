@@ -10,8 +10,8 @@ enumeration order is lexicographic on the map tuple.
 
 pultr._speedups implements the identical algorithm in C.  Both kernels
 must produce bit-identical results (same first witness, same counts, same
-decision counts); tests/test_parity.py checks this whenever the
-compiled kernel is importable.
+decision counts); tests/test_parity.py compiles the committed
+_speedups.c and checks this.
 
 Unary constraints (loops of G, pinned vertices) must already be applied
 to the initial domains; `arcs` must be loop-free.
@@ -106,44 +106,22 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget, limit=-1):
         elif v < u:
             fwd[v].append((u, 1))
 
-    def count_from(i, doms):
-        nonlocal decisions
-        if i == n_g:
-            return 1
-        total = 0
-        lst = fwd[i]
-        m = doms[i]
-        while m:
-            low = m & -m
-            m ^= low
-            val = low.bit_length() - 1
-            decisions += 1
-            if decisions > budget:
-                raise _BudgetHit
-            if lst:
-                nd = doms.copy()
-                ok = True
-                for j, kind in lst:
-                    mask = out_masks[val] if kind == 0 else in_masks[val]
-                    dj = nd[j] & mask
-                    if not dj:
-                        ok = False
-                        break
-                    nd[j] = dj
-                if ok:
-                    total += count_from(i + 1, nd)
-            else:
-                total += count_from(i + 1, doms)
-        return total
-
+    # Counting and enumeration share one DFS; only enumeration records
+    # the maps and stops after `limit` of them.
+    record = mode == MODE_ENUM
+    cap = limit if record else -1
     assign = [0] * n_g
     results = []
+    found = 0
 
-    def enum_from(i, doms):
-        nonlocal decisions
+    def dfs(i, doms):
+        """False once `cap` maps have been found."""
+        nonlocal decisions, found
         if i == n_g:
-            results.append(tuple(assign))
-            return limit < 0 or len(results) < limit
+            found += 1
+            if record:
+                results.append(tuple(assign))
+            return cap < 0 or found < cap
         lst = fwd[i]
         m = doms[i]
         while m:
@@ -156,19 +134,16 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget, limit=-1):
             assign[i] = val
             if lst:
                 nd = doms.copy()
-                ok = True
                 for j, kind in lst:
-                    mask = out_masks[val] if kind == 0 else in_masks[val]
-                    dj = nd[j] & mask
+                    dj = nd[j] & (out_masks[val] if kind == 0 else in_masks[val])
                     if not dj:
-                        ok = False
                         break
                     nd[j] = dj
-                if ok and not enum_from(i + 1, nd):
-                    return False
-            else:
-                if not enum_from(i + 1, doms):
-                    return False
+                else:
+                    if not dfs(i + 1, nd):
+                        return False
+            elif not dfs(i + 1, doms):
+                return False
         return True
 
     try:
@@ -179,19 +154,10 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget, limit=-1):
             if any(d == 0 for d in doms) or not propagate(doms):
                 return STATUS_OK, None, decisions
             return STATUS_OK, search_exists(doms), decisions
-        if mode == MODE_COUNT:
-            if n_g == 0:
-                return STATUS_OK, 1, decisions
-            if any(d == 0 for d in doms0):
-                return STATUS_OK, 0, decisions
-            return STATUS_OK, count_from(0, list(doms0)), decisions
-        if mode == MODE_ENUM:
-            if n_g == 0:
-                return STATUS_OK, [()], decisions
-            if any(d == 0 for d in doms0):
-                return STATUS_OK, [], decisions
-            enum_from(0, list(doms0))
-            return STATUS_OK, results, decisions
+        if mode == MODE_COUNT or mode == MODE_ENUM:
+            if all(doms0):
+                dfs(0, list(doms0))
+            return STATUS_OK, results if record else found, decisions
     except _BudgetHit:
         return STATUS_BUDGET, None, decisions
     raise ValueError(f"unknown mode {mode}")

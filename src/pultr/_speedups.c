@@ -2584,7 +2584,7 @@ int __pyx_module_is_main_pultr___speedups = 0;
 /* #### Code section: global_var ### */
 static PyObject *__pyx_builtin_enumerate;
 /* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_search_kernel_algorithm[] = "Compiled search kernel; algorithmic twin of pultr._fallback.\n\nThe existence search (propagation + branching) runs in C without the\nGIL.  Counting and enumeration are exhaustive and rarely hot, so they\ndelegate to the shared pure-Python code path; the semantics, value\norders and decision counting are identical either way, which\ntests/test_parity.py enforces.  Any behavioural change here must be\nmirrored in pultr._fallback.\n";
+static const char __pyx_k_Compiled_search_kernel_algorithm[] = "Compiled search kernel; algorithmic twin of pultr._fallback.\n\nThe existence search (propagation + branching) runs in C without the\nGIL.  Counting and enumeration delegate to pultr._fallback.  Results\nand decision counts must equal the fallback's: tests/test_parity.py\ncompiles the committed _speedups.c and checks them.  After any change\nhere, regenerate that file with Cython and mirror behavioural changes\nin pultr._fallback.\n";
 /* #### Code section: decls ### */
 static PyObject *__pyx_pf_5pultr_9_speedups_5solve_genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0); /* proto */
 static PyObject *__pyx_pf_5pultr_9_speedups_5solve_3genexpr(PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0); /* proto */

@@ -2,11 +2,11 @@
 """Compiled search kernel; algorithmic twin of pultr._fallback.
 
 The existence search (propagation + branching) runs in C without the
-GIL.  Counting and enumeration are exhaustive and rarely hot, so they
-delegate to the shared pure-Python code path; the semantics, value
-orders and decision counting are identical either way, which
-tests/test_parity.py enforces.  Any behavioural change here must be
-mirrored in pultr._fallback.
+GIL.  Counting and enumeration delegate to pultr._fallback.  Results
+and decision counts must equal the fallback's: tests/test_parity.py
+compiles the committed _speedups.c and checks them.  After any change
+here, regenerate that file with Cython and mirror behavioural changes
+in pultr._fallback.
 """
 
 from libc.stdlib cimport free, malloc

@@ -68,9 +68,10 @@ def greedy_clique(g):
     return clique
 
 
-def k_colourable(g, k, budget=None):
+def k_colourable(g, k):
     """A proper k-colouring of the loop-free graph g (list of colours), or
-    None.  Deterministic; counts decisions against the budget."""
+    None.  Deterministic; counts decisions against the budget of the
+    enclosing `limits.scope`."""
     g = as_graph(g)
     if g.has_loop():
         raise ParameterError("colouring is undefined for graphs with loops")
@@ -81,8 +82,7 @@ def k_colourable(g, k, budget=None):
         return []
     if k == 0:
         return None
-    if budget is None:
-        budget = limits.default_budget()
+    budget = limits.default_budget()
     adj = g.out_masks
     clique = greedy_clique(g)
     if len(clique) > k:
@@ -139,7 +139,7 @@ def k_colourable(g, k, budget=None):
     return None
 
 
-def chromatic_number(g, budget=None):
+def chromatic_number(g):
     """Least n with a homomorphism to K_n.  Errors on loops."""
     g = as_graph(g)
     if g.has_loop():
@@ -150,14 +150,14 @@ def chromatic_number(g, budget=None):
         return 1
     lb = len(greedy_clique(g))
     for k in range(max(lb, 2), g.n + 1):
-        if k_colourable(g, k, budget=budget) is not None:
+        if k_colourable(g, k) is not None:
             return k
     return g.n
 
 
-def digraph_chromatic_number(d, budget=None):
+def digraph_chromatic_number(d):
     """Chromatic number of a digraph = that of its symmetrization."""
-    return chromatic_number(symmetrization(d), budget=budget)
+    return chromatic_number(symmetrization(d))
 
 
 def _fraction_scan(g):
@@ -171,7 +171,7 @@ def _fraction_scan(g):
     return fracs
 
 
-def circular_colouring(g, budget=None):
+def circular_colouring(g):
     """(chi_c as a Fraction, witness into the minimising circular clique).
 
     Ordered Farey scan over reduced n/m with 2m <= n <= |V(G)|; since
@@ -186,14 +186,14 @@ def circular_colouring(g, budget=None):
     if g.arc_count == 0:
         return Fraction(1), HomWitness(g.n, 1, (0,) * g.n)
     for frac, n, m in _fraction_scan(g):
-        w = engine.hom_exists(g, circular_complete(n, m), budget=budget)
+        w = engine.hom_exists(g, circular_complete(n, m))
         if w is not None:
             return frac, w
     raise RuntimeError("scan exhausted without finding a colouring")  # unreachable
 
 
-def circular_chromatic_number(g, budget=None):
-    return circular_colouring(g, budget=budget)[0]
+def circular_chromatic_number(g):
+    return circular_colouring(g)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def circular_chromatic_number(g, budget=None):
 # ---------------------------------------------------------------------------
 
 
-def gallai_roy_orientation(g, k, budget=None, scan_cap=ORIENTATION_SCAN_CAP):
+def gallai_roy_orientation(g, k, scan_cap=ORIENTATION_SCAN_CAP):
     """If g is k-colourable: the orientation along increasing colours,
     certified to admit no homomorphism from the directed path with k arcs.
     Otherwise None, after exhaustively confirming that every orientation
@@ -212,16 +212,16 @@ def gallai_roy_orientation(g, k, budget=None, scan_cap=ORIENTATION_SCAN_CAP):
     if k < 1:
         raise ParameterError("needs k >= 1")
     path = directed_path(k)
-    colours = k_colourable(g, k, budget=budget)
+    colours = k_colourable(g, k)
     if colours is not None:
         spec = "".join(
             "1" if colours[u] < colours[v] else "0" for u, v in sorted_edges(g)
         )
         oriented = orient_edges(g, spec)
-        hit = engine.hom_exists(path, oriented, budget=budget) is not None
+        hit = engine.hom_exists(path, oriented) is not None
         if hit:
             raise RuntimeError("colour-increasing orientation admits the path")
-        witness = engine.hom_exists(g, complete_graph(k), budget=budget)
+        witness = engine.hom_exists(g, complete_graph(k))
         return ColouringCertificate(
             target_name=f"K{k}",
             witness=witness,
@@ -234,7 +234,7 @@ def gallai_roy_orientation(g, k, budget=None, scan_cap=ORIENTATION_SCAN_CAP):
             f"orientation scan over {edge_count} edges exceeds cap {scan_cap}"
         )
     for oriented in orientations(g):
-        if engine.hom_exists(path, oriented, budget=budget) is None:
+        if engine.hom_exists(path, oriented) is None:
             raise RuntimeError(
                 "found an orientation avoiding the path although the graph "
                 "is not k-colourable"
@@ -286,7 +286,7 @@ def _clique_to_interleaved(n, m):
 
 
 def circular_gallai_roy_check(
-    g, n, m, budget=None, scan_cap=ORIENTATION_SCAN_CAP
+    g, n, m, scan_cap=ORIENTATION_SCAN_CAP
 ):
     """Certificate that chi_c(g) <= n/m via an orientation admitting no
     homomorphism from any n-arc path with < m reversals, or None (after
@@ -297,7 +297,7 @@ def circular_gallai_roy_check(
     if math.gcd(n, m) != 1 or 2 * m > n:
         raise ParameterError(f"{n}/{m} is not a reduced circular fraction >= 2")
     target = circular_complete(n, m)
-    w = engine.hom_exists(g, target, budget=budget)
+    w = engine.hom_exists(g, target)
     specs = list(reversal_path_specs(n, m - 1))
     if w is not None:
         iota = _interleaved_tournament(m, n)
@@ -313,7 +313,7 @@ def circular_gallai_roy_check(
         spec = "".join(bits)
         oriented = orient_edges(g, spec)
         family = tuple(
-            (s, engine.hom_exists(oriented_path(s), oriented, budget=budget) is not None)
+            (s, engine.hom_exists(oriented_path(s), oriented) is not None)
             for s in specs
         )
         if any(hit for _, hit in family):
@@ -332,7 +332,7 @@ def circular_gallai_roy_check(
     paths = [oriented_path(s) for s in specs]
     for oriented in orientations(g):
         if all(
-            engine.hom_exists(p, oriented, budget=budget) is None for p in paths
+            engine.hom_exists(p, oriented) is None for p in paths
         ):
             raise RuntimeError(
                 "found an orientation avoiding the whole family although "
@@ -354,7 +354,7 @@ class PowerBoundReport:
     skipped: tuple = ()
 
 
-def circular_bound_via_powers(g, i_max, j_max, budget=None):
+def circular_bound_via_powers(g, i_max, j_max):
     """Scan the (i, j) grid and return the least value (6i+3)/(3i+1-j)
     whose power graph P^{2i+1}_{2j+1}(g) is 3-colourable.
 
@@ -378,7 +378,7 @@ def circular_bound_via_powers(g, i_max, j_max, budget=None):
             power = power_functor(2 * i + 1, 2 * j + 1, g)
             if power.has_loop():
                 continue
-            if k_colourable(power, 3, budget=budget) is not None:
+            if k_colourable(power, 3) is not None:
                 successes.append(((i, j), value))
                 if best is None or value < best:
                     best, best_at = value, (i, j)
@@ -390,8 +390,8 @@ def circular_bound_via_powers(g, i_max, j_max, budget=None):
     )
 
 
-def circular_lower_bound_via_powers(g, i_max, j_max, budget=None):
-    report = circular_bound_via_powers(g, i_max, j_max, budget=budget)
+def circular_lower_bound_via_powers(g, i_max, j_max):
+    report = circular_bound_via_powers(g, i_max, j_max)
     if report.value is None:
         raise ParameterError(
             "no grid point certified a bound; enlarge the grid"

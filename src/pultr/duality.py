@@ -219,7 +219,6 @@ def verify_duality(
     nmax,
     family_factory=None,
     initial_len=None,
-    budget=None,
     universe=None,
 ):
     """Check over every digraph G on up to nmax vertices (loops allowed)
@@ -240,9 +239,9 @@ def verify_duality(
     checked = 0
     for g in universe:
         checked += 1
-        to_h = engine.hom_exists(g, h, budget=budget) is not None
+        to_h = engine.hom_exists(g, h) is not None
         hit = any(
-            engine.hom_exists(f, g, budget=budget) is not None for f in family
+            engine.hom_exists(f, g) is not None for f in family
         )
         if to_h and hit:
             return DualityReport(
@@ -253,7 +252,7 @@ def verify_duality(
                 wider = list(family_factory(2 * initial_len))
                 lengths = (initial_len, 2 * initial_len)
                 if any(
-                    engine.hom_exists(f, g, budget=budget) is not None
+                    engine.hom_exists(f, g) is not None
                     for f in wider
                 ):
                     family = wider

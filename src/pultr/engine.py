@@ -4,7 +4,11 @@ homomorphisms, plus the derived relations built on them.
 The actual search lives in a kernel module with two interchangeable
 implementations: pultr._speedups (compiled) and pultr._fallback (pure
 Python).  The compiled kernel is preferred when importable; setting
-PULTR_PURE=1 forces the fallback.  Results are identical either way.
+PULTR_PURE=1 forces the fallback.  Both must give the same witnesses,
+counts and decision counts; tests/test_parity.py compiles the committed
+_speedups.c and checks this, and is skipped only without a C compiler.
+
+Every search runs under the budget of the enclosing `limits.scope`.
 
 Every witness handed out has been re-checked against the raw arc sets by
 `verify_witness`, which is independent of the searcher.
@@ -88,13 +92,11 @@ def _checked(g, h, mapping):
     return HomWitness(g.n, h.n, tuple(mapping))
 
 
-def kernel_args(g, h, mode, pins=None, budget=None, limit=-1):
+def kernel_args(g, h, mode, pins=None, limit=-1):
     """The positional arguments of the kernels' `solve` for a search
     g -> h: loops of g and pins become unary domain restrictions, the
-    remaining arcs of g are the binary constraints.  budget=None means
-    the scoped default (`limits.default_budget`)."""
-    if budget is None:
-        budget = limits.default_budget()
+    remaining arcs of g are the binary constraints, and the budget is
+    that of the enclosing `limits.scope`."""
     full = (1 << h.n) - 1
     doms = [full] * g.n
     arcs = []
@@ -114,24 +116,24 @@ def kernel_args(g, h, mode, pins=None, budget=None, limit=-1):
         list(h.out_masks),
         list(h.in_masks),
         mode,
-        budget,
+        limits.default_budget(),
         limit,
     )
 
 
-def _solve(g, h, mode, pins=None, budget=None, limit=-1):
+def _solve(g, h, mode, pins=None, limit=-1):
     need = g.n * 3 + 200
     if sys.getrecursionlimit() < need:
         sys.setrecursionlimit(need)
     status, payload, decisions = _kernel.solve(
-        *kernel_args(g, h, mode, pins, budget, limit)
+        *kernel_args(g, h, mode, pins, limit)
     )
     if status != 0:
         raise BudgetExceededError(decisions)
     return payload
 
 
-def hom_exists(g, h, budget=None, shortcuts=True):
+def hom_exists(g, h):
     """A verified homomorphism witness g -> h, or None.
 
     Deterministic: propagation plus smallest-domain-first backtracking,
@@ -140,45 +142,43 @@ def hom_exists(g, h, budget=None, shortcuts=True):
     """
     if g.n == 0:
         return HomWitness(0, h.n, ())
-    if shortcuts and h.loop_mask:
+    if h.loop_mask:
         v = (h.loop_mask & -h.loop_mask).bit_length() - 1
         return _checked(g, h, (v,) * g.n)
-    mapping = _solve(g, h, MODE_EXISTS, budget=budget)
+    mapping = _solve(g, h, MODE_EXISTS)
     if mapping is None:
         return None
     return _checked(g, h, mapping)
 
 
-def hom_exists_pinned(g, h, pins, budget=None):
+def hom_exists_pinned(g, h, pins):
     """hom_exists with some vertices of g pinned to fixed images.
-    No loop shortcut: pins must be honoured."""
+    No loop shortcut: pins must be honoured, and with no pins this is
+    the plain search."""
     for u, val in pins.items():
         if not (0 <= u < g.n and 0 <= val < h.n):
             raise ParameterError(f"pin {u}->{val} out of range")
-    mapping = _solve(g, h, MODE_EXISTS, pins=pins, budget=budget)
+    mapping = _solve(g, h, MODE_EXISTS, pins=pins)
     if mapping is None:
         return None
     return _checked(g, h, mapping)
 
 
-def hom_count(g, h, budget=None):
+def hom_count(g, h):
     """Exact number of homomorphisms g -> h (plain DFS with forward
     checking; no symmetry factoring, no shortcuts)."""
-    return _solve(g, h, MODE_COUNT, budget=budget)
+    return _solve(g, h, MODE_COUNT)
 
 
-def hom_enumerate(g, h, limit=None, budget=None):
+def hom_enumerate(g, h, limit=None):
     """All homomorphisms g -> h as witnesses, lexicographic in the map
     tuple.  `limit` caps the list; None means exhaustive."""
-    maps = _solve(g, h, MODE_ENUM, budget=budget, limit=-1 if limit is None else limit)
+    maps = _solve(g, h, MODE_ENUM, limit=-1 if limit is None else limit)
     return [_checked(g, h, m) for m in maps]
 
 
-def hom_equivalent(g, h, budget=None):
-    return (
-        hom_exists(g, h, budget=budget) is not None
-        and hom_exists(h, g, budget=budget) is not None
-    )
+def hom_equivalent(g, h):
+    return hom_exists(g, h) is not None and hom_exists(h, g) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def isomorphic(g, h, cap=ISO_CAP):
 # ---------------------------------------------------------------------------
 
 
-def multiplicativity_search(k, nmax=4, budget=None):
+def multiplicativity_search(k, nmax=4):
     """Scan pairs of loop-free graphs G, H on up to nmax vertices for a
     refutation of multiplicativity of k: G -/-> k and H -/-> k but
     G x H -> k.  Returns the first such (G, H) in scan order (unordered
@@ -287,7 +287,7 @@ def multiplicativity_search(k, nmax=4, budget=None):
     hard = []
     for i, g in enumerate(universe):
         try:
-            if hom_exists(g, k, budget=budget) is None:
+            if hom_exists(g, k) is None:
                 hard.append(g)
         except BudgetExceededError as e:
             raise BudgetExceededError(
@@ -296,7 +296,7 @@ def multiplicativity_search(k, nmax=4, budget=None):
     for a, b in combinations_with_replacement(range(len(hard)), 2):
         g, h = hard[a], hard[b]
         try:
-            if hom_exists(tensor_product(g, h), k, budget=budget) is not None:
+            if hom_exists(tensor_product(g, h), k) is not None:
                 return g, h
         except BudgetExceededError as e:
             raise BudgetExceededError(

@@ -170,13 +170,13 @@ def _lambda_with_labels(t, g, undirected=None):
     return (as_graph(out) if undirected else out), labels, edges
 
 
-def gamma_functor(t, k, undirected=None, budget=None):
+def gamma_functor(t, k, undirected=None):
     """Central Pultr functor: vertices are the homomorphisms P -> K in
     lexicographic order; (g1, g2) is an arc iff some h: Q -> K satisfies
     h . eps1 = g1 and h . eps2 = g2."""
     undirected = _is_undirected(t, k, undirected)
     limits.check_size(k.n ** t.p.n if t.p.n else 1, "gamma functor")
-    gens = [w.mapping for w in engine.hom_enumerate(t.p, k, budget=budget)]
+    gens = [w.mapping for w in engine.hom_enumerate(t.p, k)]
     n = len(gens)
     arcs = []
     for i, g1 in enumerate(gens):
@@ -193,7 +193,7 @@ def gamma_functor(t, k, undirected=None, budget=None):
                         break
                 if not ok:
                     break
-            if ok and engine.hom_exists_pinned(t.q, k, pins, budget=budget):
+            if ok and engine.hom_exists_pinned(t.q, k, pins):
                 arcs.append((i, j))
         limits.check_size(n + len(arcs), "gamma functor")
     out = Digraph(n, arcs)
@@ -207,26 +207,18 @@ def gamma_functor(t, k, undirected=None, budget=None):
     return out
 
 
-def verify_adjunction(t, g, k, undirected=None, budget=None):
+def verify_adjunction(t, g, k, undirected=None):
     """Whether hom(Lambda_T(G) -> K) and hom(G -> Gamma_T(K)) agree."""
-    left = (
-        engine.hom_exists(lambda_functor(t, g, undirected), k, budget=budget)
-        is not None
-    )
-    right = (
-        engine.hom_exists(g, gamma_functor(t, k, undirected), budget=budget)
-        is not None
-    )
+    left = engine.hom_exists(lambda_functor(t, g, undirected), k) is not None
+    right = engine.hom_exists(g, gamma_functor(t, k, undirected)) is not None
     return left == right
 
 
-def product_commutation_check(t, g, h, budget=None):
+def product_commutation_check(t, g, h):
     """Whether Gamma_T(G x H) is hom-equivalent to Gamma_T(G) x Gamma_T(H)."""
-    lhs = gamma_functor(t, tensor_product(g, h), budget=budget)
-    rhs = tensor_product(
-        gamma_functor(t, g, budget=budget), gamma_functor(t, h, budget=budget)
-    )
-    return engine.hom_equivalent(lhs, rhs, budget=budget)
+    lhs = gamma_functor(t, tensor_product(g, h))
+    rhs = tensor_product(gamma_functor(t, g), gamma_functor(t, h))
+    return engine.hom_equivalent(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,17 @@ budget bounds backtracking decisions per engine call; exceeding it is an
 error, never a guess.
 
 Both limits are scoped: `scope(budget=..., size_guard=...)` sets them
-for the code it wraps and restores the enclosing values on exit.  A
-per-call `budget=` argument still takes precedence over the scope.
+for the code it wraps and restores the enclosing values on exit.  It is
+the only way to set them in-process; no search function takes a budget
+argument.  `engine.kernel_args` and `chromatic.k_colourable` read the
+budget through `default_budget`.
 """
 
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from .errors import SizeGuardError
+from .errors import ParameterError, SizeGuardError
 
 DEFAULT_SIZE_GUARD = 2_000_000
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -54,13 +56,17 @@ def check_size(estimate, what="construction"):
 
 
 def default_budget():
+    """The budget of the innermost scope, else PULTR_BUDGET, else the
+    default.  A PULTR_BUDGET that is not a non-negative integer is a
+    ParameterError."""
     budget = _limits.get()[0]
     if budget is not None:
         return budget
     raw = os.environ.get(BUDGET_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_NODE_BUDGET
+    if not raw:
+        return DEFAULT_NODE_BUDGET
+    if not raw.strip().isdecimal():
+        raise ParameterError(
+            f"{BUDGET_ENV}={raw!r} is not a non-negative integer"
+        )
+    return int(raw)

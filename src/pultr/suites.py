@@ -48,6 +48,8 @@ SUITE_NAMES = (
     "ordering",
     "powers-chi-c",
 )
+# The suites whose universe is bounded by an nmax.
+NMAX_SUITES = ("adjunction", "omega", "duality", "ordering")
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ def _gshort(g):
 ADJUNCTION_TEMPLATES = ("t3", "t5", "lex-k2", "tensor-c3", "arc-graph", "iota-2")
 
 
-def suite_adjunction(nmax=3, budget=None):
+def suite_adjunction(nmax=3):
     """Thin adjunction of the left and central functors, for the six
     reference templates, over every labelled (di)graph pair with up to
     nmax vertices (loops allowed)."""
@@ -93,10 +95,10 @@ def suite_adjunction(nmax=3, budget=None):
         )
         lams = [lambda_functor(t, g, undirected=not directed) for g in universe]
         for k in universe:
-            gam = gamma_functor(t, k, undirected=not directed, budget=budget)
+            gam = gamma_functor(t, k, undirected=not directed)
             for g, lam in zip(universe, lams):
-                left = engine.hom_exists(lam, k, budget=budget) is not None
-                right = engine.hom_exists(g, gam, budget=budget) is not None
+                left = engine.hom_exists(lam, k) is not None
+                right = engine.hom_exists(g, gam) is not None
                 if left != right:
                     failures.append(
                         f"{tname}: lambda-side={left} gamma-side={right} "
@@ -116,7 +118,7 @@ def suite_adjunction(nmax=3, budget=None):
     )
 
 
-def suite_omega(nmax=4, budget=None):
+def suite_omega(nmax=4):
     """Right-adjoint checks for the odd-path walk powers: the adjunction
     biconditional on small graphs, the chromatic identity for the
     subset-tuple graphs of complete graphs, their circular structure, and
@@ -137,15 +139,15 @@ def suite_omega(nmax=4, budget=None):
         tm = path_template(m)
         om = omega_odd_path(m, h)
         for g in universe:
-            left = engine.hom_exists(gamma_functor(tm, g), h, budget=budget) is not None
-            right = engine.hom_exists(g, om, budget=budget) is not None
+            left = engine.hom_exists(gamma_functor(tm, g), h) is not None
+            right = engine.hom_exists(g, om) is not None
             if left != right:
                 failures.append(f"m={m} H={hname} G=({_gshort(g)}) {left}!={right}")
     checked += len(combos) * len(universe)
     notes.append(f"adjunction: {len(combos)} targets x {len(universe)} graphs")
 
     for n in (2, 3, 4):
-        chi = chromatic_number(omega_odd_path(3, complete_graph(n)), budget=budget)
+        chi = chromatic_number(omega_odd_path(3, complete_graph(n)))
         checked += 1
         if chi != n:
             failures.append(f"chi(omega_3(K{n})) = {chi} != {n}")
@@ -153,7 +155,7 @@ def suite_omega(nmax=4, budget=None):
 
     for m, cyc in ((3, 9), (5, 15)):
         ok = engine.hom_equivalent(
-            omega_odd_path(m, complete_graph(3)), cycle_graph(cyc), budget=budget
+            omega_odd_path(m, complete_graph(3)), cycle_graph(cyc)
         )
         checked += 1
         if not ok:
@@ -162,10 +164,10 @@ def suite_omega(nmax=4, budget=None):
 
     t3 = path_template(3)
     for n, m in ((5, 2), (7, 3), (8, 3)):
-        lhs = gamma_functor(t3, circular_complete(n, m), budget=budget)
+        lhs = gamma_functor(t3, circular_complete(n, m))
         rhs = circular_complete(n, 3 * m - n)
         checked += 1
-        if not engine.hom_equivalent(lhs, rhs, budget=budget):
+        if not engine.hom_equivalent(lhs, rhs):
             failures.append(
                 f"gamma_3(K{n}/{m}) not hom-equivalent to K{n}/{3 * m - n}"
             )
@@ -175,7 +177,7 @@ def suite_omega(nmax=4, budget=None):
     )
 
 
-def suite_duality(nmax=4, budget=None):
+def suite_duality(nmax=4):
     """Path/tournament duality and the minimal-sproink duality for the
     arc graphs of transitive tournaments."""
     failures = []
@@ -190,7 +192,7 @@ def suite_duality(nmax=4, budget=None):
     for kind, k in jobs:
         if kind == "path":
             rep = verify_duality(
-                [directed_path(k)], transitive_tournament(k), nmax, budget=budget
+                [directed_path(k)], transitive_tournament(k), nmax
             )
             label = f"paths/T{k}"
         else:
@@ -200,7 +202,6 @@ def suite_duality(nmax=4, budget=None):
                 nmax,
                 family_factory=lambda length: minimal_path_sproinks(k, length),
                 initial_len=12,
-                budget=budget,
             )
             label = f"sproinks/delta(T{k})"
         checked += rep.checked
@@ -214,7 +215,7 @@ def suite_duality(nmax=4, budget=None):
     )
 
 
-def suite_shift(budget=None):
+def suite_shift():
     """Shift graphs as iterated arc graphs, their odd girth and chromatic
     number, and the colour-set lift bound on the arc graph of K_8."""
     failures = []
@@ -231,14 +232,14 @@ def suite_shift(budget=None):
     checked += 1
     if og != 7:
         failures.append(f"odd girth of R'(7,3) = {og} != 7")
-    chi = chromatic_number(shift_graph(8, 2, directed=False), budget=budget)
+    chi = chromatic_number(shift_graph(8, 2, directed=False))
     checked += 1
     if chi != 3:
         failures.append(f"chi(R'(8,2)) = {chi} != 3")
     k8 = complete_graph(8)
     delta8 = arc_graph(k8)
-    chi8 = digraph_chromatic_number(delta8, budget=budget)
-    colour = k_colourable(symmetrization(delta8), chi8, budget=budget)
+    chi8 = digraph_chromatic_number(delta8)
+    colour = k_colourable(symmetrization(delta8), chi8)
     lift = delta_colouring_lift(k8, HomWitness(delta8.n, chi8, tuple(colour)))
     checked += 1
     if chi8 < 3 or len(set(lift.mapping)) < 8 or lift.target_order != 1 << chi8:
@@ -252,14 +253,14 @@ def suite_shift(budget=None):
     )
 
 
-def suite_yeh_zhu(budget=None):
+def suite_yeh_zhu():
     """Hom-equivalence of circular cliques with the symmetrized
     interleaved adjoints of transitive tournaments."""
     failures = []
     checked = 0
     for n, m in ((5, 2), (7, 3)):
         b = symmetrization(interleaved_adjoint(m, transitive_tournament(n)))
-        ok = engine.hom_equivalent(circular_complete(n, m), b, budget=budget)
+        ok = engine.hom_equivalent(circular_complete(n, m), b)
         checked += 1
         if not ok:
             failures.append(f"K{n}/{m} not hom-equivalent to B({n},{m})")
@@ -276,7 +277,7 @@ def _power_grid_pairs():
     ]
 
 
-def suite_ordering(nmax=4, budget=None):
+def suite_ordering(nmax=4):
     """Monotonicity of the power functors: s/r <= s'/r' gives a
     homomorphism P^s_r(G) -> P^{s'}_{r'}(G), for all connected G up to
     order nmax."""
@@ -295,7 +296,7 @@ def suite_ordering(nmax=4, budget=None):
             for key in ((s, r), (s2, r2)):
                 if key not in powers:
                     powers[key] = power_functor(key[0], key[1], g)
-            if engine.hom_exists(powers[(s, r)], powers[(s2, r2)], budget=budget) is None:
+            if engine.hom_exists(powers[(s, r)], powers[(s2, r2)]) is None:
                 failures.append(
                     f"P^{s}_{r} -/-> P^{s2}_{r2} on ({_gshort(g)})"
                 )
@@ -306,7 +307,7 @@ def suite_ordering(nmax=4, budget=None):
     )
 
 
-def suite_powers_chi_c(budget=None):
+def suite_powers_chi_c():
     """The grid bound through power functors hits the circular chromatic
     number of the 5- and 7-cycles on the stated grids."""
     failures = []
@@ -315,8 +316,8 @@ def suite_powers_chi_c(budget=None):
         (cycle_graph(5), 2, 1, Fraction(5, 2)),
         (cycle_graph(7), 3, 2, Fraction(7, 3)),
     ):
-        rep = circular_bound_via_powers(g, i_max, j_max, budget=budget)
-        chi_c = circular_chromatic_number(g, budget=budget)
+        rep = circular_bound_via_powers(g, i_max, j_max)
+        chi_c = circular_chromatic_number(g)
         checked += 1
         if rep.value != expect or chi_c != expect:
             failures.append(
@@ -336,18 +337,21 @@ _SUITES = {
 }
 
 
-def run_suite(name, nmax=None, workers=1, budget=None):
+def run_suite(name, nmax=None, workers=1):
     """Run one named suite.  Suites run in the calling thread; `workers`
     is kept so that callers passing workers=1 (perfbench/passes.py) keep
-    working, and any other value is a ParameterError."""
+    working, and any other value is a ParameterError.  So is an nmax for
+    a suite without a universe bound."""
     if workers != 1:
         raise ParameterError(f"workers={workers!r}: suites run in one thread")
     if name not in _SUITES:
         raise ParameterError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         )
-    fn = _SUITES[name]
-    kwargs = {"budget": budget}
-    if nmax is not None and name in ("adjunction", "omega", "duality", "ordering"):
-        kwargs["nmax"] = nmax
-    return fn(**kwargs)
+    if nmax is None:
+        return _SUITES[name]()
+    if name not in NMAX_SUITES:
+        raise ParameterError(
+            f"suite {name!r} takes no nmax; only {', '.join(NMAX_SUITES)} do"
+        )
+    return _SUITES[name](nmax=nmax)

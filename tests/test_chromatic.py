@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pultr import engine
+from pultr import engine, limits
 from pultr.adjoints import omega_odd_path
 from pultr.chromatic import (
     chromatic_number,
@@ -96,8 +96,8 @@ def test_chromatic_examples_from_powers():
 
 
 def test_budget_propagates():
-    with pytest.raises(BudgetExceededError):
-        chromatic_number(kneser_pairs(5), budget=2)
+    with limits.scope(budget=2), pytest.raises(BudgetExceededError):
+        chromatic_number(kneser_pairs(5))
 
 
 def test_circular_chromatic_values():

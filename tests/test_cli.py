@@ -120,6 +120,16 @@ def test_run_suite_is_single_threaded():
         run_suite("yeh-zhu", workers=4)
 
 
+def test_verify_rejects_nmax_of_fixed_suites(capsys):
+    for suite in ("shift", "yeh-zhu", "powers-chi-c"):
+        assert main(["verify", "--suite", suite, "--nmax", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"suite {suite!r} takes no nmax" in captured.err
+        with pytest.raises(ParameterError):
+            run_suite(suite, nmax=9)
+
+
 def test_verify_duality_cli(files, capsys, tmp_path):
     code = main(
         [
@@ -183,12 +193,20 @@ def test_budget_flag(files, capsys):
     assert main(["--budget", "1", "chi-c", "--input", files["c7"]]) == 2
     # main scopes its flags: the next call runs under the default budget
     g, h = cycle_graph(7), cycle_graph(5)
-    with pytest.raises(BudgetExceededError):
-        engine.hom_exists(g, h, budget=1)
+    with limits.scope(budget=1), pytest.raises(BudgetExceededError):
+        engine.hom_exists(g, h)
     assert engine.hom_exists(g, h) is not None
     # without the flag, main inherits the enclosing scope
     with limits.scope(budget=1):
         assert main(["chi-c", "--input", files["c7"]]) == 2
+
+
+def test_malformed_budget_env(files, capsys, monkeypatch):
+    monkeypatch.setenv("PULTR_BUDGET", "1e6")
+    assert main(["chi-c", "--input", files["c7"]]) == 2
+    assert "PULTR_BUDGET='1e6'" in capsys.readouterr().err
+    # --budget scopes a budget, so the variable is not read
+    assert main(["--budget", "1000000", "chi-c", "--input", files["c7"]]) == 0
 
 
 def test_unsafe_size_flag_is_scoped(files, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from pultr import engine
+from pultr import _fallback, engine, limits
 from pultr.engine import HomWitness, compose, verify_witness
 from pultr.errors import BudgetExceededError, ParameterError
 from pultr.graphs import (
@@ -127,8 +127,38 @@ def test_count_matches_exists_small_exhaustive():
             count = engine.hom_count(g, h)
             assert brute_hom_count(g, h) == count
             assert (count > 0) == (
-                engine.hom_exists(g, h, shortcuts=False) is not None
+                engine.hom_exists_pinned(g, h, {}) is not None
             )
+
+
+def test_count_and_enumeration_decision_counts():
+    # Counting and enumeration share one DFS; its payloads and decision
+    # counts are part of the behaviour contract, pinned here.
+    k2, k4 = complete_graph(2), complete_graph(4)
+    cases = [
+        (path_graph(3), complete_graph(3), engine.MODE_COUNT, -1, 24, 45),
+        (cycle_graph(7), cycle_graph(5), engine.MODE_COUNT, -1, 70, 385),
+        (
+            transitive_tournament(3),
+            transitive_tournament(4),
+            engine.MODE_COUNT,
+            -1,
+            4,
+            14,
+        ),
+        (
+            cycle_graph(6),
+            k2,
+            engine.MODE_ENUM,
+            -1,
+            [(0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0)],
+            12,
+        ),
+        (k2, k4, engine.MODE_ENUM, 5, [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2)], 7),
+    ]
+    for g, h, mode, limit, payload, decisions in cases:
+        args = engine.kernel_args(g, h, mode, limit=limit)
+        assert _fallback.solve(*args) == (0, payload, decisions)
 
 
 def test_count_matches_exists_all_graph_pairs_order4():
@@ -196,10 +226,10 @@ def test_hom_equivalent():
 def test_budget_is_error_not_guess():
     g = cycle_graph(9)
     h = kneser_pairs(5)  # Petersen graph, forces real search
-    with pytest.raises(BudgetExceededError):
-        engine.hom_exists(g, h, budget=1)
-    with pytest.raises(BudgetExceededError):
-        engine.hom_count(g, complete_graph(3), budget=5)
+    with limits.scope(budget=1), pytest.raises(BudgetExceededError):
+        engine.hom_exists(g, h)
+    with limits.scope(budget=5), pytest.raises(BudgetExceededError):
+        engine.hom_count(g, complete_graph(3))
 
 
 def test_isomorphic():
@@ -246,8 +276,8 @@ def test_multiplicativity_finds_refutation_when_planted():
 
 
 def test_multiplicativity_budget_reports_progress():
-    with pytest.raises(BudgetExceededError) as e:
-        engine.multiplicativity_search(cycle_graph(5), 4, budget=2)
+    with limits.scope(budget=2), pytest.raises(BudgetExceededError) as e:
+        engine.multiplicativity_search(cycle_graph(5), 4)
     assert e.value.progress is not None
 
 

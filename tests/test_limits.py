@@ -1,0 +1,57 @@
+"""The search budget is set in one place, `limits.scope`, and reaches
+every search nested in the scope."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import pultr
+from pultr import limits
+from pultr.adjoints import power_functor
+from pultr.errors import BudgetExceededError, ParameterError
+from pultr.functors import builtin_template, verify_adjunction
+from pultr.graphs import Graph, cycle_graph
+
+# The setter itself and the raw kernel contract, whose budget is positional.
+BUDGET_TAKERS = {"pultr.limits.scope", "pultr._fallback.solve"}
+
+
+def test_scope_budget_reaches_nested_searches():
+    t3, c5 = builtin_template("t3"), cycle_graph(5)
+    k = Graph(3, [(0, 0), (0, 1), (1, 2)])
+    assert verify_adjunction(t3, c5, k)
+    assert power_functor(3, 1, c5).n == 5
+    # The lambda side takes the loop shortcut; the gamma side must search.
+    with limits.scope(budget=1), pytest.raises(BudgetExceededError):
+        verify_adjunction(t3, c5, k)
+    with limits.scope(budget=1), pytest.raises(BudgetExceededError):
+        power_functor(3, 1, c5)
+
+
+def test_only_the_scope_sets_a_budget():
+    takers = set()
+    for info in pkgutil.iter_modules(pultr.__path__):
+        module = importlib.import_module(f"pultr.{info.name}")
+        for name, obj in vars(module).items():
+            if (
+                inspect.isfunction(obj)
+                and obj.__module__ == module.__name__
+                and "budget" in inspect.signature(obj).parameters
+            ):
+                takers.add(f"{module.__name__}.{name}")
+    assert takers == BUDGET_TAKERS
+
+
+def test_budget_env(monkeypatch):
+    monkeypatch.setenv(limits.BUDGET_ENV, "7")
+    assert limits.default_budget() == 7
+    with limits.scope(budget=3):
+        assert limits.default_budget() == 3
+    monkeypatch.setenv(limits.BUDGET_ENV, "")
+    assert limits.default_budget() == limits.DEFAULT_NODE_BUDGET
+    for raw in ("1e6", "10**6", "-5", "many"):
+        monkeypatch.setenv(limits.BUDGET_ENV, raw)
+        with pytest.raises(ParameterError, match=limits.BUDGET_ENV):
+            limits.default_budget()
