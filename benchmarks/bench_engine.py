@@ -41,8 +41,8 @@ def workload_adjunction_pairs():
     universe = list(
         enumerate_graphs(3, directed=True, loops=True, all_orders=True)
     )
-    lams = [lambda_functor(t, g, undirected=False) for g in universe]
-    gams = [gamma_functor(t, k, undirected=False) for k in universe]
+    lams = [lambda_functor(t, g) for g in universe]
+    gams = [gamma_functor(t, k) for k in universe]
     jobs = []
     for lam in lams:
         for k in universe:

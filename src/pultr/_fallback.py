@@ -155,7 +155,9 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget, limit=-1):
                 return STATUS_OK, None, decisions
             return STATUS_OK, search_exists(doms), decisions
         if mode == MODE_COUNT or mode == MODE_ENUM:
-            if all(doms0):
+            # A cap of 0 asks for no maps: the DFS would record one
+            # before it checks the cap, so it does not start.
+            if all(doms0) and cap != 0:
                 dfs(0, list(doms0))
             return STATUS_OK, results if record else found, decisions
     except _BudgetHit:

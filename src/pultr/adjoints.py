@@ -12,6 +12,8 @@ isolated and harmless.
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import limits
 from .errors import ParameterError
 from .functors import arc_graph_template, gamma_functor, lambda_functor, path_template
@@ -192,7 +194,7 @@ def arc_graph_left(g):
     """Left adjoint of the arc graph: vertex u splits into an arc
     u0 -> u1, and each arc u -> v glues u1 = v0.  This is the left Pultr
     functor of the arc-graph template."""
-    return lambda_functor(arc_graph_template(), g, undirected=False)
+    return lambda_functor(arc_graph_template(), g)
 
 
 def interleaved_adjoint(m, h):
@@ -203,7 +205,7 @@ def interleaved_adjoint(m, h):
     if m < 1:
         raise ParameterError("interleaved adjoint needs m >= 1")
     limits.check_size(h.n**m + h.arc_count if h.n else 0, "interleaved adjoint")
-    tuples = list(_tuples(h.n, m))
+    tuples = list(product(range(h.n), repeat=m))
     arcs = []
     for a, u in enumerate(tuples):
         for b, v in enumerate(tuples):
@@ -215,24 +217,15 @@ def interleaved_adjoint(m, h):
     return Digraph(len(tuples), arcs)
 
 
-def _tuples(n, m):
-    if m == 0:
-        yield ()
-        return
-    for head in range(n):
-        for rest in _tuples(n, m - 1):
-            yield (head,) + rest
-
-
 def power_functor(s, r, g):
     """P^s_r: the s-th walk power of the r-subdivision (odd s, r)."""
     _require_odd(s, "s")
     _require_odd(r, "r")
     g = as_graph(g)
-    x = g if r == 1 else lambda_functor(path_template(r), g, undirected=True)
+    x = g if r == 1 else lambda_functor(path_template(r), g)
     if s == 1:
         return x
-    return as_graph(gamma_functor(path_template(s), x, undirected=True))
+    return as_graph(gamma_functor(path_template(s), x))
 
 
 def root_functor(r, s, h):
@@ -244,7 +237,7 @@ def root_functor(r, s, h):
     x = h if s == 1 else omega_odd_path(s, h)
     if r == 1:
         return x
-    return as_graph(gamma_functor(path_template(r), x, undirected=True))
+    return as_graph(gamma_functor(path_template(r), x))
 
 
 def root_size_estimate(r, s, h):

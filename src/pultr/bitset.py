@@ -7,14 +7,3 @@ def iter_bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def bit_list(mask):
-    return list(iter_bits(mask))
-
-
-def mask_of(items):
-    m = 0
-    for i in items:
-        m |= 1 << i
-    return m

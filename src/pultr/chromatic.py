@@ -71,7 +71,9 @@ def greedy_clique(g):
 def k_colourable(g, k):
     """A proper k-colouring of the loop-free graph g (list of colours), or
     None.  Deterministic; counts decisions against the budget of the
-    enclosing `limits.scope`."""
+    enclosing `limits.scope`.  A colouring is re-checked as a
+    homomorphism into K_k by `engine.verify_witness` before it is
+    returned."""
     g = as_graph(g)
     if g.has_loop():
         raise ParameterError("colouring is undefined for graphs with loops")
@@ -134,9 +136,14 @@ def k_colourable(g, k):
             colours[v] = -1
         return False
 
-    if dfs(len(clique), len(clique) - 1):
-        return list(colours)
-    return None
+    if not dfs(len(clique), len(clique) - 1):
+        return None
+    if not engine.verify_witness(g, complete_graph(k), colours):
+        raise RuntimeError(
+            f"colouring search produced an invalid {k}-colouring {colours} "
+            f"for {g!r}"
+        )
+    return list(colours)
 
 
 def chromatic_number(g):
@@ -201,7 +208,17 @@ def circular_chromatic_number(g):
 # ---------------------------------------------------------------------------
 
 
-def gallai_roy_orientation(g, k, scan_cap=ORIENTATION_SCAN_CAP):
+def _require_scannable(g):
+    """Refuse an exhaustive orientation scan over more than
+    ORIENTATION_SCAN_CAP edges."""
+    if g.edge_count > ORIENTATION_SCAN_CAP:
+        raise ParameterError(
+            f"orientation scan over {g.edge_count} edges exceeds cap "
+            f"{ORIENTATION_SCAN_CAP}"
+        )
+
+
+def gallai_roy_orientation(g, k):
     """If g is k-colourable: the orientation along increasing colours,
     certified to admit no homomorphism from the directed path with k arcs.
     Otherwise None, after exhaustively confirming that every orientation
@@ -228,11 +245,7 @@ def gallai_roy_orientation(g, k, scan_cap=ORIENTATION_SCAN_CAP):
             orientation=spec,
             family=((f"dP{k}", False),),
         )
-    edge_count = sum(1 for _ in sorted_edges(g))
-    if edge_count > scan_cap:
-        raise ParameterError(
-            f"orientation scan over {edge_count} edges exceeds cap {scan_cap}"
-        )
+    _require_scannable(g)
     for oriented in orientations(g):
         if engine.hom_exists(path, oriented) is None:
             raise RuntimeError(
@@ -285,9 +298,7 @@ def _clique_to_interleaved(n, m):
     return w
 
 
-def circular_gallai_roy_check(
-    g, n, m, scan_cap=ORIENTATION_SCAN_CAP
-):
+def circular_gallai_roy_check(g, n, m):
     """Certificate that chi_c(g) <= n/m via an orientation admitting no
     homomorphism from any n-arc path with < m reversals, or None (after
     exhaustively confirming every orientation admits one)."""
@@ -324,11 +335,7 @@ def circular_gallai_roy_check(
             orientation=spec,
             family=family,
         )
-    edge_count = sum(1 for _ in sorted_edges(g))
-    if edge_count > scan_cap:
-        raise ParameterError(
-            f"orientation scan over {edge_count} edges exceeds cap {scan_cap}"
-        )
+    _require_scannable(g)
     paths = [oriented_path(s) for s in specs]
     for oriented in orientations(g):
         if all(

@@ -80,12 +80,11 @@ def cmd_apply(args):
         if not args.template:
             raise ParameterError(f"--functor {functor} needs --template")
         t = load_template(args.template)
-        undirected = t.symmetry is not None
-        require_valid(t, undirected_mode=undirected)
+        require_valid(t, undirected_mode=t.symmetry is not None)
         if functor == "lambda":
-            out = lambda_functor(t, g, undirected=undirected and g.is_symmetric)
+            out = lambda_functor(t, g)
         else:
-            out = gamma_functor(t, g, undirected=undirected and g.is_symmetric)
+            out = gamma_functor(t, g)
     elif functor == "omega":
         out = omega_odd_path(_need(args.m, "--m"), as_graph(g))
     elif functor == "omega-path":

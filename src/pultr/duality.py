@@ -219,7 +219,6 @@ def verify_duality(
     nmax,
     family_factory=None,
     initial_len=None,
-    universe=None,
 ):
     """Check over every digraph G on up to nmax vertices (loops allowed)
     that G admits no homomorphism to h exactly when some member of the
@@ -232,12 +231,8 @@ def verify_duality(
     """
     family = list(family)
     lengths = (initial_len,) if initial_len is not None else ()
-    if universe is None:
-        universe = enumerate_graphs(
-            nmax, directed=True, loops=True, all_orders=True
-        )
     checked = 0
-    for g in universe:
+    for g in enumerate_graphs(nmax, directed=True, loops=True, all_orders=True):
         checked += 1
         to_h = engine.hom_exists(g, h) is not None
         hit = any(

@@ -173,6 +173,8 @@ def hom_count(g, h):
 def hom_enumerate(g, h, limit=None):
     """All homomorphisms g -> h as witnesses, lexicographic in the map
     tuple.  `limit` caps the list; None means exhaustive."""
+    if limit is not None and limit < 0:
+        raise ParameterError(f"enumeration limit must be >= 0, got {limit}")
     maps = _solve(g, h, MODE_ENUM, limit=-1 if limit is None else limit)
     return [_checked(g, h, m) for m in maps]
 

@@ -3,8 +3,10 @@ functors, with adjunction and product-commutation verifiers.
 
 A template is a quadruple (P, Q, eps1, eps2) of digraphs and
 homomorphisms P -> Q.  For the undirected setting the template also
-carries an automorphism of Q swapping eps1 and eps2; that symmetry is
-what makes the central functor produce a graph rather than a digraph.
+carries an automorphism of Q swapping eps1 and eps2; that symmetry,
+applied to a symmetric argument, is what makes both functors produce a
+graph rather than a digraph.  `_is_undirected` is the one place that
+decides the mode.
 
 The left functor glues one copy of P per vertex and one copy of Q per
 edge/arc of the argument, identifying the eps images with the endpoint
@@ -97,10 +99,11 @@ def require_valid(t, undirected_mode=False):
         )
 
 
-def _is_undirected(t, g, undirected):
-    if undirected is None:
-        return t.symmetry is not None and g.is_symmetric
-    return undirected
+def _is_undirected(t, g):
+    """The functor mode, and the only place that decides it: a template
+    with a symmetry applied to a symmetric argument gives the graph
+    form, anything else the digraph form."""
+    return t.symmetry is not None and g.is_symmetric
 
 
 def _find(parent, x):
@@ -122,21 +125,20 @@ def _union(parent, a, b):
     parent[ra] = parent[rb] = root
 
 
-def lambda_functor(t, g, undirected=None):
+def lambda_functor(t, g):
     """Left Pultr functor: one copy of P per vertex, one copy of Q per
     edge (undirected mode) or arc, glued along eps1 / eps2 by union-find
     with the smallest composite label as class representative, then
-    renumbered canonically."""
-    return _lambda_with_labels(t, g, undirected)[0]
+    renumbered canonically.  The mode is undirected exactly when t has a
+    symmetry and g is symmetric; the result is then a Graph."""
+    return _lambda_with_labels(t, g)[0]
 
 
-def _lambda_with_labels(t, g, undirected=None):
+def _lambda_with_labels(t, g):
     """lambda_functor plus the map from composite labels to vertices:
     (0, u, p) is vertex p of the P-copy at u; (1, e, w) is vertex w of the
     Q-copy at edge/arc number e."""
-    undirected = _is_undirected(t, g, undirected)
-    if undirected and not g.is_symmetric:
-        raise ParameterError("undirected lambda needs a symmetric argument")
+    undirected = _is_undirected(t, g)
     if undirected:
         edges = list(as_graph(g).edges())
     else:
@@ -170,11 +172,12 @@ def _lambda_with_labels(t, g, undirected=None):
     return (as_graph(out) if undirected else out), labels, edges
 
 
-def gamma_functor(t, k, undirected=None):
+def gamma_functor(t, k):
     """Central Pultr functor: vertices are the homomorphisms P -> K in
     lexicographic order; (g1, g2) is an arc iff some h: Q -> K satisfies
-    h . eps1 = g1 and h . eps2 = g2."""
-    undirected = _is_undirected(t, k, undirected)
+    h . eps1 = g1 and h . eps2 = g2.  The mode is undirected exactly when
+    t has a symmetry and k is symmetric; the result is then a Graph."""
+    undirected = _is_undirected(t, k)
     limits.check_size(k.n ** t.p.n if t.p.n else 1, "gamma functor")
     gens = [w.mapping for w in engine.hom_enumerate(t.p, k)]
     n = len(gens)
@@ -207,10 +210,12 @@ def gamma_functor(t, k, undirected=None):
     return out
 
 
-def verify_adjunction(t, g, k, undirected=None):
-    """Whether hom(Lambda_T(G) -> K) and hom(G -> Gamma_T(K)) agree."""
-    left = engine.hom_exists(lambda_functor(t, g, undirected), k) is not None
-    right = engine.hom_exists(g, gamma_functor(t, k, undirected)) is not None
+def verify_adjunction(t, g, k):
+    """Whether hom(Lambda_T(G) -> K) and hom(G -> Gamma_T(K)) agree.  Each
+    functor takes the undirected mode exactly when t has a symmetry and
+    its argument is symmetric."""
+    left = engine.hom_exists(lambda_functor(t, g), k) is not None
+    right = engine.hom_exists(g, gamma_functor(t, k)) is not None
     return left == right
 
 

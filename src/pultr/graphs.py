@@ -15,6 +15,7 @@ them, and a looped target absorbs every homomorphism.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property
 from itertools import combinations, permutations
@@ -177,20 +178,6 @@ def as_graph(d):
     if not d.is_symmetric:
         raise ParameterError("digraph is not symmetric; cannot view as graph")
     return Graph._from_masks(d.n, d.out_masks)
-
-
-def from_labels(labels, arc_pairs, symmetric=False):
-    """Build a graph from arbitrary (sortable, hashable) vertex labels.
-
-    Labels are sorted and renumbered 0..n-1; arcs are given as label pairs.
-    Returns (graph, index) where index maps label -> vertex number.
-    """
-    ordered = sorted(set(labels))
-    index = {lab: i for i, lab in enumerate(ordered)}
-    arcs = [(index[a], index[b]) for a, b in arc_pairs]
-    rows = _mask_rows(len(ordered), arcs)
-    cls = Graph if symmetric else Digraph
-    return cls._from_masks(len(ordered), rows), index
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +358,7 @@ def exponential_graph(k, h):
         raise ParameterError("exponential graph needs undirected inputs")
     order = k.n**h.n if h.n else 1
     limits.check_size(order, "exponential graph")
-    maps = list(_all_maps(h.n, k.n))
+    maps = list(itertools.product(range(k.n), repeat=h.n))
     h_arcs = h.arc_list
     edges = []
     for i, f in enumerate(maps):
@@ -381,25 +368,6 @@ def exponential_graph(k, h):
                 edges.append((i, j))
     limits.check_size(order + 2 * len(edges), "exponential graph")
     return Graph(len(maps), edges)
-
-
-def _all_maps(dom, cod):
-    """All tuples of length `dom` over range(cod), lexicographic."""
-    if dom == 0:
-        yield ()
-        return
-    if cod == 0:
-        return
-    idx = [0] * dom
-    while True:
-        yield tuple(idx)
-        pos = dom - 1
-        while pos >= 0 and idx[pos] == cod - 1:
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-        idx[pos] += 1
 
 
 def symmetrization(d):
@@ -563,17 +531,14 @@ def enumerate_graphs(
     loops=True,
     all_orders=False,
     up_to_iso=False,
-    cap=None,
 ):
     """Yield every labelled digraph/graph on exactly n vertices (or on all
     orders 1..n with all_orders=True), in deterministic order.  Optional
-    isomorph rejection keeps the first representative of each class."""
-    if cap is None:
-        cap = ENUM_CAP_DIRECTED if directed else ENUM_CAP_UNDIRECTED
+    isomorph rejection keeps the first representative of each class.
+    Orders above ENUM_CAP_DIRECTED / ENUM_CAP_UNDIRECTED are refused."""
+    cap = ENUM_CAP_DIRECTED if directed else ENUM_CAP_UNDIRECTED
     if n > cap:
-        raise ParameterError(
-            f"enumeration order {n} exceeds cap {cap}; pass cap= to override"
-        )
+        raise ParameterError(f"enumeration order {n} exceeds cap {cap}")
     orders = range(1, n + 1) if all_orders else [n]
     seen = set() if up_to_iso else None
     for k in orders:

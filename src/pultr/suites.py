@@ -93,9 +93,9 @@ def suite_adjunction(nmax=3):
                 nmax, directed=directed, loops=True, all_orders=True
             )
         )
-        lams = [lambda_functor(t, g, undirected=not directed) for g in universe]
+        lams = [lambda_functor(t, g) for g in universe]
         for k in universe:
-            gam = gamma_functor(t, k, undirected=not directed)
+            gam = gamma_functor(t, k)
             for g, lam in zip(universe, lams):
                 left = engine.hom_exists(lam, k) is not None
                 right = engine.hom_exists(g, gam) is not None

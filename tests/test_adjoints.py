@@ -233,7 +233,7 @@ def test_ordering_root_side_with_reduction():
         x = g if s == 1 else dominated_reduction(omega_odd_path(s, g))
         if r == 1:
             return x
-        return gamma_functor(path_template(r), x, undirected=True)
+        return gamma_functor(path_template(r), x)
 
     pairs = _grid_pairs()
     for g in enumerate_graphs(4, directed=False, loops=False, all_orders=True):

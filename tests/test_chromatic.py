@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pultr import engine, limits
+from pultr import chromatic, engine, limits
 from pultr.adjoints import omega_odd_path
 from pultr.chromatic import (
     chromatic_number,
@@ -80,6 +80,16 @@ def test_k_colourable_returns_proper_colouring(rng):
         assert col is not None
         assert all(col[u] != col[v] for u, v in g.edges() if u != v)
         assert max(col, default=-1) < chi
+
+
+def test_k_colourable_rejects_an_invalid_colouring(monkeypatch):
+    # A seed clique that repeats a vertex is counted as two assigned
+    # vertices, so the search stops with one vertex still uncoloured.
+    g = path_graph(3)
+    assert k_colourable(g, 3) is not None
+    monkeypatch.setattr(chromatic, "greedy_clique", lambda g: [0, 0])
+    with pytest.raises(RuntimeError, match="invalid"):
+        k_colourable(g, 3)
 
 
 def test_greedy_clique_is_clique():
@@ -160,6 +170,17 @@ def test_gallai_roy_certificates():
     assert gallai_roy_orientation(complete_graph(3), 2) is None
     vac = gallai_roy_orientation(complete_graph(1), 1)
     assert vac is not None and vac.orientation == ""
+
+
+def test_orientation_scans_are_capped():
+    # K_7 has 21 edges, above ORIENTATION_SCAN_CAP; a certificate needs no
+    # scan, a refutation does.
+    k7 = complete_graph(7)
+    assert gallai_roy_orientation(k7, 7) is not None
+    with pytest.raises(ParameterError, match="exceeds cap 18"):
+        gallai_roy_orientation(k7, 3)
+    with pytest.raises(ParameterError, match="exceeds cap 18"):
+        circular_gallai_roy_check(k7, 5, 2)
 
 
 def test_gallai_roy_exact_threshold():

@@ -155,6 +155,7 @@ def test_count_and_enumeration_decision_counts():
             12,
         ),
         (k2, k4, engine.MODE_ENUM, 5, [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2)], 7),
+        (k2, k4, engine.MODE_ENUM, 0, [], 0),
     ]
     for g, h, mode, limit, payload, decisions in cases:
         args = engine.kernel_args(g, h, mode, limit=limit)
@@ -189,6 +190,14 @@ def test_enumerate_is_lexicographic_and_complete():
     assert maps == sorted(maps)
     assert len(maps) == 6
     assert engine.hom_enumerate(g, h, limit=2)[:2] == ws[:2]
+
+
+def test_enumerate_limit_caps_the_list():
+    g, h = complete_graph(2), complete_graph(4)
+    assert engine.hom_enumerate(g, h, limit=0) == []
+    assert engine.hom_enumerate(g, h, limit=1) == engine.hom_enumerate(g, h)[:1]
+    with pytest.raises(ParameterError, match="limit"):
+        engine.hom_enumerate(g, h, limit=-5)
 
 
 def test_witness_composition(rng):

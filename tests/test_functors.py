@@ -35,10 +35,35 @@ from pultr.graphs import (
     tensor_product,
 )
 
-from conftest import random_graph
+from conftest import functions_taking, random_graph
 
 
 TEMPLATES_SMALL = ("t1", "t3", "lex-k2", "arc-graph", "iota-2")
+
+
+def test_mode_follows_template_and_argument():
+    # Undirected exactly when the template has a symmetry and the
+    # argument is symmetric; nothing else picks the mode.
+    t3, delta = path_template(3), arc_graph_template()
+    c5, d = cycle_graph(5), directed_path(2)
+    sym_d = Digraph(c5.n, c5.arc_list)
+    assert isinstance(lambda_functor(t3, c5), Graph)
+    assert lambda_functor(t3, sym_d) == lambda_functor(t3, c5)
+    assert isinstance(gamma_functor(t3, sym_d), Graph)
+    for t, g in ((t3, d), (delta, c5), (delta, d)):
+        assert not isinstance(lambda_functor(t, g), Graph)
+        assert not isinstance(gamma_functor(t, g), Graph)
+    # The digraph form of a symmetric template on a digraph: one arc of
+    # d becomes one copy of the path Q.
+    assert lambda_functor(t3, directed_path(1)).arc_count == t3.q.arc_count
+
+
+def test_no_function_takes_a_derived_or_fixed_option():
+    # The functor mode follows from the template and the graph, and the
+    # scan, universe and enumeration caps are fixed by the library.
+    for parameter in ("undirected", "scan_cap", "universe"):
+        assert functions_taking(parameter) == set(), parameter
+    assert "pultr.graphs.enumerate_graphs" not in functions_taking("cap")
 
 
 def test_validate_builtin_templates():
@@ -118,7 +143,7 @@ def test_lambda_size_bound(rng):
             g = random_graph(rng, 4, 0.5)
             if directed:
                 g = Digraph(g.n, g.arc_list)
-            lam = lambda_functor(t, g, undirected=not directed)
+            lam = lambda_functor(t, g)
             edges = g.arc_count if directed else g.arc_count // 2 + (
                 g.loop_mask.bit_count()
             )
@@ -228,8 +253,8 @@ def test_gamma_functoriality(rng):
             f = engine.hom_exists(k, k2)
             if f is None:
                 continue
-            gk = gamma_functor(t, k, undirected=not directed)
-            gk2 = gamma_functor(t, k2, undirected=not directed)
+            gk = gamma_functor(t, k)
+            gk2 = gamma_functor(t, k2)
             verts_k = [w.mapping for w in engine.hom_enumerate(t.p, k)]
             verts_k2 = {
                 w.mapping: i
@@ -256,12 +281,8 @@ def test_lambda_functoriality(rng):
             f = engine.hom_exists(g, g2)
             if f is None:
                 continue
-            lam, labels, edges = _lambda_with_labels(
-                t, g, undirected=not directed
-            )
-            lam2, labels2, edges2 = _lambda_with_labels(
-                t, g2, undirected=not directed
-            )
+            lam, labels, edges = _lambda_with_labels(t, g)
+            lam2, labels2, edges2 = _lambda_with_labels(t, g2)
             eindex2 = {e: i for i, e in enumerate(edges2)}
             mapping = [None] * lam.n
             for lab, vertex in labels.items():

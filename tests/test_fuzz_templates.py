@@ -1,8 +1,12 @@
 """The thin adjunction and product commutation hold for *every* template,
 so randomly generated templates exercise the gluing/enumeration stack far
-beyond the shipped ones.  Seeds are fixed; failures are real bugs."""
+beyond the shipped ones.  Generation is derandomized, so the examples are
+the same on every run; failures are real bugs.  Each functor picks its
+mode from the template and the argument, so a symmetric template runs
+the undirected form and any other the directed form."""
 
-import random
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pultr import engine
 from pultr.functors import (
@@ -14,105 +18,87 @@ from pultr.functors import (
 from pultr.graphs import Digraph, Graph, enumerate_graphs
 
 
-def _random_digraph(rng, n, p):
-    return Digraph(
-        n, [(u, v) for u in range(n) for v in range(n) if rng.random() < p]
-    )
+def _fuzz_settings(examples):
+    return settings(max_examples=examples, derandomize=True, deadline=None)
 
 
-def _random_directed_template(rng):
-    p = _random_digraph(rng, rng.randint(1, 2), 0.5)
-    q = _random_digraph(rng, rng.randint(1, 3), 0.5)
-    ws = engine.hom_enumerate(p, q, limit=50)
-    if not ws:
-        return None
+@st.composite
+def digraphs(draw, min_n, max_n):
+    n = draw(st.integers(min_n, max_n))
+    slots = [(u, v) for u in range(n) for v in range(n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    return Digraph(n, [s for s, k in zip(slots, keep) if k])
+
+
+@st.composite
+def directed_templates(draw):
+    """P on 1-2 and Q on 1-3 vertices, both arbitrary digraphs with
+    loops; eps1 and eps2 any two homomorphisms P -> Q."""
+    p = draw(digraphs(1, 2))
+    q = draw(digraphs(1, 3))
+    ws = [w.mapping for w in engine.hom_enumerate(p, q)]
+    assume(ws)
     t = PultrTemplate(
-        "fuzz",
-        p,
-        q,
-        rng.choice(ws).mapping,
-        rng.choice(ws).mapping,
+        "fuzz", p, q, draw(st.sampled_from(ws)), draw(st.sampled_from(ws))
     )
-    return None if validate_template(t) else t
+    assert validate_template(t) == []
+    return t
 
 
-def _random_undirected_template(rng):
-    swaps = rng.randint(1, 2)
-    fixed = rng.randint(0, 1)
-    nq = 2 * swaps + fixed
+@st.composite
+def symmetric_templates(draw):
+    """Q a graph closed under an involution sigma with 1-2 swapped pairs
+    and 0-1 fixed points; P a graph on 1-2 vertices; eps1 any
+    homomorphism P -> Q and eps2 = sigma . eps1."""
+    swaps = draw(st.integers(1, 2))
+    nq = 2 * swaps + draw(st.integers(0, 1))
     sigma = list(range(nq))
     for i in range(swaps):
         sigma[2 * i], sigma[2 * i + 1] = 2 * i + 1, 2 * i
+    slots = [(u, v) for u in range(nq) for v in range(u, nq)]
+    keep = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
     edges = []
-    for u in range(nq):
-        for v in range(u, nq):
-            if rng.random() < 0.5:
-                edges.append((u, v))
-                edges.append((sigma[u], sigma[v]))
+    for (u, v), k in zip(slots, keep):
+        if k:
+            edges += [(u, v), (sigma[u], sigma[v])]
     q = Graph(nq, edges)
-    np_ = rng.randint(1, 2)
-    p = Graph(
-        np_,
-        [
-            (u, v)
-            for u in range(np_)
-            for v in range(u + 1, np_)
-            if rng.random() < 0.5
-        ],
-    )
-    ws = engine.hom_enumerate(p, q, limit=200)
-    if not ws:
-        return None
-    e1 = rng.choice(ws).mapping
+    np_ = draw(st.integers(1, 2))
+    p = Graph(np_, [(0, 1)] if np_ == 2 and draw(st.booleans()) else [])
+    ws = [w.mapping for w in engine.hom_enumerate(p, q)]
+    assume(ws)
+    e1 = draw(st.sampled_from(ws))
     e2 = tuple(sigma[x] for x in e1)
     t = PultrTemplate("fuzz-u", p, q, e1, e2, symmetry=tuple(sigma))
-    return None if validate_template(t, undirected_mode=True) else t
+    assert validate_template(t, undirected_mode=True) == []
+    return t
 
 
-def test_adjunction_random_directed_templates():
-    rng = random.Random(20260811)
-    universe = list(
-        enumerate_graphs(2, directed=True, loops=True, all_orders=True)
-    )
-    done = 0
-    while done < 25:
-        t = _random_directed_template(rng)
-        if t is None:
-            continue
-        done += 1
-        for g in universe:
-            for k in universe:
-                assert verify_adjunction(t, g, k, undirected=False), (t, g, k)
+DIRECTED_2 = list(enumerate_graphs(2, directed=True, loops=True, all_orders=True))
+UNDIRECTED_2 = list(
+    enumerate_graphs(2, directed=False, loops=True, all_orders=True)
+)
 
 
-def test_adjunction_random_undirected_templates():
-    rng = random.Random(1789)
-    universe = list(
-        enumerate_graphs(2, directed=False, loops=True, all_orders=True)
-    )
-    done = 0
-    while done < 25:
-        t = _random_undirected_template(rng)
-        if t is None:
-            continue
-        done += 1
-        for g in universe:
-            for k in universe:
-                assert verify_adjunction(t, g, k, undirected=True), (t, g, k)
+@_fuzz_settings(25)
+@given(directed_templates())
+def test_adjunction_random_directed_templates(t):
+    for g in DIRECTED_2:
+        for k in DIRECTED_2:
+            assert verify_adjunction(t, g, k), (t, g, k)
 
 
-def test_product_commutation_random_templates():
-    rng = random.Random(42981)
-    probes = [
-        _random_digraph(rng, 2, 0.6),
-        _random_digraph(rng, 3, 0.4),
-    ]
-    done = 0
-    while done < 10:
-        t = _random_directed_template(rng)
-        if t is None:
-            continue
-        done += 1
-        for g in probes:
-            for h in probes:
-                assert product_commutation_check(t, g, h), (t, g, h)
+@_fuzz_settings(25)
+@given(symmetric_templates())
+def test_adjunction_random_undirected_templates(t):
+    for g in UNDIRECTED_2:
+        for k in UNDIRECTED_2:
+            assert verify_adjunction(t, g, k), (t, g, k)
+
+
+@_fuzz_settings(10)
+@given(directed_templates(), digraphs(2, 2), digraphs(3, 3))
+def test_product_commutation_random_templates(t, g2, g3):
+    probes = (g2, g3)
+    for g in probes:
+        for h in probes:
+            assert product_commutation_check(t, g, h), (t, g, h)

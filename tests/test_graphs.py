@@ -249,6 +249,10 @@ def test_enumerate_graphs_counts():
     assert len(classes) == 16
     with pytest.raises(ParameterError):
         next(enumerate_graphs(9, directed=True))
+    with pytest.raises(ParameterError, match="order 6 exceeds cap 5$"):
+        next(enumerate_graphs(6, directed=True))
+    with pytest.raises(ParameterError, match="order 7 exceeds cap 6$"):
+        next(enumerate_graphs(7))
 
 
 def test_enumerate_invariants():

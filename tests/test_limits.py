@@ -1,18 +1,15 @@
 """The search budget is set in one place, `limits.scope`, and reaches
 every search nested in the scope."""
 
-import importlib
-import inspect
-import pkgutil
-
 import pytest
 
-import pultr
 from pultr import limits
 from pultr.adjoints import power_functor
 from pultr.errors import BudgetExceededError, ParameterError
 from pultr.functors import builtin_template, verify_adjunction
 from pultr.graphs import Graph, cycle_graph
+
+from conftest import functions_taking
 
 # The setter itself and the raw kernel contract, whose budget is positional.
 BUDGET_TAKERS = {"pultr.limits.scope", "pultr._fallback.solve"}
@@ -31,17 +28,7 @@ def test_scope_budget_reaches_nested_searches():
 
 
 def test_only_the_scope_sets_a_budget():
-    takers = set()
-    for info in pkgutil.iter_modules(pultr.__path__):
-        module = importlib.import_module(f"pultr.{info.name}")
-        for name, obj in vars(module).items():
-            if (
-                inspect.isfunction(obj)
-                and obj.__module__ == module.__name__
-                and "budget" in inspect.signature(obj).parameters
-            ):
-                takers.add(f"{module.__name__}.{name}")
-    assert takers == BUDGET_TAKERS
+    assert functions_taking("budget") == BUDGET_TAKERS
 
 
 def test_budget_env(monkeypatch):

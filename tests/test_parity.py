@@ -2,6 +2,11 @@
 same witnesses, same counts, same enumeration order, same decision counts.
 The compiled kernel is the committed _speedups.c, built by the `speedups`
 fixture of conftest.py.
+
+Only the existence search is a real comparison here: the compiled
+kernel hands counting and enumeration to _fallback, so those tests
+compare the fallback with itself.  test_engine pins the payloads and
+decision counts of those two modes.
 """
 
 import sys
