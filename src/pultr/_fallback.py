@@ -97,6 +97,19 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget, limit=-1):
                     return found
         return None
 
+    if mode == MODE_EXISTS:
+        if n_g == 0:
+            return STATUS_OK, (), decisions
+        doms = list(doms0)
+        if any(d == 0 for d in doms) or not propagate(doms):
+            return STATUS_OK, None, decisions
+        try:
+            return STATUS_OK, search_exists(doms), decisions
+        except _BudgetHit:
+            return STATUS_BUDGET, None, decisions
+    if mode != MODE_COUNT and mode != MODE_ENUM:
+        raise ValueError(f"unknown mode {mode}")
+
     # forward-checking lists for the static-order DFS: for each variable i,
     # the constraints towards later variables, as (j, 0=out / 1=in).
     fwd = [[] for _ in range(n_g)]
@@ -147,19 +160,10 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget, limit=-1):
         return True
 
     try:
-        if mode == MODE_EXISTS:
-            if n_g == 0:
-                return STATUS_OK, (), decisions
-            doms = list(doms0)
-            if any(d == 0 for d in doms) or not propagate(doms):
-                return STATUS_OK, None, decisions
-            return STATUS_OK, search_exists(doms), decisions
-        if mode == MODE_COUNT or mode == MODE_ENUM:
-            # A cap of 0 asks for no maps: the DFS would record one
-            # before it checks the cap, so it does not start.
-            if all(doms0) and cap != 0:
-                dfs(0, list(doms0))
-            return STATUS_OK, results if record else found, decisions
+        # A cap of 0 asks for no maps: the DFS would record one before it
+        # checks the cap, so it does not start.
+        if all(doms0) and cap != 0:
+            dfs(0, list(doms0))
     except _BudgetHit:
         return STATUS_BUDGET, None, decisions
-    raise ValueError(f"unknown mode {mode}")
+    return STATUS_OK, results if record else found, decisions

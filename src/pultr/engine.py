@@ -10,8 +10,16 @@ _speedups.c and checks this, and is skipped only without a C compiler.
 
 Every search runs under the budget of the enclosing `limits.scope`.
 
-Every witness handed out has been re-checked against the raw arc sets by
-`verify_witness`, which is independent of the searcher.
+Two loop rules settle many existence queries without a search.  A
+looped vertex of h absorbs every homomorphism, so `hom_exists` answers
+with the constant map onto the lowest such vertex; and a looped vertex
+of g can only map onto a looped vertex, so when h has no loop and g has
+one there is no homomorphism.
+
+Every witness handed out is checked by code that does not depend on the
+searcher.  A searched witness is re-checked against the raw adjacency
+rows by `verify_witness`; the constant witness of the loop rule needs
+only its one row, `h.out_masks[v] >> v & 1`, which is checked in O(1).
 """
 
 from __future__ import annotations
@@ -64,12 +72,26 @@ class HomWitness:
 
 
 def verify_witness(g, h, mapping):
-    """Independent check that `mapping` is a homomorphism g -> h."""
+    """Independent check that `mapping` is a homomorphism g -> h.
+
+    Bitmask form: for each vertex u of g, the images of its
+    out-neighbours, as a bitmask, must lie inside the out-row of h at
+    the image of u."""
     if len(mapping) != g.n:
         return False
     if any(not 0 <= x < h.n for x in mapping):
         return False
-    return all(h.has_arc(mapping[u], mapping[v]) for u, v in g.arcs())
+    bits = [1 << x for x in mapping]
+    rows = h.out_masks
+    for u, row in enumerate(g.out_masks):
+        image = 0
+        while row:
+            low = row & -row
+            image |= bits[low.bit_length() - 1]
+            row ^= low
+        if image & ~rows[mapping[u]]:
+            return False
+    return True
 
 
 def compose(w1: HomWitness, w2: HomWitness) -> HomWitness:
@@ -95,26 +117,22 @@ def _checked(g, h, mapping):
 def kernel_args(g, h, mode, pins=None, limit=-1):
     """The positional arguments of the kernels' `solve` for a search
     g -> h: loops of g and pins become unary domain restrictions, the
-    remaining arcs of g are the binary constraints, and the budget is
-    that of the enclosing `limits.scope`."""
-    full = (1 << h.n) - 1
-    doms = [full] * g.n
-    arcs = []
-    for u, v in g.arc_list:
-        if u == v:
-            doms[u] &= h.loop_mask
-        else:
-            arcs.append((u, v))
+    loop-free arcs of g are the binary constraints, and the budget is
+    that of the enclosing `limits.scope`.  The arc list and the mask
+    rows are the graphs' cached tuples, not copies."""
+    doms = [(1 << h.n) - 1] * g.n
+    for u in iter_bits(g.loop_mask):
+        doms[u] = h.loop_mask
     if pins:
         for u, val in pins.items():
             doms[u] &= 1 << val
     return (
         g.n,
         h.n,
-        arcs,
+        g.loop_free_arcs,
         doms,
-        list(h.out_masks),
-        list(h.in_masks),
+        h.out_masks,
+        h.in_masks,
         mode,
         limits.default_budget(),
         limit,
@@ -137,14 +155,23 @@ def hom_exists(g, h):
     """A verified homomorphism witness g -> h, or None.
 
     Deterministic: propagation plus smallest-domain-first backtracking,
-    values in ascending order.  A looped vertex of h short-circuits to the
-    constant witness at the lowest such vertex.
+    values in ascending order.  Two loop rules answer without a search:
+    if h has a loop, the witness is the constant map onto its lowest
+    looped vertex v, checked in O(1) by reading the loop bit of row v
+    (RuntimeError if it is clear); if h has no loop and g has one, the
+    answer is None.
     """
     if g.n == 0:
         return HomWitness(0, h.n, ())
     if h.loop_mask:
         v = (h.loop_mask & -h.loop_mask).bit_length() - 1
-        return _checked(g, h, (v,) * g.n)
+        if not h.out_masks[v] >> v & 1:
+            raise RuntimeError(
+                f"loop shortcut picked vertex {v} of {h!r}, which has no loop"
+            )
+        return HomWitness(g.n, h.n, (v,) * g.n)
+    if g.loop_mask:
+        return None
     mapping = _solve(g, h, MODE_EXISTS)
     if mapping is None:
         return None

@@ -92,6 +92,16 @@ class Digraph:
     def arc_list(self):
         return tuple(self.arcs())
 
+    @cached_property
+    def loop_free_arcs(self):
+        """The arcs (u, v) with u != v, in arc order: the binary
+        constraints of a search from this graph."""
+        return tuple(
+            (u, v)
+            for u, row in enumerate(self.out_masks)
+            for v in iter_bits(row & ~(1 << u))
+        )
+
     def reverse(self):
         return Digraph(self.n, ((v, u) for u, v in self.arcs()))
 
@@ -541,27 +551,31 @@ def enumerate_graphs(
         raise ParameterError(f"enumeration order {n} exceeds cap {cap}")
     orders = range(1, n + 1) if all_orders else [n]
     seen = set() if up_to_iso else None
+    cls = Digraph if directed else Graph
     for k in orders:
+        # Bit i of s selects slot i: an arc (u, v), or for graphs an
+        # edge {u, v} with u <= v.  Each slot lists the row bits it sets.
         if directed:
             slots = [
-                (u, v) for u in range(k) for v in range(k) if loops or u != v
+                ((u, 1 << v),)
+                for u in range(k)
+                for v in range(k)
+                if loops or u != v
             ]
         else:
             slots = [
-                (u, v)
+                ((u, 1 << v), (v, 1 << u)) if u != v else ((u, 1 << u),)
                 for u in range(k)
                 for v in range(u, k)
                 if loops or u != v
             ]
         for s in range(1 << len(slots)):
-            arcs = []
-            for i, (u, v) in enumerate(slots):
-                if s >> i & 1:
-                    arcs.append((u, v))
-                    if not directed:
-                        arcs.append((v, u))
-            rows = _mask_rows(k, arcs)
-            cls = Digraph if directed else Graph
+            rows = [0] * k
+            while s:
+                low = s & -s
+                for u, bit in slots[low.bit_length() - 1]:
+                    rows[u] |= bit
+                s ^= low
             g = cls._from_masks(k, rows)
             if seen is not None:
                 key = canonical_form(g)

@@ -12,7 +12,6 @@ from pultr.adjoints import (
     arc_graph,
     interleaved_adjoint,
     omega_odd_path,
-    power_functor,
 )
 from pultr.chromatic import (
     chromatic_number,
@@ -38,15 +37,13 @@ from pultr.graphs import (
     directed_path,
     enumerate_graphs,
     exponential_graph,
-    is_connected,
-    kneser_pairs,
     lexicographic_product,
     odd_girth,
     symmetrization,
     tensor_product,
     transitive_tournament,
 )
-from pultr.suites import suite_adjunction, suite_omega, suite_ordering
+from pultr.suites import suite_adjunction, suite_ordering
 
 
 def _report(num, desc, ok):

@@ -26,19 +26,15 @@ from pultr.functors import (
 from pultr.graphs import (
     Digraph,
     Graph,
-    as_graph,
     complete_graph,
     cycle_graph,
     directed_cycle,
-    directed_path,
     dominated_reduction,
     enumerate_graphs,
     oriented_path,
     symmetrization,
     transitive_tournament,
 )
-
-from conftest import random_graph
 
 
 def brute_omega3(h):

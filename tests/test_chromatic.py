@@ -30,9 +30,7 @@ from pultr.graphs import (
     kneser_pairs,
     lexicographic_product,
     orient_edges,
-    oriented_path,
     path_graph,
-    sorted_edges,
     symmetrization,
     transitive_tournament,
 )

@@ -6,7 +6,6 @@ from pultr import engine
 from pultr.adjoints import arc_graph
 from pultr.chromatic import chromatic_number, k_colourable
 from pultr.duality import (
-    DualityReport,
     SproinkRecipe,
     delta_colouring_lift,
     minimal_path_sproink_specs,
@@ -21,7 +20,6 @@ from pultr.errors import ParameterError
 from pultr.graphs import (
     Digraph,
     complete_graph,
-    cycle_graph,
     directed_cycle,
     directed_path,
     odd_girth,

@@ -1,19 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pultr import _fallback, engine, limits
-from pultr.engine import HomWitness, compose, verify_witness
+from pultr.engine import compose, verify_witness
 from pultr.errors import BudgetExceededError, ParameterError
 from pultr.graphs import (
     Digraph,
     Graph,
     complete_graph,
     cycle_graph,
-    directed_cycle,
-    directed_path,
     enumerate_graphs,
     kneser_pairs,
     path_graph,
-    tensor_product,
     transitive_tournament,
 )
 
@@ -90,6 +89,63 @@ def test_invalid_witness_is_rejected(monkeypatch):
         engine.hom_enumerate(c5, k3, limit=3)
     assert len(corrupted) == 3
     assert not any(verify_witness(c5, k3, m) for m in corrupted)
+
+    # The loop shortcut checks its constant witness on the raw row of h:
+    # a cached loop mask that names a loop-free vertex is caught.
+    h = Digraph(3, [(0, 1), (2, 2)])
+    h.loop_mask = 0b001
+    with pytest.raises(RuntimeError):
+        engine.hom_exists(c5, h)
+
+
+def _witness_by_arcs(g, h, mapping):
+    """The definition, arc by arc, with the same length and range
+    checks as verify_witness."""
+    if len(mapping) != g.n or any(not 0 <= x < h.n for x in mapping):
+        return False
+    return all(h.has_arc(mapping[u], mapping[v]) for u, v in g.arcs())
+
+
+@st.composite
+def _witness_cases(draw):
+    def digraph(density):
+        n = draw(st.integers(0, 5))
+        arc = st.sampled_from(density)
+        return Digraph(
+            n, [(u, v) for u in range(n) for v in range(n) if draw(arc)]
+        )
+
+    # A sparse g and a dense h, so that true cases are common; some maps
+    # have a wrong length or an image out of range.
+    g, h = digraph([False, False, True]), digraph([False, True, True])
+    length = draw(st.sampled_from([g.n] * 6 + [g.n + 1, max(g.n - 1, 0)]))
+    images = st.integers(0, h.n - 1) if h.n else st.integers(-1, 1)
+    mapping = draw(st.lists(images, min_size=length, max_size=length))
+    wrong = draw(st.sampled_from([None] * 6 + [-1, h.n]))
+    if mapping and wrong is not None:
+        mapping[draw(st.integers(0, length - 1))] = wrong
+    return g, h, tuple(mapping)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_witness_cases())
+def test_verify_witness_matches_arc_definition(case):
+    g, h, mapping = case
+    assert verify_witness(g, h, mapping) == _witness_by_arcs(g, h, mapping)
+
+
+def test_loop_rules_agree_with_the_search():
+    """The loop shortcut and the loop refutation of hom_exists give the
+    answer of the search without them, on every digraph g of order <= 3
+    and every digraph h of order <= 2."""
+    empty = Digraph(0)
+    sources = [empty, *enumerate_graphs(3, directed=True, all_orders=True)]
+    targets = [empty, *enumerate_graphs(2, directed=True, all_orders=True)]
+    for g in sources:
+        for h in targets:
+            assert (engine.hom_exists(g, h) is None) == (
+                engine.hom_exists_pinned(g, h, {}) is None
+            ), (g, h)
 
 
 def test_odd_cycle_to_bipartite_fails():

@@ -13,7 +13,7 @@ from pultr.formats import (
     to_dot,
 )
 from pultr.functors import builtin_template, validate_template
-from pultr.graphs import Digraph, Graph, complete_graph, cycle_graph, path_graph
+from pultr.graphs import Digraph, Graph, cycle_graph, path_graph
 
 from conftest import random_digraph, random_graph
 

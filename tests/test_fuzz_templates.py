@@ -3,7 +3,11 @@ so randomly generated templates exercise the gluing/enumeration stack far
 beyond the shipped ones.  Generation is derandomized, so the examples are
 the same on every run; failures are real bugs.  Each functor picks its
 mode from the template and the argument, so a symmetric template runs
-the undirected form and any other the directed form."""
+the undirected form and any other the directed form.  The adjunction on
+order-2 universes cannot tell eps1 from eps2 inside one functor, so
+Gamma is also checked against its definition by brute force."""
+
+from itertools import product
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,11 +15,12 @@ from hypothesis import strategies as st
 from pultr import engine
 from pultr.functors import (
     PultrTemplate,
+    gamma_functor,
     product_commutation_check,
     validate_template,
     verify_adjunction,
 )
-from pultr.graphs import Digraph, Graph, enumerate_graphs
+from pultr.graphs import Digraph, Graph, enumerate_graphs, symmetrization
 
 
 def _fuzz_settings(examples):
@@ -102,3 +107,40 @@ def test_product_commutation_random_templates(t, g2, g3):
     for g in probes:
         for h in probes:
             assert product_commutation_check(t, g, h), (t, g, h)
+
+
+def _gamma_by_definition(t, k):
+    """Gamma_T(K) by brute force over all vertex maps: the homomorphisms
+    P -> K in lexicographic order, and an arc (h . eps1, h . eps2) for
+    every homomorphism h: Q -> K."""
+
+    def homs(a):
+        return [
+            m
+            for m in product(range(k.n), repeat=a.n)
+            if all(k.has_arc(m[u], m[v]) for u, v in a.arcs())
+        ]
+
+    index = {m: i for i, m in enumerate(homs(t.p))}
+    arcs = [
+        (index[tuple(h[x] for x in t.eps1)], index[tuple(h[x] for x in t.eps2)])
+        for h in homs(t.q)
+    ]
+    return Digraph(len(index), arcs)
+
+
+@_fuzz_settings(25)
+@given(directed_templates(), digraphs(0, 3))
+def test_gamma_matches_definition_directed(t, k):
+    out = gamma_functor(t, k)
+    assert type(out) is Digraph
+    assert out == _gamma_by_definition(t, k), (t, k)
+
+
+@_fuzz_settings(25)
+@given(symmetric_templates(), digraphs(0, 3).map(symmetrization))
+def test_gamma_matches_definition_undirected(t, k):
+    out = gamma_functor(t, k)
+    assert type(out) is Graph
+    assert out == _gamma_by_definition(t, k), (t, k)
+

@@ -255,6 +255,34 @@ def test_enumerate_graphs_counts():
         next(enumerate_graphs(7))
 
 
+def test_enumerate_graphs_follows_the_slot_order():
+    """Bit i of the counter s selects slot i; slots run over (u, v) in
+    lexicographic order, v >= u for graphs, u != v without loops."""
+    for directed, orders in ((True, 3), (False, 4)):
+        for loops in (True, False):
+            expected = []
+            for k in range(1, orders + 1):
+                slots = [
+                    (u, v)
+                    for u in range(k)
+                    for v in range(k)
+                    if (directed or v >= u) and (loops or u != v)
+                ]
+                for s in range(1 << len(slots)):
+                    chosen = [slot for i, slot in enumerate(slots) if s >> i & 1]
+                    if directed:
+                        expected.append(Digraph(k, chosen))
+                    else:
+                        expected.append(Graph(k, chosen))
+            got = list(
+                enumerate_graphs(
+                    orders, directed=directed, loops=loops, all_orders=True
+                )
+            )
+            assert [type(g) for g in got] == [type(g) for g in expected]
+            assert got == expected
+
+
 def test_enumerate_invariants():
     for g in enumerate_graphs(3, directed=False, loops=True, all_orders=True):
         assert isinstance(g, Graph) and g.is_symmetric
