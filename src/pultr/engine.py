@@ -114,23 +114,33 @@ def _checked(g, h, mapping):
     return HomWitness(g.n, h.n, tuple(mapping))
 
 
-def kernel_args(g, h, mode, pins=None, limit=-1):
-    """The positional arguments of the kernels' `solve` for a search
-    g -> h: loops of g and pins become unary domain restrictions, the
-    loop-free arcs of g are the binary constraints, and the budget is
-    that of the enclosing `limits.scope`.  The arc list and the mask
-    rows are the graphs' cached tuples, not copies."""
+def domains(g, h, pins=None):
+    """The initial domains of a search g -> h, as bitmasks over V(h):
+    the unary restrictions are the loops of g, which can only map onto
+    looped vertices, and the pins {u: val}.  ParameterError for a pin
+    out of range."""
     doms = [(1 << h.n) - 1] * g.n
     for u in iter_bits(g.loop_mask):
         doms[u] = h.loop_mask
     if pins:
         for u, val in pins.items():
+            if not (0 <= u < g.n and 0 <= val < h.n):
+                raise ParameterError(f"pin {u}->{val} out of range")
             doms[u] &= 1 << val
+    return doms
+
+
+def kernel_args(g, h, mode, pins=None, limit=-1):
+    """The positional arguments of the kernels' `solve` for a search
+    g -> h: the `domains`, the loop-free arcs of g as the binary
+    constraints, and the budget of the enclosing `limits.scope`.  The
+    arc list and the mask rows are the graphs' cached tuples, not
+    copies."""
     return (
         g.n,
         h.n,
         g.loop_free_arcs,
-        doms,
+        domains(g, h, pins),
         h.out_masks,
         h.in_masks,
         mode,
@@ -182,9 +192,6 @@ def hom_exists_pinned(g, h, pins):
     """hom_exists with some vertices of g pinned to fixed images.
     No loop shortcut: pins must be honoured, and with no pins this is
     the plain search."""
-    for u, val in pins.items():
-        if not (0 <= u < g.n and 0 <= val < h.n):
-            raise ParameterError(f"pin {u}->{val} out of range")
     mapping = _solve(g, h, MODE_EXISTS, pins=pins)
     if mapping is None:
         return None

@@ -12,16 +12,21 @@ The left functor glues one copy of P per vertex and one copy of Q per
 edge/arc of the argument, identifying the eps images with the endpoint
 copies of P.  The central functor's vertices are the homomorphisms
 P -> K, with an arc (g1, g2) whenever some h: Q -> K restricts to g1 and
-g2 along eps1 and eps2; the search for h pins the eps images and only
-explores the interior of Q.
+g2 along eps1 and eps2.  Its arc set is thus a projection of hom(Q, K).
+When Q is a forest, leaf-to-root semijoin passes over bitmask domains
+compute that projection exactly, without search (Yannakakis, VLDB 1981;
+Hell, Nesetril & Zhu, Trans. AMS 1996); any other Q takes one pinned
+existence search per pair (g1, g2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from . import engine, limits
+from .bitset import iter_bits
 from .errors import ParameterError
 from .graphs import (
     Digraph,
@@ -172,34 +177,105 @@ def _lambda_with_labels(t, g):
     return (as_graph(out) if undirected else out), labels, edges
 
 
+@lru_cache(maxsize=256)
+def _forest_plan(q, root):
+    """The tree edges of Q in leaf-to-root order, or None if Q is not a
+    forest.  Q counts as a forest when the undirected graph of its
+    loop-free arcs, each antiparallel pair merged into one edge, has no
+    cycle.  The component of `root` is rooted there, every other one at
+    its lowest vertex.  An edge is (child, parent, kind): bit 0 of kind
+    is the arc child -> parent, bit 1 the arc parent -> child."""
+    seen = 0
+    edges = []
+    for r in sorted(range(q.n), key=lambda v: v != root):
+        if seen >> r & 1:
+            continue
+        seen |= 1 << r
+        parent = {r: r}
+        queue = [r]
+        for x in queue:
+            nbrs = q.out_masks[x] | q.in_masks[x]
+            for y in iter_bits(nbrs & ~(1 << x | 1 << parent[x])):
+                if seen >> y & 1:
+                    return None
+                seen |= 1 << y
+                parent[y] = x
+                queue.append(y)
+                edges.append((y, x, q.has_arc(y, x) | q.has_arc(x, y) << 1))
+    return tuple(reversed(edges))
+
+
+def _semijoin(plan, doms, rows):
+    """One leaf-to-root pass: each parent keeps the values that some
+    value of its child supports, rows[kind] being the support row of a
+    child value.  On a forest, Q -> K has a homomorphism inside the
+    domains iff no domain ends empty, and a root keeps exactly the
+    values it takes under one."""
+    for c, p, kind in plan:
+        row = rows[kind]
+        sup = 0
+        m = doms[c]
+        while m:
+            low = m & -m
+            sup |= row[low.bit_length() - 1]
+            m ^= low
+        doms[p] &= sup
+    return all(doms)
+
+
 def gamma_functor(t, k):
     """Central Pultr functor: vertices are the homomorphisms P -> K in
     lexicographic order; (g1, g2) is an arc iff some h: Q -> K satisfies
     h . eps1 = g1 and h . eps2 = g2.  The mode is undirected exactly when
-    t has a symmetry and k is symmetric; the result is then a Graph."""
+    t has a symmetry and k is symmetric; the result is then a Graph.
+
+    When Q is a forest (`_forest_plan`) the arcs are a projection of
+    hom(Q, K) that semijoin passes compute without search: for P = K_1,
+    the pass rooted at eps2 with eps1 pinned to a leaves the out-row of
+    a at the root; for any other P, one pass per pair (g1, g2), with
+    both pinned, decides the arc.  Any other Q takes one pinned
+    existence search per pair."""
     undirected = _is_undirected(t, k)
     limits.check_size(k.n ** t.p.n if t.p.n else 1, "gamma functor")
-    gens = [w.mapping for w in engine.hom_enumerate(t.p, k)]
+    if t.p.arc_count:
+        gens = [w.mapping for w in engine.hom_enumerate(t.p, k)]
+    else:
+        gens = list(product(range(k.n), repeat=t.p.n))
     n = len(gens)
-    arcs = []
-    for i, g1 in enumerate(gens):
-        for j, g2 in enumerate(gens):
-            pins = {}
-            ok = True
-            for p_v in range(t.p.n):
-                for qv, val in (
-                    (t.eps1[p_v], g1[p_v]),
-                    (t.eps2[p_v], g2[p_v]),
-                ):
-                    if pins.setdefault(qv, val) != val:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok and engine.hom_exists_pinned(t.q, k, pins):
-                arcs.append((i, j))
-        limits.check_size(n + len(arcs), "gamma functor")
-    out = Digraph(n, arcs)
+    plan = _forest_plan(t.q, t.eps2[0] if t.p.n else 0)
+    if plan is not None:
+        both = tuple(o & i for o, i in zip(k.out_masks, k.in_masks))
+        rows = (None, k.out_masks, k.in_masks, both)
+
+        def is_arc(pins):
+            return _semijoin(plan, engine.domains(t.q, k, pins), rows)
+
+    else:
+
+        def is_arc(pins):
+            return engine.hom_exists_pinned(t.q, k, pins) is not None
+
+    per_source = plan is not None and t.p.n == 1 and not t.p.arc_count
+    out = []
+    size = n
+    for g1 in gens:
+        if per_source:
+            doms = engine.domains(t.q, k, {t.eps1[0]: g1[0]})
+            row = doms[t.eps2[0]] if _semijoin(plan, doms, rows) else 0
+        else:
+            row = 0
+            for j, g2 in enumerate(gens):
+                pins = {}
+                consistent = all(
+                    pins.setdefault(qv, val) == val
+                    for qv, val in zip(t.eps1 + t.eps2, g1 + g2)
+                )
+                if consistent and is_arc(pins):
+                    row |= 1 << j
+        out.append(row)
+        size += row.bit_count()
+        limits.check_size(size, "gamma functor")
+    out = Digraph._from_masks(n, out)
     if undirected:
         if not out.is_symmetric:
             raise RuntimeError(

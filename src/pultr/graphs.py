@@ -77,12 +77,6 @@ class Digraph:
     def has_arc(self, u, v):
         return self.out_masks[u] >> v & 1 == 1
 
-    def out_neighbours(self, u):
-        return iter_bits(self.out_masks[u])
-
-    def in_neighbours(self, u):
-        return iter_bits(self.in_masks[u])
-
     def arcs(self):
         for u, row in enumerate(self.out_masks):
             for v in iter_bits(row):
@@ -169,9 +163,6 @@ class Graph(Digraph):
     @cached_property
     def edge_count(self):
         return sum(1 for _ in self.edges())
-
-    def neighbour_mask(self, u):
-        return self.out_masks[u]
 
 
 def _mask_rows(n, arcs):

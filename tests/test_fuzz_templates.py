@@ -5,7 +5,8 @@ the same on every run; failures are real bugs.  Each functor picks its
 mode from the template and the argument, so a symmetric template runs
 the undirected form and any other the directed form.  The adjunction on
 order-2 universes cannot tell eps1 from eps2 inside one functor, so
-Gamma is also checked against its definition by brute force."""
+Gamma and Lambda are also checked against their definitions by brute
+force."""
 
 from itertools import product
 
@@ -16,6 +17,7 @@ from pultr import engine
 from pultr.functors import (
     PultrTemplate,
     gamma_functor,
+    lambda_functor,
     product_commutation_check,
     validate_template,
     verify_adjunction,
@@ -144,3 +146,63 @@ def test_gamma_matches_definition_undirected(t, k):
     assert type(out) is Graph
     assert out == _gamma_by_definition(t, k), (t, k)
 
+
+
+def _lambda_by_definition(t, g, undirected):
+    """Lambda_T(G) as a quotient: one copy of P per vertex and of Q per
+    edge (u <= v) or arc, in ascending order, with (1, e, eps1[a]) ~
+    (0, u, a) and (1, e, eps2[a]) ~ (0, v, a) for e = (u, v).  The
+    classes are found by relaxing every identification to the smaller
+    label until nothing changes, so each class carries its minimum
+    label; the classes are then numbered in label order."""
+    edges = sorted((u, v) for u, v in g.arcs() if u <= v or not undirected)
+    label = {(0, u, a): (0, u, a) for u in range(g.n) for a in range(t.p.n)}
+    label.update(
+        {(1, e, w): (1, e, w) for e in range(len(edges)) for w in range(t.q.n)}
+    )
+    same = [
+        ((1, e, eps[a]), (0, x, a))
+        for e, (u, v) in enumerate(edges)
+        for eps, x in ((t.eps1, u), (t.eps2, v))
+        for a in range(t.p.n)
+    ]
+    changed = True
+    while changed:
+        changed = False
+        for x, y in same:
+            low = min(label[x], label[y])
+            for z in (x, y):
+                if label[z] != low:
+                    label[z] = low
+                    changed = True
+    index = {lab: i for i, lab in enumerate(sorted(set(label.values())))}
+
+    def vertex(x):
+        return index[label[x]]
+
+    arcs = [
+        (vertex((0, u, a)), vertex((0, u, b)))
+        for u in range(g.n)
+        for a, b in t.p.arcs()
+    ] + [
+        (vertex((1, e, a)), vertex((1, e, b)))
+        for e in range(len(edges))
+        for a, b in t.q.arcs()
+    ]
+    return Digraph(len(index), arcs)
+
+
+@_fuzz_settings(25)
+@given(directed_templates(), digraphs(0, 3))
+def test_lambda_matches_definition_directed(t, g):
+    out = lambda_functor(t, g)
+    assert type(out) is Digraph
+    assert out == _lambda_by_definition(t, g, undirected=False), (t, g)
+
+
+@_fuzz_settings(25)
+@given(symmetric_templates(), digraphs(0, 3).map(symmetrization))
+def test_lambda_matches_definition_undirected(t, g):
+    out = lambda_functor(t, g)
+    assert type(out) is Graph
+    assert out == _lambda_by_definition(t, g, undirected=True), (t, g)
