@@ -81,11 +81,13 @@ from .chromatic import (
     reversal_paths,
 )
 from .duality import (
+    DualityJob,
     SproinkRecipe,
     delta_colouring_lift,
     minimal_path_sproinks,
     shift_graph,
     sproink,
+    verify_dualities,
     verify_duality,
 )
 

@@ -1,10 +1,15 @@
 """Tree-duality machinery: shift graphs, the colour-set lift along the arc
 graph, sproink generation, minimal sproinks for directed paths, and
 exhaustive duality verification over small digraph universes.
+
+`verify_dualities` checks a batch of duality jobs in one streaming pass
+over the digraph universe: each graph is built once, checked against
+every job still open, and dropped; `verify_duality` is the one-job case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -213,6 +218,84 @@ class DualityReport:
         return self.ok
 
 
+@dataclass(frozen=True)
+class DualityJob:
+    """One duality to check: the obstruction family, the target h, and,
+    when the family truncates an infinite set, family_factory(length) and
+    the initial_len it was truncated at."""
+
+    family: tuple
+    h: Digraph
+    family_factory: Callable | None = None
+    initial_len: int | None = None
+
+
+class _OpenJob:
+    """The running state of one job during the pass."""
+
+    def __init__(self, job):
+        self.h = job.h
+        self.family = list(job.family)
+        self.lengths = (job.initial_len,) if job.initial_len is not None else ()
+        # Set while the job may still double its truncation once.
+        self.widen = (
+            job.family_factory
+            if job.family_factory is not None and job.initial_len is not None
+            else None
+        )
+        self.initial_len = job.initial_len
+
+    def failure(self, g):
+        """The direction in which g refutes the duality, or None."""
+        to_h = engine.hom_exists(g, self.h) is not None
+        hit = any(engine.hom_exists(f, g) is not None for f in self.family)
+        if to_h and hit:
+            return "false-obstruction"
+        if not to_h and not hit:
+            if self.widen is not None:
+                wider = list(self.widen(2 * self.initial_len))
+                self.widen = None
+                self.lengths = (self.initial_len, 2 * self.initial_len)
+                if any(engine.hom_exists(f, g) is not None for f in wider):
+                    self.family = wider
+                    return None
+            return "missing-obstruction"
+        return None
+
+
+def verify_dualities(jobs, nmax):
+    """Check every DualityJob over one pass of the digraphs on up to nmax
+    vertices (loops allowed), and return one DualityReport per job, in
+    job order.
+
+    Each graph is checked against every job still open and then dropped:
+    the universe is built once and never held.  A job closes at its first
+    counterexample, with the report it gives when checked alone, and the
+    pass stops once every job is closed."""
+    states = [_OpenJob(job) for job in jobs]
+    reports = [None] * len(states)
+    open_jobs = list(range(len(states)))
+    checked = 0
+    if open_jobs:
+        for g in enumerate_graphs(nmax, directed=True, loops=True, all_orders=True):
+            checked += 1
+            still_open = []
+            for i in open_jobs:
+                direction = states[i].failure(g)
+                if direction is None:
+                    still_open.append(i)
+                else:
+                    reports[i] = DualityReport(
+                        False, checked, g, direction, states[i].lengths
+                    )
+            open_jobs = still_open
+            if not open_jobs:
+                break
+    for i in open_jobs:
+        reports[i] = DualityReport(True, checked, None, None, states[i].lengths)
+    return reports
+
+
 def verify_duality(
     family,
     h,
@@ -222,37 +305,14 @@ def verify_duality(
 ):
     """Check over every digraph G on up to nmax vertices (loops allowed)
     that G admits no homomorphism to h exactly when some member of the
-    family maps into G.
+    family maps into G.  This is verify_dualities with a single job.
 
     When the family is a truncation of an infinite set, pass
-    family_factory(length) and initial_len: if the forward direction
-    fails (no obstruction maps although G -/-> h), the truncation length
-    is doubled once before reporting a counterexample.
+    family_factory(length) and initial_len: the first time the forward
+    direction fails (no obstruction maps although G -/-> h), the
+    truncation length is doubled and the wider family is kept from then
+    on; a miss that the wider family does not cover is reported as a
+    counterexample.
     """
-    family = list(family)
-    lengths = (initial_len,) if initial_len is not None else ()
-    checked = 0
-    for g in enumerate_graphs(nmax, directed=True, loops=True, all_orders=True):
-        checked += 1
-        to_h = engine.hom_exists(g, h) is not None
-        hit = any(
-            engine.hom_exists(f, g) is not None for f in family
-        )
-        if to_h and hit:
-            return DualityReport(
-                False, checked, g, "false-obstruction", lengths
-            )
-        if not to_h and not hit:
-            if family_factory is not None and initial_len is not None:
-                wider = list(family_factory(2 * initial_len))
-                lengths = (initial_len, 2 * initial_len)
-                if any(
-                    engine.hom_exists(f, g) is not None
-                    for f in wider
-                ):
-                    family = wider
-                    continue
-            return DualityReport(
-                False, checked, g, "missing-obstruction", lengths
-            )
-    return DualityReport(True, checked, None, None, lengths)
+    job = DualityJob(tuple(family), h, family_factory, initial_len)
+    return verify_dualities([job], nmax)[0]

@@ -18,11 +18,12 @@ from .chromatic import (
     k_colourable,
 )
 from .duality import (
+    DualityJob,
     delta_colouring_lift,
     minimal_path_sproink_specs,
     minimal_path_sproinks,
     shift_graph,
-    verify_duality,
+    verify_dualities,
 )
 from .engine import HomWitness
 from .errors import ParameterError
@@ -188,22 +189,22 @@ def suite_duality(nmax=4):
         failures.append(f"minimal sproinks for the 2-arc case: {specs3}")
     checked += 1
 
-    jobs = [("path", k) for k in (2, 3, 4)] + [("sproink", k) for k in (3, 4)]
-    for kind, k in jobs:
-        if kind == "path":
-            rep = verify_duality(
-                [directed_path(k)], transitive_tournament(k), nmax
-            )
-            label = f"paths/T{k}"
-        else:
-            rep = verify_duality(
-                minimal_path_sproinks(k, 12),
+    labels = []
+    jobs = []
+    for k in (2, 3, 4):
+        labels.append(f"paths/T{k}")
+        jobs.append(DualityJob((directed_path(k),), transitive_tournament(k)))
+    for k in (3, 4):
+        labels.append(f"sproinks/delta(T{k})")
+        jobs.append(
+            DualityJob(
+                tuple(minimal_path_sproinks(k, 12)),
                 arc_graph(transitive_tournament(k)),
-                nmax,
-                family_factory=lambda length: minimal_path_sproinks(k, length),
+                family_factory=lambda length, k=k: minimal_path_sproinks(k, length),
                 initial_len=12,
             )
-            label = f"sproinks/delta(T{k})"
+        )
+    for label, rep in zip(labels, verify_dualities(jobs, nmax)):
         checked += rep.checked
         if not rep.ok:
             failures.append(

@@ -22,11 +22,12 @@ from pultr.chromatic import (
     k_colourable,
 )
 from pultr.duality import (
+    DualityJob,
     delta_colouring_lift,
     minimal_path_sproink_specs,
     minimal_path_sproinks,
     shift_graph,
-    verify_duality,
+    verify_dualities,
 )
 from pultr.engine import HomWitness
 from pultr.functors import builtin_template, gamma_functor, lambda_functor, path_template
@@ -146,10 +147,13 @@ def test_criterion_08_circular_clique_images():
 
 def test_criterion_09_path_tournament_duality():
     ok = True
-    for k in (2, 3, 4):
-        rep = verify_duality(
-            [directed_path(k)], transitive_tournament(k), 4
-        )
+    jobs = [
+        DualityJob((directed_path(k),), transitive_tournament(k))
+        for k in (2, 3, 4)
+    ]
+    reps = verify_dualities(jobs, 4)
+    assert len(reps) == len(jobs)
+    for rep in reps:
         ok = ok and rep.ok
     _report(9, "k-arc path is the complete obstruction set for the "
                "k-tournament, order <= 4", ok)
@@ -157,14 +161,18 @@ def test_criterion_09_path_tournament_duality():
 
 def test_criterion_10_sproink_duality():
     ok = minimal_path_sproink_specs(3, 12) == ["11"]
-    for k in (3, 4):
-        rep = verify_duality(
-            minimal_path_sproinks(k, 12),
+    jobs = [
+        DualityJob(
+            tuple(minimal_path_sproinks(k, 12)),
             arc_graph(transitive_tournament(k)),
-            4,
             family_factory=lambda length, k=k: minimal_path_sproinks(k, length),
             initial_len=12,
         )
+        for k in (3, 4)
+    ]
+    reps = verify_dualities(jobs, 4)
+    assert len(reps) == len(jobs)
+    for rep in reps:
         ok = ok and rep.ok
     _report(10, "minimal sproinks are complete obstructions for the arc "
                 "graphs of tournaments, order <= 4", ok)

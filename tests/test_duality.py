@@ -2,10 +2,13 @@ import math
 
 import pytest
 
-from pultr import engine
+from pultr import duality, engine
 from pultr.adjoints import arc_graph
 from pultr.chromatic import chromatic_number, k_colourable
+from pultr.cli import main
 from pultr.duality import (
+    DualityJob,
+    DualityReport,
     SproinkRecipe,
     delta_colouring_lift,
     minimal_path_sproink_specs,
@@ -13,6 +16,7 @@ from pultr.duality import (
     shift_graph,
     sproink,
     validate_recipe,
+    verify_dualities,
     verify_duality,
 )
 from pultr.engine import HomWitness
@@ -22,6 +26,7 @@ from pultr.graphs import (
     complete_graph,
     directed_cycle,
     directed_path,
+    enumerate_graphs,
     odd_girth,
     oriented_path,
     symmetrization,
@@ -193,6 +198,99 @@ def test_verify_duality_escalates_truncation():
     )
     assert rep.ok
     assert rep.truncation == (3, 6)
+
+
+def test_verify_duality_escalates_at_most_once():
+    # The doubled family (a loop) covers the first miss, the looped
+    # vertex, but not the later 2-cycle.  The widened family is kept, so
+    # the factory runs once and the 2-cycle is reported at once.
+    h = transitive_tournament(2)
+    calls = []
+
+    def factory(length):
+        calls.append(length)
+        return [Digraph(1, [(0, 0)])]
+
+    rep = verify_duality([], h, 3, family_factory=factory, initial_len=1)
+    assert calls == [2]
+    first = next(
+        (i, g)
+        for i, g in enumerate(
+            enumerate_graphs(3, directed=True, loops=True, all_orders=True), 1
+        )
+        if not g.loop_mask and engine.hom_exists(g, h) is None
+    )
+    assert first == (9, Digraph(2, [(0, 1), (1, 0)]))
+    assert rep == DualityReport(False, 9, first[1], "missing-obstruction", (1, 2))
+
+
+def _sproink_job(k, initial_len):
+    return DualityJob(
+        tuple(minimal_path_sproinks(k, initial_len)),
+        arc_graph(transitive_tournament(k)),
+        family_factory=lambda length: minimal_path_sproinks(k, length),
+        initial_len=initial_len,
+    )
+
+
+def test_verify_dualities_equals_one_call_per_job():
+    jobs = [
+        DualityJob((directed_path(3),), transitive_tournament(3)),
+        DualityJob((directed_path(2),), transitive_tournament(3)),
+        DualityJob((), transitive_tournament(2)),
+        _sproink_job(4, 3),
+        # k = 3 escalates from the empty family to the 2-arc path; a
+        # factory that saw k = 4 would find nothing and fail
+        _sproink_job(3, 1),
+    ]
+    batch = verify_dualities(jobs, 3)
+    singles = [
+        verify_duality(j.family, j.h, 3, j.family_factory, j.initial_len)
+        for j in jobs
+    ]
+    assert batch == singles
+    assert [(r.ok, r.direction, r.truncation) for r in batch] == [
+        (True, None, ()),
+        (False, "false-obstruction", ()),
+        (False, "missing-obstruction", ()),
+        (True, None, (3, 6)),
+        (True, None, (1, 2)),
+    ]
+    assert [r.checked for r in batch] == [530, 31, 2, 530, 530]
+    assert batch[1].counterexample == Digraph(3, [(0, 2), (1, 0)])
+    assert batch[2].counterexample == Digraph(1, [(0, 0)])
+    assert verify_dualities([], 3) == []
+
+
+def test_verify_dualities_stops_when_every_job_is_closed(monkeypatch):
+    yielded = []
+
+    def counting(*args, **kwargs):
+        for g in enumerate_graphs(*args, **kwargs):
+            yielded.append(g)
+            yield g
+
+    monkeypatch.setattr(duality, "enumerate_graphs", counting)
+    jobs = [
+        DualityJob((directed_path(2),), transitive_tournament(3)),
+        DualityJob((), transitive_tournament(2)),
+    ]
+    assert [r.checked for r in verify_dualities(jobs, 3)] == [31, 2]
+    assert len(yielded) == 31
+
+
+def test_duality_suite_enumerates_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_graphs(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "enumerate_graphs", counting)
+    assert main(["verify", "--suite", "duality", "--nmax", "2"]) == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "VERDICT duality PASS checked=91"
 
 
 def test_duality_pairing_closure():
