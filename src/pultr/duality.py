@@ -5,6 +5,9 @@ exhaustive duality verification over small digraph universes.
 `verify_dualities` checks a batch of duality jobs in one streaming pass
 over the digraph universe: each graph is built once, checked against
 every job still open, and dropped; `verify_duality` is the one-job case.
+A looped digraph is homomorphically equivalent to the one-vertex loop,
+so each job decides the looped graphs once, on the first it meets, and
+again only after its family has widened.
 """
 
 from __future__ import annotations
@@ -244,6 +247,9 @@ class _OpenJob:
             else None
         )
         self.initial_len = job.initial_len
+        # The family for which a looped graph passed: every looped graph
+        # gives the same verdict while the family is unchanged.
+        self.looped_ok = None
 
     def failure(self, g):
         """The direction in which g refutes the duality, or None."""
@@ -271,7 +277,13 @@ def verify_dualities(jobs, nmax):
     Each graph is checked against every job still open and then dropped:
     the universe is built once and never held.  A job closes at its first
     counterexample, with the report it gives when checked alone, and the
-    pass stops once every job is closed."""
+    pass stops once every job is closed.
+
+    A job checks a looped graph only until one passes, and again after
+    its family widens; later looped graphs pass with it.  This is exact:
+    every looped digraph is homomorphically equivalent to the one-vertex
+    loop, and both sides of a duality, g -> h and F -> g, are invariant
+    under homomorphic equivalence of g."""
     states = [_OpenJob(job) for job in jobs]
     reports = [None] * len(states)
     open_jobs = list(range(len(states)))
@@ -279,14 +291,21 @@ def verify_dualities(jobs, nmax):
     if open_jobs:
         for g in enumerate_graphs(nmax, directed=True, loops=True, all_orders=True):
             checked += 1
+            looped = g.loop_mask != 0
             still_open = []
             for i in open_jobs:
-                direction = states[i].failure(g)
+                state = states[i]
+                if looped and state.looped_ok is state.family:
+                    direction = None
+                else:
+                    direction = state.failure(g)
+                    if looped and direction is None:
+                        state.looped_ok = state.family
                 if direction is None:
                     still_open.append(i)
                 else:
                     reports[i] = DualityReport(
-                        False, checked, g, direction, states[i].lengths
+                        False, checked, g, direction, state.lengths
                     )
             open_jobs = still_open
             if not open_jobs:

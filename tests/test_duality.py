@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -277,6 +278,150 @@ def test_verify_dualities_stops_when_every_job_is_closed(monkeypatch):
     ]
     assert [r.checked for r in verify_dualities(jobs, 3)] == [31, 2]
     assert len(yielded) == 31
+
+
+class _LabelledJob:
+    """The per-graph step of a job in the labelled reference below."""
+
+    def __init__(self, job):
+        self.h = job.h
+        self.family = list(job.family)
+        self.lengths = (job.initial_len,) if job.initial_len is not None else ()
+        self.widen = (
+            job.family_factory
+            if job.family_factory is not None and job.initial_len is not None
+            else None
+        )
+        self.initial_len = job.initial_len
+
+    def failure(self, g):
+        to_h = engine.hom_exists(g, self.h) is not None
+        hit = any(engine.hom_exists(f, g) is not None for f in self.family)
+        if to_h and hit:
+            return "false-obstruction"
+        if not to_h and not hit:
+            if self.widen is not None:
+                wider = list(self.widen(2 * self.initial_len))
+                self.widen = None
+                self.lengths = (self.initial_len, 2 * self.initial_len)
+                if any(engine.hom_exists(f, g) is not None for f in wider):
+                    self.family = wider
+                    return None
+            return "missing-obstruction"
+        return None
+
+
+def _labelled_reference(jobs, nmax):
+    """verify_dualities over the labelled universe with no reduction:
+    every open job runs its full step on every graph, looped or not."""
+    states = [_LabelledJob(job) for job in jobs]
+    reports = [None] * len(states)
+    open_jobs = list(range(len(states)))
+    checked = 0
+    for g in enumerate_graphs(nmax, directed=True, loops=True, all_orders=True):
+        checked += 1
+        still_open = []
+        for i in open_jobs:
+            direction = states[i].failure(g)
+            if direction is None:
+                still_open.append(i)
+            else:
+                reports[i] = DualityReport(
+                    False, checked, g, direction, states[i].lengths
+                )
+        open_jobs = still_open
+        if not open_jobs:
+            break
+    for i in open_jobs:
+        reports[i] = DualityReport(True, checked, None, None, states[i].lengths)
+    return reports
+
+
+def _random_digraph(rng, loops):
+    n = rng.randint(1, 3)
+    return Digraph(
+        n,
+        [
+            (u, v)
+            for u in range(n)
+            for v in range(n)
+            if (u != v or loops) and rng.random() < 0.4
+        ],
+    )
+
+
+def _random_job(rng):
+    family = tuple(
+        _random_digraph(rng, rng.random() < 0.3) for _ in range(rng.randint(0, 2))
+    )
+    h = _random_digraph(rng, rng.random() < 0.3)
+    if rng.random() < 0.5:
+        return DualityJob(family, h)
+    wider = family + tuple(
+        _random_digraph(rng, rng.random() < 0.3) for _ in range(rng.randint(1, 2))
+    )
+    return DualityJob(family, h, lambda length, w=wider: list(w), 1)
+
+
+def test_verify_dualities_matches_labelled_reference():
+    loop = Digraph(1, [(0, 0)])
+    two_cycle = Digraph(2, [(0, 1), (1, 0)])
+    t2 = transitive_tournament(2)
+    jobs = [
+        # passes every looped graph, so it comes before a job that
+        # fails at one
+        DualityJob((directed_path(3),), transitive_tournament(3)),
+        # a looped h: false-obstruction at the first looped graph
+        DualityJob((directed_path(1),), Digraph(2, [(0, 1), (1, 1)])),
+        # an empty family that widens on the first looped graph
+        DualityJob((), t2, lambda length: [loop, directed_path(2)], 1),
+        # widens on a loop-free graph, the 2-arc path, after a looped
+        # graph has passed
+        DualityJob((two_cycle,), t2, lambda length: [two_cycle, directed_path(2)], 1),
+        # a family member with a loop
+        DualityJob((loop, directed_path(2)), t2),
+        DualityJob((loop,), transitive_tournament(3)),
+        _sproink_job(4, 3),
+        _sproink_job(3, 1),
+    ]
+    rng = random.Random(20130409)
+    jobs += [_random_job(rng) for _ in range(40)]
+    batch = verify_dualities(jobs, 3)
+    assert batch == _labelled_reference(jobs, 3)
+    assert [(r.ok, r.checked, r.direction, r.truncation) for r in batch[:8]] == [
+        (True, 530, None, ()),
+        (False, 2, "false-obstruction", ()),
+        (True, 530, None, (1, 2)),
+        (True, 530, None, (1, 2)),
+        (True, 530, None, ()),
+        (False, 9, "missing-obstruction", ()),
+        (True, 530, None, (3, 6)),
+        (True, 530, None, (1, 2)),
+    ]
+    looped_counterexamples = [
+        r for r in batch if r.counterexample is not None and r.counterexample.loop_mask
+    ]
+    assert len(looped_counterexamples) >= 3
+
+
+def test_verify_dualities_decides_looped_graphs_once(monkeypatch):
+    looped = {}
+    failure = duality._OpenJob.failure
+
+    def counting(self, g):
+        if g.loop_mask:
+            looped[id(self)] = looped.get(id(self), 0) + 1
+        return failure(self, g)
+
+    monkeypatch.setattr(duality._OpenJob, "failure", counting)
+    jobs = [
+        DualityJob((directed_path(3),), transitive_tournament(3)),
+        # the family widens once, on a loop-free graph, so one more
+        # looped graph is checked
+        _sproink_job(4, 3),
+    ]
+    assert [r.ok for r in verify_dualities(jobs, 3)] == [True, True]
+    assert sorted(looped.values()) == [1, 2]
 
 
 def test_duality_suite_enumerates_once(monkeypatch, capsys):
