@@ -210,7 +210,11 @@ def _semijoin(plan, doms, rows):
     value of its child supports, rows[kind] being the support row of a
     child value.  On a forest, Q -> K has a homomorphism inside the
     domains iff no domain ends empty, and a root keeps exactly the
-    values it takes under one."""
+    values it takes under one.  Given the edges reversed and flipped,
+    (parent, child, kind) in root-to-leaf order, with the support rows
+    of a parent value, the same pass runs top-down; after both passes
+    every domain holds exactly the values its vertex takes under some
+    homomorphism inside the domains."""
     for c, p, kind in plan:
         row = rows[kind]
         sup = 0
@@ -223,6 +227,61 @@ def _semijoin(plan, doms, rows):
     return all(doms)
 
 
+def _pins(qvs, vals):
+    """The pins {q: val} for the pairs of qvs and vals, or None when two
+    pairs pin one vertex of Q to different values."""
+    pins = {}
+    for qv, val in zip(qvs, vals):
+        if pins.setdefault(qv, val) != val:
+            return None
+    return pins
+
+
+def _pinned_rows(t, k, gens):
+    """The rows of Gamma_T(K) by one pinned existence search per pair."""
+    for g1 in gens:
+        row = 0
+        for j, g2 in enumerate(gens):
+            pins = _pins(t.eps1 + t.eps2, g1 + g2)
+            if pins is not None and engine.hom_exists_pinned(t.q, k, pins) is not None:
+                row |= 1 << j
+        yield row
+
+
+def _forest_rows(t, k, gens, plan):
+    """The rows of Gamma_T(K) by semijoin passes, when Q is a forest and
+    `plan` is rooted at eps2[0]."""
+    both = tuple(o & i for o, i in zip(k.out_masks, k.in_masks))
+    up = (None, k.out_masks, k.in_masks, both)
+    if t.p.n == 1 and not t.p.arc_count:
+        for (a,) in gens:
+            doms = engine.domains(t.q, k, {t.eps1[0]: a})
+            yield doms[t.eps2[0]] if _semijoin(plan, doms, up) else 0
+        return
+    down = (None, k.in_masks, k.out_masks, both)
+    spread = tuple((p, c, kind) for c, p, kind in reversed(plan))
+    index = {g: j for j, g in enumerate(gens)}
+    for g1 in gens:
+        pins = _pins(t.eps1, g1)
+        if pins is None:
+            yield 0
+            continue
+        doms = engine.domains(t.q, k, pins)
+        if not _semijoin(plan, doms, up):
+            yield 0
+            continue
+        _semijoin(spread, doms, down)
+        row = 0
+        for g2 in product(*(iter_bits(doms[v]) for v in t.eps2)):
+            j = index.get(g2)
+            if j is None:
+                continue
+            pins = _pins(t.eps1 + t.eps2, g1 + g2)
+            if pins is not None and _semijoin(plan, engine.domains(t.q, k, pins), up):
+                row |= 1 << j
+        yield row
+
+
 def gamma_functor(t, k):
     """Central Pultr functor: vertices are the homomorphisms P -> K in
     lexicographic order; (g1, g2) is an arc iff some h: Q -> K satisfies
@@ -230,11 +289,13 @@ def gamma_functor(t, k):
     t has a symmetry and k is symmetric; the result is then a Graph.
 
     When Q is a forest (`_forest_plan`) the arcs are a projection of
-    hom(Q, K) that semijoin passes compute without search: for P = K_1,
-    the pass rooted at eps2 with eps1 pinned to a leaves the out-row of
-    a at the root; for any other P, one pass per pair (g1, g2), with
-    both pinned, decides the arc.  Any other Q takes one pinned
-    existence search per pair."""
+    hom(Q, K) that semijoin passes compute without search.  For each g1,
+    the pass rooted at eps2 with eps1 pinned to g1 leaves at the root
+    exactly the values it takes under such an h: for P = K_1 that is the
+    row of g1.  For any other P a top-down pass then leaves each eps2
+    vertex its exact value set, and only the g2 inside the product of
+    those sets take a pass of their own, with both ends pinned.  Any
+    other Q takes one pinned existence search per pair (g1, g2)."""
     undirected = _is_undirected(t, k)
     limits.check_size(k.n ** t.p.n if t.p.n else 1, "gamma functor")
     if t.p.arc_count:
@@ -243,35 +304,13 @@ def gamma_functor(t, k):
         gens = list(product(range(k.n), repeat=t.p.n))
     n = len(gens)
     plan = _forest_plan(t.q, t.eps2[0] if t.p.n else 0)
-    if plan is not None:
-        both = tuple(o & i for o, i in zip(k.out_masks, k.in_masks))
-        rows = (None, k.out_masks, k.in_masks, both)
-
-        def is_arc(pins):
-            return _semijoin(plan, engine.domains(t.q, k, pins), rows)
-
+    if plan is None:
+        rows = _pinned_rows(t, k, gens)
     else:
-
-        def is_arc(pins):
-            return engine.hom_exists_pinned(t.q, k, pins) is not None
-
-    per_source = plan is not None and t.p.n == 1 and not t.p.arc_count
+        rows = _forest_rows(t, k, gens, plan)
     out = []
     size = n
-    for g1 in gens:
-        if per_source:
-            doms = engine.domains(t.q, k, {t.eps1[0]: g1[0]})
-            row = doms[t.eps2[0]] if _semijoin(plan, doms, rows) else 0
-        else:
-            row = 0
-            for j, g2 in enumerate(gens):
-                pins = {}
-                consistent = all(
-                    pins.setdefault(qv, val) == val
-                    for qv, val in zip(t.eps1 + t.eps2, g1 + g2)
-                )
-                if consistent and is_arc(pins):
-                    row |= 1 << j
+    for row in rows:
         out.append(row)
         size += row.bit_count()
         limits.check_size(size, "gamma functor")
