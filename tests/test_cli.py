@@ -162,6 +162,30 @@ def test_verify_duality_cli(files, capsys, tmp_path):
     assert os.path.exists(out)
 
 
+def test_verify_duality_cli_looped_counterexample(capsys, tmp_path):
+    # The family {P_1} against a looped target: the one-vertex loop,
+    # the second digraph of the universe, is the first counterexample.
+    (tmp_path / "p1.g").write_text("d 2\n0 1\n")
+    (tmp_path / "h.g").write_text("d 2\n0 1\n1 1\n")
+    out = tmp_path / "cex.g"
+    code = main(
+        [
+            "verify-duality",
+            "--target",
+            str(tmp_path / "h.g"),
+            "--family",
+            str(tmp_path / "p1.g"),
+            "--output",
+            str(out),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "VERDICT duality FAIL checked=2 direction=false-obstruction\n"
+    assert captured.err == f"counterexample written to {out}\n"
+    assert out.read_bytes() == b"u 1\n0 0\n"
+
+
 def test_shift_cli(files, capsys):
     assert main(["shift", "-n", "4", "-k", "2"]) == 0
     g = parse_graph(capsys.readouterr().out)

@@ -1,0 +1,120 @@
+"""Golden corpus for the search kernels: the payload and the decision
+count of `solve` in all three modes (existence, counting, enumeration)
+over a fixed set of digraph pairs, recorded in
+tests/data/kernel_golden.json.
+
+The corpus holds every ordered pair of digraphs of order <= 2, loops
+allowed (18 x 18), and 200 seeded random pairs of order <= 5.  An
+enumeration payload is stored as the SHA-256 of its repr; its length is
+the counting payload.  Unlike test_parity, which compares two kernels
+with each other, this catches a change of witness, count, enumeration
+order or decision count that both kernels share.
+
+Re-record with `PYTHONPATH=src python tests/test_kernel_golden.py` only
+for a change that is meant to move these numbers, and say so where the
+change is recorded.
+"""
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+from pultr import _fallback, limits
+from pultr.engine import MODE_COUNT, MODE_ENUM, MODE_EXISTS, kernel_args
+from pultr.graphs import Digraph, enumerate_graphs
+
+CORPUS = Path(__file__).with_name("data") / "kernel_golden.json"
+RANDOM_SEED = 0x5EED
+RANDOM_PAIRS = 200
+
+
+def _digest(maps):
+    return hashlib.sha256(repr(maps).encode()).hexdigest()
+
+
+def _record(solve, g, h):
+    """[exists payload, decisions], [count, decisions], [enumeration
+    digest, decisions] of solve for g -> h."""
+    out = []
+    with limits.scope(budget=limits.DEFAULT_NODE_BUDGET):
+        for mode in (MODE_EXISTS, MODE_COUNT, MODE_ENUM):
+            status, payload, decisions = solve(*kernel_args(g, h, mode))
+            assert status == 0
+            if mode == MODE_EXISTS and payload is not None:
+                payload = list(payload)
+            elif mode == MODE_ENUM:
+                payload = _digest(payload)
+            out.append([payload, decisions])
+    return out
+
+
+def _random_digraph(rng):
+    n = rng.randint(0, 5)
+    p = rng.choice([0.15, 0.3, 0.5])
+    loops = rng.random() < 0.3
+    return Digraph(
+        n,
+        [
+            (u, v)
+            for u in range(n)
+            for v in range(n)
+            if (u != v or loops) and rng.random() < p
+        ],
+    )
+
+
+def _pairs():
+    small = list(enumerate_graphs(2, directed=True, loops=True, all_orders=True))
+    pairs = [(g, h) for g in small for h in small]
+    rng = random.Random(RANDOM_SEED)
+    pairs += [
+        (_random_digraph(rng), _random_digraph(rng)) for _ in range(RANDOM_PAIRS)
+    ]
+    return pairs
+
+
+def _as_digraph(n, arcs):
+    return Digraph(n, [tuple(a) for a in arcs])
+
+
+def _load():
+    return json.loads(CORPUS.read_text())["cases"]
+
+
+def _check(solve):
+    cases = _load()
+    assert len(cases) == 18 * 18 + RANDOM_PAIRS
+    for g_n, g_arcs, h_n, h_arcs, *want in cases:
+        g, h = _as_digraph(g_n, g_arcs), _as_digraph(h_n, h_arcs)
+        assert _record(solve, g, h) == want, (g, h)
+
+
+def test_corpus_covers_its_pairs():
+    listed = [
+        (_as_digraph(g_n, g_arcs), _as_digraph(h_n, h_arcs))
+        for g_n, g_arcs, h_n, h_arcs, *_ in _load()
+    ]
+    assert listed == _pairs()
+    assert max(max(g.n, h.n) for g, h in listed) == 5
+
+
+def test_fallback_matches_golden_corpus():
+    _check(_fallback.solve)
+
+
+def test_compiled_kernel_matches_golden_corpus(speedups):
+    _check(speedups.solve)
+
+
+def _write():
+    lines = []
+    for g, h in _pairs():
+        case = [g.n, g.arc_list, h.n, h.arc_list, *_record(_fallback.solve, g, h)]
+        lines.append(json.dumps(case, separators=(",", ":")))
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text('{"cases": [\n' + ",\n".join(lines) + "\n]}\n")
+
+
+if __name__ == "__main__":
+    _write()

@@ -5,8 +5,9 @@ fixture of conftest.py.
 
 Only the existence search is a real comparison here: the compiled
 kernel hands counting and enumeration to _fallback, so those tests
-compare the fallback with itself.  test_engine pins the payloads and
-decision counts of those two modes.
+compare the fallback with itself.  A fault that both kernels share, in
+any mode, is caught by test_kernel_golden, which pins the payloads and
+decision counts of all three modes over a recorded corpus of pairs.
 """
 
 import sys
