@@ -5,9 +5,9 @@ exhaustive duality verification over small digraph universes.
 `verify_dualities` checks a batch of duality jobs in one streaming pass
 over the digraph universe: each graph is built once, checked against
 every job still open, and dropped; `verify_duality` is the one-job case.
-A looped digraph is homomorphically equivalent to the one-vertex loop,
-so each job decides the looped graphs once, on the first it meets, and
-again only after its family has widened.
+Each job decides a class of digraphs once, on the first member it meets,
+and again only after its family has widened: the classes are the
+isomorphism classes of loop-free digraphs and the looped digraphs.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import ParameterError
 from .functors import _find, _union
 from .graphs import (
     Digraph,
+    canonical_form,
     complete_graph,
     enumerate_graphs,
     is_oriented_tree,
@@ -247,9 +248,8 @@ class _OpenJob:
             else None
         )
         self.initial_len = job.initial_len
-        # The family for which a looped graph passed: every looped graph
-        # gives the same verdict while the family is unchanged.
-        self.looped_ok = None
+        # Class key -> the family under which that class passed.
+        self.passed = {}
 
     def failure(self, g):
         """The direction in which g refutes the duality, or None."""
@@ -279,11 +279,18 @@ def verify_dualities(jobs, nmax):
     counterexample, with the report it gives when checked alone, and the
     pass stops once every job is closed.
 
-    A job checks a looped graph only until one passes, and again after
-    its family widens; later looped graphs pass with it.  This is exact:
-    every looped digraph is homomorphically equivalent to the one-vertex
-    loop, and both sides of a duality, g -> h and F -> g, are invariant
-    under homomorphic equivalence of g."""
+    A job checks the members of a class until one passes, and again
+    after its family widens; the later members pass with it.  The classes
+    are the isomorphism classes of loop-free digraphs, keyed by canonical
+    form, and the looped digraphs, all homomorphically equivalent to the
+    one-vertex loop.  This is exact: g -> h and F -> g are invariant under
+    isomorphism of g, and for looped g under homomorphic equivalence; a
+    pass is remembered under the family object, so a widened family
+    re-checks every class; and a class that fails is decided at its first
+    labelled member, which is the reported counterexample.  `checked`
+    counts every labelled graph.  nmax below 1 is a ParameterError."""
+    if nmax < 1:
+        raise ParameterError(f"nmax must be at least 1, got {nmax}")
     states = [_OpenJob(job) for job in jobs]
     reports = [None] * len(states)
     open_jobs = list(range(len(states)))
@@ -291,16 +298,16 @@ def verify_dualities(jobs, nmax):
     if open_jobs:
         for g in enumerate_graphs(nmax, directed=True, loops=True, all_orders=True):
             checked += 1
-            looped = g.loop_mask != 0
+            key = None if g.loop_mask else canonical_form(g).out_masks
             still_open = []
             for i in open_jobs:
                 state = states[i]
-                if looped and state.looped_ok is state.family:
+                if state.passed.get(key) is state.family:
                     direction = None
                 else:
                     direction = state.failure(g)
-                    if looped and direction is None:
-                        state.looped_ok = state.family
+                    if direction is None:
+                        state.passed[key] = state.family
                 if direction is None:
                     still_open.append(i)
                 else:

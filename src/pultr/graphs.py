@@ -537,6 +537,8 @@ def enumerate_graphs(
     orders 1..n with all_orders=True), in deterministic order.  Optional
     isomorph rejection keeps the first representative of each class.
     Orders above ENUM_CAP_DIRECTED / ENUM_CAP_UNDIRECTED are refused."""
+    if n < 0:
+        raise ParameterError(f"enumeration order {n} is negative")
     cap = ENUM_CAP_DIRECTED if directed else ENUM_CAP_UNDIRECTED
     if n > cap:
         raise ParameterError(f"enumeration order {n} exceeds cap {cap}")

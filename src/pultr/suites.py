@@ -342,7 +342,7 @@ def run_suite(name, nmax=None, workers=1):
     """Run one named suite.  Suites run in the calling thread; `workers`
     is kept so that callers passing workers=1 (perfbench/passes.py) keep
     working, and any other value is a ParameterError.  So is an nmax for
-    a suite without a universe bound."""
+    a suite without a universe bound, and an nmax below 1."""
     if workers != 1:
         raise ParameterError(f"workers={workers!r}: suites run in one thread")
     if name not in _SUITES:
@@ -355,4 +355,6 @@ def run_suite(name, nmax=None, workers=1):
         raise ParameterError(
             f"suite {name!r} takes no nmax; only {', '.join(NMAX_SUITES)} do"
         )
+    if nmax < 1:
+        raise ParameterError(f"nmax must be at least 1, got {nmax}")
     return _SUITES[name](nmax=nmax)
