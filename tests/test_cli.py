@@ -10,7 +10,7 @@ from pultr.graphs import (
     directed_path,
     transitive_tournament,
 )
-from pultr.suites import run_suite
+from pultr.suites import NMAX_SUITES, run_suite
 from pultr import engine, limits
 from pultr.errors import BudgetExceededError, ParameterError
 
@@ -128,6 +128,22 @@ def test_verify_rejects_nmax_of_fixed_suites(capsys):
         assert f"suite {suite!r} takes no nmax" in captured.err
         with pytest.raises(ParameterError):
             run_suite(suite, nmax=9)
+
+
+def test_verify_rejects_a_universe_bound_below_1(files, capsys):
+    for argv in (
+        ["verify", "--suite", "adjunction", "--nmax", "0"],
+        ["verify", "--suite", "duality", "--nmax", "0"],
+        ["verify", "--suite", "omega", "--nmax", "-1"],
+        ["verify-duality", "--target", files["t3"], "--family", files["p3"], "--nmax", "0"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: nmax must be at least 1, got {argv[-1]}\n"
+    for suite in NMAX_SUITES:
+        with pytest.raises(ParameterError, match="nmax must be at least 1"):
+            run_suite(suite, nmax=0)
 
 
 def test_verify_duality_cli(files, capsys, tmp_path):

@@ -1,9 +1,10 @@
 import math
 import random
+from itertools import islice
 
 import pytest
 
-from pultr import duality, engine
+from pultr import duality, engine, suites
 from pultr.adjoints import arc_graph
 from pultr.chromatic import chromatic_number, k_colourable
 from pultr.cli import main
@@ -24,6 +25,7 @@ from pultr.engine import HomWitness
 from pultr.errors import ParameterError
 from pultr.graphs import (
     Digraph,
+    canonical_form,
     complete_graph,
     directed_cycle,
     directed_path,
@@ -367,6 +369,8 @@ def test_verify_dualities_matches_labelled_reference():
     loop = Digraph(1, [(0, 0)])
     two_cycle = Digraph(2, [(0, 1), (1, 0)])
     t2 = transitive_tournament(2)
+    t3 = transitive_tournament(3)
+    c3 = directed_cycle(3)
     jobs = [
         # passes every looped graph, so it comes before a job that
         # fails at one
@@ -383,12 +387,19 @@ def test_verify_dualities_matches_labelled_reference():
         DualityJob((loop,), transitive_tournament(3)),
         _sproink_job(4, 3),
         _sproink_job(3, 1),
+        # Fail at a loop-free graph that is not its own canonical form:
+        # the first member of its class, and, after the family widens on
+        # the directed 3-cycle, later relabellings of shapes that passed
+        # under the narrower family (T3, then the 2-cycle with an arc in).
+        DualityJob((directed_path(2),), t3),
+        DualityJob((two_cycle,), t3, lambda length: [two_cycle, c3, directed_path(2)], 1),
+        DualityJob((two_cycle,), t3, lambda length: [c3], 1),
     ]
     rng = random.Random(20130409)
     jobs += [_random_job(rng) for _ in range(40)]
     batch = verify_dualities(jobs, 3)
     assert batch == _labelled_reference(jobs, 3)
-    assert [(r.ok, r.checked, r.direction, r.truncation) for r in batch[:8]] == [
+    assert [(r.ok, r.checked, r.direction, r.truncation) for r in batch[:11]] == [
         (True, 530, None, ()),
         (False, 2, "false-obstruction", ()),
         (True, 530, None, (1, 2)),
@@ -397,31 +408,73 @@ def test_verify_dualities_matches_labelled_reference():
         (False, 9, "missing-obstruction", ()),
         (True, 530, None, (3, 6)),
         (True, 530, None, (1, 2)),
+        (False, 31, "false-obstruction", ()),
+        (False, 123, "false-obstruction", (1, 2)),
+        (False, 119, "missing-obstruction", (1, 2)),
     ]
+    assert [r.counterexample.out_masks for r in batch[8:11]] == [
+        (4, 1, 0),
+        (0, 5, 1),
+        (4, 4, 1),
+    ]
+    for r in batch[8:11]:
+        assert canonical_form(r.counterexample) != r.counterexample
+    universe = list(
+        islice(enumerate_graphs(3, directed=True, loops=True, all_orders=True), 122)
+    )
+    for r in batch[9:11]:
+        form = canonical_form(r.counterexample)
+        assert any(canonical_form(g) == form for g in universe[: r.checked - 1])
     looped_counterexamples = [
         r for r in batch if r.counterexample is not None and r.counterexample.loop_mask
     ]
     assert len(looped_counterexamples) >= 3
 
 
-def test_verify_dualities_decides_looped_graphs_once(monkeypatch):
-    looped = {}
+def test_verify_dualities_matches_labelled_reference_on_the_suite(monkeypatch):
+    # the five jobs of the duality suite, over the 66 066 digraphs on at
+    # most four vertices
+    batches = []
+
+    def recording(jobs, nmax):
+        batches.append((list(jobs), nmax))
+        return verify_dualities(jobs, nmax)
+
+    monkeypatch.setattr(suites, "verify_dualities", recording)
+    assert suites.run_suite("duality").ok
+    [(jobs, nmax)] = batches
+    assert (len(jobs), nmax) == (5, 4)
+    assert verify_dualities(jobs, nmax) == _labelled_reference(jobs, nmax)
+
+
+def test_verify_dualities_decides_each_class_once(monkeypatch):
+    calls = {}
     failure = duality._OpenJob.failure
 
     def counting(self, g):
-        if g.loop_mask:
-            looped[id(self)] = looped.get(id(self), 0) + 1
+        calls[id(self)] = calls.get(id(self), 0) + 1
         return failure(self, g)
 
     monkeypatch.setattr(duality._OpenJob, "failure", counting)
     jobs = [
+        # one call per class: the 20 classes of loop-free digraphs on at
+        # most three vertices, and the looped digraphs
         DualityJob((directed_path(3),), transitive_tournament(3)),
-        # the family widens once, on a loop-free graph, so one more
-        # looped graph is checked
+        # the family widens once, on a loop-free graph, so the classes
+        # met after it are checked once more
         _sproink_job(4, 3),
     ]
     assert [r.ok for r in verify_dualities(jobs, 3)] == [True, True]
-    assert sorted(looped.values()) == [1, 2]
+    assert list(calls.values()) == [21, 28]
+
+
+def test_verify_dualities_rejects_a_universe_bound_below_1():
+    job = DualityJob((directed_path(2),), transitive_tournament(3))
+    for nmax in (0, -1):
+        with pytest.raises(ParameterError, match=f"got {nmax}$"):
+            verify_dualities([job], nmax)
+        with pytest.raises(ParameterError):
+            verify_duality(job.family, job.h, nmax)
 
 
 def test_duality_suite_enumerates_once(monkeypatch, capsys):

@@ -253,6 +253,9 @@ def test_enumerate_graphs_counts():
         next(enumerate_graphs(6, directed=True))
     with pytest.raises(ParameterError, match="order 7 exceeds cap 6$"):
         next(enumerate_graphs(7))
+    with pytest.raises(ParameterError, match="order -1 is negative$"):
+        next(enumerate_graphs(-1, directed=True))
+    assert list(enumerate_graphs(0, directed=True)) == [Digraph(0, [])]
 
 
 def test_enumerate_graphs_follows_the_slot_order():
@@ -296,6 +299,22 @@ def test_canonical_form_is_invariant(rng):
         perm = list(range(5))
         rng.shuffle(perm)
         assert canonical_form(d) == canonical_form(d.relabel(perm))
+
+
+@pytest.mark.parametrize(
+    "nmax, loops, classes",
+    [(4, False, 238), (3, True, 116)],
+)
+def test_canonical_form_is_a_complete_invariant(nmax, loops, classes):
+    """One form per isomorphism class, isomorphic to its graph: the class
+    counts of the loop-free digraphs on <= 4 vertices and of the digraphs
+    with loops on <= 3 vertices."""
+    forms = set()
+    for g in enumerate_graphs(nmax, directed=True, loops=loops, all_orders=True):
+        form = canonical_form(g)
+        assert engine.isomorphic(g, form)
+        forms.add(form.out_masks)
+    assert len(forms) == classes
 
 
 def test_connectivity_and_trees():
