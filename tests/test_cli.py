@@ -136,6 +136,7 @@ def test_verify_rejects_a_universe_bound_below_1(files, capsys):
         ["verify", "--suite", "duality", "--nmax", "0"],
         ["verify", "--suite", "omega", "--nmax", "-1"],
         ["verify-duality", "--target", files["t3"], "--family", files["p3"], "--nmax", "0"],
+        ["verify-duality", "--target", files["t3"], "--family", files["p3"], "--nmax", "-1"],
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()

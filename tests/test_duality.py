@@ -468,15 +468,6 @@ def test_verify_dualities_decides_each_class_once(monkeypatch):
     assert list(calls.values()) == [21, 28]
 
 
-def test_verify_dualities_rejects_a_universe_bound_below_1():
-    job = DualityJob((directed_path(2),), transitive_tournament(3))
-    for nmax in (0, -1):
-        with pytest.raises(ParameterError, match=f"got {nmax}$"):
-            verify_dualities([job], nmax)
-        with pytest.raises(ParameterError):
-            verify_duality(job.family, job.h, nmax)
-
-
 def test_duality_suite_enumerates_once(monkeypatch, capsys):
     calls = []
 
