@@ -7,22 +7,26 @@ over the digraph universe: each graph is built once, checked against
 every job still open, and dropped; `verify_duality` is the one-job case.
 Each job decides a class of digraphs once, on the first member it meets,
 and again only after its family has widened: the classes are the
-isomorphism classes of loop-free digraphs and the looped digraphs.
+isomorphism classes of loop-free digraphs, keyed by the first member of
+their orbit under relabelling, and the looped digraphs.  Only the
+loop-free digraphs are enumerated; a looped one is built only when some
+job still has to decide the looped class, and `checked` still counts the
+whole labelled universe.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from . import engine, limits
+from .bitset import iter_bits
 from .engine import HomWitness
 from .errors import ParameterError
 from .functors import _find, _union
 from .graphs import (
     Digraph,
-    canonical_form,
     complete_graph,
     enumerate_graphs,
     is_oriented_tree,
@@ -269,6 +273,28 @@ class _OpenJob:
         return None
 
 
+def _loop_free_universe(nmax):
+    """Yield (g, position, key) for each loop-free digraph g on 1..nmax
+    vertices, in the order of the labelled universe: g is its number
+    position = offset_k + s + 1, where k = g.n, s = sum(out_masks[u] <<
+    u*k) and offset_k counts the digraphs of order below k.  key is
+    offset_k plus the least s of g's orbit under relabelling: s grows
+    along the stream, so each new s marks its whole orbit in a table that
+    is dropped when the order grows."""
+    order = 0
+    for g in enumerate_graphs(nmax, directed=True, loops=False, all_orders=True):
+        k, rows = g.n, g.out_masks
+        if k != order:
+            order, orbits = k, {}
+            offset = sum(1 << j * j for j in range(1, k))
+        s = sum(row << u * k for u, row in enumerate(rows))
+        if s not in orbits:
+            arcs = [(u, v) for u in range(k) for v in iter_bits(rows[u])]
+            for p in permutations(range(k)):
+                orbits[sum(1 << p[u] * k + p[v] for u, v in arcs)] = s
+        yield g, offset + s + 1, offset + orbits[s]
+
+
 def verify_dualities(jobs, nmax):
     """Check every DualityJob over one pass of the digraphs on up to nmax
     vertices (loops allowed), and return one DualityReport per job, in
@@ -281,42 +307,52 @@ def verify_dualities(jobs, nmax):
 
     A job checks the members of a class until one passes, and again
     after its family widens; the later members pass with it.  The classes
-    are the isomorphism classes of loop-free digraphs, keyed by canonical
-    form, and the looped digraphs, all homomorphically equivalent to the
-    one-vertex loop.  This is exact: g -> h and F -> g are invariant under
-    isomorphism of g, and for looped g under homomorphic equivalence; a
-    pass is remembered under the family object, so a widened family
-    re-checks every class; and a class that fails is decided at its first
-    labelled member, which is the reported counterexample.  `checked`
-    counts every labelled graph.  nmax below 1 is a ParameterError."""
+    are the isomorphism classes of loop-free digraphs and the looped
+    digraphs, all homomorphically equivalent to the one-vertex loop.
+    This is exact: g -> h and F -> g are invariant under isomorphism of
+    g, and for looped g under homomorphic equivalence; a pass is
+    remembered under the family object, so a widened family re-checks
+    every class; and a class that fails is decided at its first labelled
+    member, which is the reported counterexample.
+
+    Only the loop-free digraphs are streamed (see _loop_free_universe).
+    The labelled graph after a loop-free g is g with the loop (0, 0), and
+    it is checked only when some open job has not passed the looped class
+    under its current family.  After it every open job has, and only a
+    checked graph can widen a family, so every open job would skip the
+    other looped graphs, which lie between it and the next loop-free one.
+    `checked` counts every labelled graph.  nmax below 1 is a
+    ParameterError."""
     if nmax < 1:
         raise ParameterError(f"nmax must be at least 1, got {nmax}")
     states = [_OpenJob(job) for job in jobs]
     reports = [None] * len(states)
     open_jobs = list(range(len(states)))
-    checked = 0
-    if open_jobs:
-        for g in enumerate_graphs(nmax, directed=True, loops=True, all_orders=True):
-            checked += 1
-            key = None if g.loop_mask else canonical_form(g).out_masks
-            still_open = []
-            for i in open_jobs:
-                state = states[i]
-                if state.passed.get(key) is state.family:
-                    direction = None
-                else:
-                    direction = state.failure(g)
-                    if direction is None:
-                        state.passed[key] = state.family
+
+    def step(g, key, checked):
+        for i in list(open_jobs):
+            state = states[i]
+            if state.passed.get(key) is not state.family:
+                direction = state.failure(g)
                 if direction is None:
-                    still_open.append(i)
+                    state.passed[key] = state.family
                 else:
                     reports[i] = DualityReport(
                         False, checked, g, direction, state.lengths
                     )
-            open_jobs = still_open
+                    open_jobs.remove(i)
+
+    if open_jobs:
+        for g, position, key in _loop_free_universe(nmax):
+            step(g, key, position)
+            if any(states[i].passed.get(None) is not states[i].family
+                   for i in open_jobs):
+                rows = g.out_masks
+                looped = Digraph._from_masks(g.n, (rows[0] | 1,) + rows[1:])
+                step(looped, None, position + 1)
             if not open_jobs:
                 break
+    checked = sum(1 << k * k for k in range(1, nmax + 1))
     for i in open_jobs:
         reports[i] = DualityReport(True, checked, None, None, states[i].lengths)
     return reports

@@ -257,17 +257,15 @@ def _joint_refinement(g, h):
         cols = new
 
 
-def isomorphic(g, h, cap=ISO_CAP):
+def isomorphic(g, h):
     """Exact isomorphism test via backtracking, after degree-sequence and
     neighbourhood-refinement pruning."""
     if g.n != h.n or g.arc_count != h.arc_count:
         return False
     if g.n == 0:
         return True
-    if g.n > cap:
-        raise ParameterError(
-            f"isomorphism order {g.n} exceeds cap {cap}; pass cap= to override"
-        )
+    if g.n > ISO_CAP:
+        raise ParameterError(f"isomorphism order {g.n} exceeds cap {ISO_CAP}")
     kg, kh = _joint_refinement(g, h)
     if sorted(kg) != sorted(kh):
         return False

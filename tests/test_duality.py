@@ -278,8 +278,13 @@ def test_verify_dualities_stops_when_every_job_is_closed(monkeypatch):
         DualityJob((directed_path(2),), transitive_tournament(3)),
         DualityJob((), transitive_tournament(2)),
     ]
-    assert [r.checked for r in verify_dualities(jobs, 3)] == [31, 2]
-    assert len(yielded) == 31
+    reports = verify_dualities(jobs, 3)
+    assert [r.checked for r in reports] == [31, 2]
+    # only loop-free digraphs are pulled, and none after the last job
+    # closes at the 12th of them, labelled graph 31
+    assert len(yielded) == 12
+    assert yielded[-1] == reports[0].counterexample
+    assert not any(g.loop_mask for g in yielded)
 
 
 class _LabelledJob:
@@ -466,6 +471,23 @@ def test_verify_dualities_decides_each_class_once(monkeypatch):
     ]
     assert [r.ok for r in verify_dualities(jobs, 3)] == [True, True]
     assert list(calls.values()) == [21, 28]
+
+
+def test_loop_free_universe_positions_and_orbit_keys():
+    labelled = list(enumerate_graphs(3, directed=True, loops=True, all_orders=True))
+    universe = list(duality._loop_free_universe(3))
+    assert [g for g, _, _ in universe] == [g for g in labelled if not g.loop_mask]
+    assert all(labelled[position - 1] == g for g, position, _ in universe)
+    # on <= 4 vertices the keys split the loop-free digraphs exactly as
+    # canonical_form does, into 238 classes, each keyed by its first member
+    form_of_key, key_of_form = {}, {}
+    for g, position, key in duality._loop_free_universe(4):
+        form = canonical_form(g).out_masks
+        if key not in form_of_key:
+            assert key == position - 1
+        assert form_of_key.setdefault(key, form) == form
+        assert key_of_form.setdefault(form, key) == key
+    assert len(form_of_key) == 238
 
 
 def test_duality_suite_enumerates_once(monkeypatch, capsys):

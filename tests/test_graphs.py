@@ -286,6 +286,26 @@ def test_enumerate_graphs_follows_the_slot_order():
             assert got == expected
 
 
+def test_labelled_digraph_positions():
+    """What the duality pass relies on: the digraph of order k is number
+    offset_k + sum(out_masks[u] << u*k) + 1 of the labelled stream, where
+    offset_k counts the digraphs of order below k; the loop-free stream is
+    its loop-free subsequence; and the labelled graph after a loop-free g
+    is g with the loop (0, 0)."""
+    labelled = list(enumerate_graphs(3, directed=True, loops=True, all_orders=True))
+    assert len(labelled) == 2 + 16 + 512
+    for position, g in enumerate(labelled, 1):
+        k = g.n
+        offset = sum(1 << j * j for j in range(1, k))
+        s = sum(row << u * k for u, row in enumerate(g.out_masks))
+        assert position == offset + s + 1
+    loop_free = list(enumerate_graphs(3, directed=True, loops=False, all_orders=True))
+    assert loop_free == [g for g in labelled if not g.loop_mask]
+    for i, g in enumerate(labelled):
+        if not g.loop_mask:
+            assert labelled[i + 1] == Digraph(g.n, list(g.arcs()) + [(0, 0)])
+
+
 def test_enumerate_invariants():
     for g in enumerate_graphs(3, directed=False, loops=True, all_orders=True):
         assert isinstance(g, Graph) and g.is_symmetric
