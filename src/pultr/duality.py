@@ -275,12 +275,13 @@ class _OpenJob:
 
 def _loop_free_universe(nmax):
     """Yield (g, position, key) for each loop-free digraph g on 1..nmax
-    vertices, in the order of the labelled universe: g is its number
-    position = offset_k + s + 1, where k = g.n, s = sum(out_masks[u] <<
-    u*k) and offset_k counts the digraphs of order below k.  key is
-    offset_k plus the least s of g's orbit under relabelling: s grows
-    along the stream, so each new s marks its whole orbit in a table that
-    is dropped when the order grows."""
+    vertices, in labelled order.  position is g's 1-based number in the
+    labelled universe, offset_k + s + 1, where k = g.n,
+    s = sum(out_masks[u] << u*k) and offset_k counts the digraphs of order
+    below k.  key is offset_k plus the least s in g's orbit under
+    relabelling: s grows along the stream, so the first s met in an orbit
+    is its least and marks the whole orbit, in a table dropped when the
+    order grows."""
     order = 0
     for g in enumerate_graphs(nmax, directed=True, loops=False, all_orders=True):
         k, rows = g.n, g.out_masks
