@@ -38,7 +38,6 @@ from .graphs import (
     Digraph,
     Graph,
     as_graph,
-    canonical_form,
     circular_complete,
     complete_graph,
     cycle_graph,
@@ -51,6 +50,7 @@ from .graphs import (
     kneser_pairs,
     lexicographic_product,
     odd_girth,
+    orbit_keys,
     oriented_path,
     orientations,
     path_graph,

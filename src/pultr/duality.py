@@ -7,21 +7,19 @@ over the digraph universe: each graph is built once, checked against
 every job still open, and dropped; `verify_duality` is the one-job case.
 Each job decides a class of digraphs once, on the first member it meets,
 and again only after its family has widened: the classes are the
-isomorphism classes of loop-free digraphs, keyed by the first member of
-their orbit under relabelling, and the looped digraphs.  Only the
-loop-free digraphs are enumerated; a looped one is built only when some
-job still has to decide the looped class, and `checked` still counts the
-whole labelled universe.
+isomorphism classes of loop-free digraphs, keyed by `graphs.orbit_keys`,
+and the looped digraphs.  Only the loop-free digraphs are enumerated; a
+looped one is built only when some job still has to decide the looped
+class, and `checked` still counts the whole labelled universe.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from . import engine, limits
-from .bitset import iter_bits
 from .engine import HomWitness
 from .errors import ParameterError
 from .functors import _find, _union
@@ -30,6 +28,7 @@ from .graphs import (
     complete_graph,
     enumerate_graphs,
     is_oriented_tree,
+    orbit_keys,
     oriented_path,
     symmetrization,
 )
@@ -273,27 +272,13 @@ class _OpenJob:
         return None
 
 
-def _loop_free_universe(nmax):
-    """Yield (g, position, key) for each loop-free digraph g on 1..nmax
-    vertices, in labelled order.  position is g's 1-based number in the
-    labelled universe, offset_k + s + 1, where k = g.n,
-    s = sum(out_masks[u] << u*k) and offset_k counts the digraphs of order
-    below k.  key is offset_k plus the least s in g's orbit under
-    relabelling: s grows along the stream, so the first s met in an orbit
-    is its least and marks the whole orbit, in a table dropped when the
-    order grows."""
-    order = 0
-    for g in enumerate_graphs(nmax, directed=True, loops=False, all_orders=True):
-        k, rows = g.n, g.out_masks
-        if k != order:
-            order, orbits = k, {}
-            offset = sum(1 << j * j for j in range(1, k))
-        s = sum(row << u * k for u, row in enumerate(rows))
-        if s not in orbits:
-            arcs = [(u, v) for u in range(k) for v in iter_bits(rows[u])]
-            for p in permutations(range(k)):
-                orbits[sum(1 << p[u] * k + p[v] for u, v in arcs)] = s
-        yield g, offset + s + 1, offset + orbits[s]
+def _position(g):
+    """g's 1-based number in the labelled stream of digraphs with loops on
+    1..n vertices: offset_k + sum(out_masks[u] << u*k) + 1, where k = g.n
+    and offset_k counts the digraphs of order below k."""
+    k = g.n
+    offset = sum(1 << j * j for j in range(1, k))
+    return offset + sum(row << u * k for u, row in enumerate(g.out_masks)) + 1
 
 
 def verify_dualities(jobs, nmax):
@@ -316,12 +301,16 @@ def verify_dualities(jobs, nmax):
     every class; and a class that fails is decided at its first labelled
     member, which is the reported counterexample.
 
-    Only the loop-free digraphs are streamed (see _loop_free_universe).
-    The labelled graph after a loop-free g is g with the loop (0, 0), and
-    it is checked only when some open job has not passed the looped class
-    under its current family.  After it every open job has, and only a
-    checked graph can widen a family, so every open job would skip the
-    other looped graphs, which lie between it and the next loop-free one.
+    Only the loop-free digraphs are streamed, zipped with their class
+    keys from graphs.orbit_keys; a report's `checked` is the labelled
+    position of its counterexample, computed from the rows (_position).
+    A graph is skipped outright when every open job has passed its class
+    since the last widening of any family.  The labelled graph after a
+    loop-free g is g with the loop (0, 0), and it is checked only when
+    some open job may not have passed the looped class under its current
+    family.  After it every open job has, and only a checked graph can
+    widen a family, so every open job would skip the other looped graphs,
+    which lie between it and the next loop-free one.
     `checked` counts every labelled graph.  nmax below 1 is a
     ParameterError."""
     if nmax < 1:
@@ -330,27 +319,37 @@ def verify_dualities(jobs, nmax):
     reports = [None] * len(states)
     open_jobs = list(range(len(states)))
 
-    def step(g, key, checked):
+    # settled[key] is the number of widenings there had been when every
+    # open job last passed class key under its current family.
+    settled = {}
+    widenings = 0
+
+    def step(g, key):
+        nonlocal widenings
         for i in list(open_jobs):
             state = states[i]
             if state.passed.get(key) is not state.family:
+                family = state.family
                 direction = state.failure(g)
+                widenings += state.family is not family
                 if direction is None:
                     state.passed[key] = state.family
                 else:
                     reports[i] = DualityReport(
-                        False, checked, g, direction, state.lengths
+                        False, _position(g), g, direction, state.lengths
                     )
                     open_jobs.remove(i)
+        settled[key] = widenings
 
     if open_jobs:
-        for g, position, key in _loop_free_universe(nmax):
-            step(g, key, position)
-            if any(states[i].passed.get(None) is not states[i].family
-                   for i in open_jobs):
+        loop_free = dict(directed=True, loops=False, all_orders=True)
+        graphs = enumerate_graphs(nmax, **loop_free)
+        for g, key in zip(graphs, orbit_keys(nmax, **loop_free)):
+            if settled.get(key) != widenings:
+                step(g, key)
+            if settled.get(None) != widenings:
                 rows = g.out_masks
-                looped = Digraph._from_masks(g.n, (rows[0] | 1,) + rows[1:])
-                step(looped, None, position + 1)
+                step(Digraph._from_masks(g.n, (rows[0] | 1,) + rows[1:]), None)
             if not open_jobs:
                 break
     checked = sum(1 << k * k for k in range(1, nmax + 1))

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from functools import cached_property
 from itertools import combinations, permutations
+from operator import or_
 
 from . import limits
 from .bitset import iter_bits
@@ -518,12 +520,49 @@ def dominated_reduction(d):
 
 
 # ---------------------------------------------------------------------------
-# enumeration and canonical forms
+# enumeration and isomorphism classes
 # ---------------------------------------------------------------------------
 
 ENUM_CAP_DIRECTED = 5
 ENUM_CAP_UNDIRECTED = 6
-CANONICAL_CAP = 7
+
+
+def _orders(n, directed, all_orders):
+    if n < 0:
+        raise ParameterError(f"enumeration order {n} is negative")
+    cap = ENUM_CAP_DIRECTED if directed else ENUM_CAP_UNDIRECTED
+    if n > cap:
+        raise ParameterError(f"enumeration order {n} exceeds cap {cap}")
+    return range(1, n + 1) if all_orders else [n]
+
+
+def _slots(k, directed, loops):
+    """The slots of order k: bit i of the counter s selects slot i, an arc
+    (u, v), or for graphs an edge {u, v} with u <= v, in lexicographic
+    order."""
+    return [
+        (u, v)
+        for u in range(k)
+        for v in range(0 if directed else u, k)
+        if loops or u != v
+    ]
+
+
+def _chunk_tables(images):
+    """Split the bits of a slot counter into at most 10-bit chunks, and
+    return the chunk width and, per chunk, the table from the chunk's value
+    to the OR of images[i] over its set bits i."""
+    chunks = -(-len(images) // 10) or 1
+    width = -(-len(images) // chunks)
+    tables = []
+    for j in range(chunks):
+        part = images[j * width : (j + 1) * width]
+        table = [0] * (1 << len(part))
+        for x in range(1, len(table)):
+            low = x & -x
+            table[x] = table[x ^ low] | part[low.bit_length() - 1]
+        tables.append(table)
+    return width, tables
 
 
 def enumerate_graphs(
@@ -534,114 +573,80 @@ def enumerate_graphs(
     up_to_iso=False,
 ):
     """Yield every labelled digraph/graph on exactly n vertices (or on all
-    orders 1..n with all_orders=True), in deterministic order.  Optional
-    isomorph rejection keeps the first representative of each class.
-    Orders above ENUM_CAP_DIRECTED / ENUM_CAP_UNDIRECTED are refused."""
-    if n < 0:
-        raise ParameterError(f"enumeration order {n} is negative")
-    cap = ENUM_CAP_DIRECTED if directed else ENUM_CAP_UNDIRECTED
-    if n > cap:
-        raise ParameterError(f"enumeration order {n} exceeds cap {cap}")
-    orders = range(1, n + 1) if all_orders else [n]
-    seen = set() if up_to_iso else None
+    orders 1..n with all_orders=True), in slot order: order by order, and
+    within an order by the counter s over _slots.  With up_to_iso=True,
+    yield only the first member of each isomorphism class (see
+    orbit_keys).  Orders above ENUM_CAP_DIRECTED / ENUM_CAP_UNDIRECTED are
+    refused."""
+    orders = _orders(n, directed, all_orders)
+    if up_to_iso:
+        keys = orbit_keys(n, directed, loops, all_orders)
+        graphs = enumerate_graphs(n, directed, loops, all_orders)
+        for position, (key, g) in enumerate(zip(keys, graphs)):
+            if key == position:
+                yield g
+        return
     cls = Digraph if directed else Graph
     for k in orders:
-        # Bit i of s selects slot i: an arc (u, v), or for graphs an
-        # edge {u, v} with u <= v.  Each slot lists the row bits it sets.
-        if directed:
-            slots = [
-                ((u, 1 << v),)
-                for u in range(k)
-                for v in range(k)
-                if loops or u != v
-            ]
-        else:
-            slots = [
-                ((u, 1 << v), (v, 1 << u)) if u != v else ((u, 1 << u),)
-                for u in range(k)
-                for v in range(u, k)
-                if loops or u != v
-            ]
-        for s in range(1 << len(slots)):
-            rows = [0] * k
-            while s:
-                low = s & -s
-                for u, bit in slots[low.bit_length() - 1]:
-                    rows[u] |= bit
-                s ^= low
-            g = cls._from_masks(k, rows)
-            if seen is not None:
-                key = canonical_form(g)
-                if key in seen:
-                    continue
-                seen.add(key)
-            yield g
-
-
-def _invariant_keys(d, rounds=2):
-    """Per-vertex keys built from iterated degree signatures.  The keys are
-    nested tuples of invariant data only, so they are comparable across
-    isomorphic graphs and totally ordered."""
-    keys = [
-        (
-            d.out_masks[u].bit_count(),
-            d.in_masks[u].bit_count(),
-            d.out_masks[u] >> u & 1,
-        )
-        for u in range(d.n)
-    ]
-    for _ in range(rounds):
-        keys = [
-            (
-                keys[u],
-                tuple(sorted(keys[v] for v in iter_bits(d.out_masks[u]))),
-                tuple(sorted(keys[v] for v in iter_bits(d.in_masks[u]))),
-            )
-            for u in range(d.n)
+        # Bit u*k + v of the packed adjacency a is the arc (u, v).
+        images = [
+            1 << u * k + v if directed else 1 << u * k + v | 1 << v * k + u
+            for u, v in _slots(k, directed, loops)
         ]
-    return keys
+        _width, tables = _chunk_tables(images)
+        high = [0]
+        for table in tables[1:]:
+            high = [h | x for x in table for h in high]
+        full = (1 << k) - 1
+        shifts = [u * k for u in range(k)]
+        for h in high:
+            for low in tables[0]:
+                a = h | low
+                yield cls._from_masks(k, [a >> shift & full for shift in shifts])
 
 
-def canonical_form(d):
-    """Canonical representative under relabelling: exhaustive minimum over
-    the permutations that respect invariant vertex classes (sound because
-    any isomorphism must respect them).  Only for order <= CANONICAL_CAP."""
-    if d.n > CANONICAL_CAP:
-        raise ParameterError(
-            f"canonical form is brute force; order cap is {CANONICAL_CAP}"
-        )
-    keys = _invariant_keys(d)
-    classes = {}
-    for u, key in enumerate(keys):
-        classes.setdefault(key, []).append(u)
-    ordered = sorted(classes.items(), key=lambda item: item[0])
-    # block of target positions per class, in invariant class order
-    blocks = []
-    start = 0
-    for _key, members in ordered:
-        blocks.append((members, start))
-        start += len(members)
-    best = None
-    perm = [0] * d.n
+def orbit_keys(n, directed=False, loops=True, all_orders=False):
+    """Yield, for each labelled graph that enumerate_graphs(n, directed,
+    loops, all_orders) yields and in the same order, the integer key of
+    its isomorphism class; no graph is built.
 
-    def assign(i):
-        nonlocal best
-        if i == len(blocks):
-            rows = [0] * d.n
-            for u, row in enumerate(d.out_masks):
-                m = 0
-                for v in iter_bits(row):
-                    m |= 1 << perm[v]
-                rows[perm[u]] = m
-            key = tuple(rows)
-            if best is None or key < best:
-                best = key
-            return
-        members, start = blocks[i]
-        for p in permutations(range(len(members))):
-            for j, u in enumerate(members):
-                perm[u] = start + p[j]
-            assign(i + 1)
+    The key is the stream position (from 0) of the first graph of the
+    order, plus the least counter s in the graph's orbit under
+    relabelling.  So two graphs share a key exactly when they are
+    isomorphic, and a graph's key is its own position exactly when it is
+    the first member of its class in the stream.
 
-    assign(0)
-    return type(d)._from_masks(d.n, best)
+    s grows along the stream, so the first s met in an orbit is its
+    least.  It marks the whole orbit in an array('I') over the 2^slots
+    counters of the order: the image of s under each relabelling is the
+    OR of per-permutation tables looked up on the chunks of s, of at most
+    10 bits each.  The array takes 4 bytes per labelled graph of the
+    order and is dropped when the order grows."""
+    offset = 0
+    for k in _orders(n, directed, all_orders):
+        slots = _slots(k, directed, loops)
+        index = {slot: i for i, slot in enumerate(slots)}
+        per_permutation = []
+        for p in permutations(range(k)):
+            images = [
+                1 << index[(p[u], p[v]) if directed or p[u] <= p[v] else (p[v], p[u])]
+                for u, v in slots
+            ]
+            width, tables = _chunk_tables(images)
+            per_permutation.append([array("I", table) for table in tables])
+        # Chunk j's table for every permutation.
+        low, *high = zip(*per_permutation)
+        mask = (1 << width) - 1
+        orbit = array("I", bytes(4 << len(slots)))  # 1 + least member, or 0
+        for s in range(1 << len(slots)):
+            least = orbit[s]
+            if not least:
+                least = s + 1
+                images = [table[s & mask] for table in low]
+                for j, column in enumerate(high, 1):
+                    part = s >> j * width & mask
+                    images = map(or_, images, [table[part] for table in column])
+                for image in images:
+                    orbit[image] = least
+            yield offset + least - 1
+        offset += 1 << len(slots)

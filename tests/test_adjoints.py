@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from pultr import engine
+from pultr import engine, suites
 from pultr.adjoints import (
     arc_graph,
     arc_graph_left,
@@ -14,6 +15,7 @@ from pultr.adjoints import (
     root_functor,
     root_size_estimate,
 )
+from conftest import random_graph
 from pultr.errors import ParameterError
 from pultr.functors import (
     arc_graph_template,
@@ -78,6 +80,82 @@ def test_omega_adjunction_small():
         left = engine.hom_exists(gamma_functor(t3, g), h) is not None
         right = engine.hom_exists(g, om) is not None
         assert left == right, g
+
+
+def _labelled_omega_failures(omega, nmax):
+    """The adjunction failures of suite_omega from the labelled loop: every
+    graph, every target, one Gamma_m(G) per pair."""
+    targets = [
+        ("K2", complete_graph(2)),
+        ("K3", complete_graph(3)),
+        ("C5", cycle_graph(5)),
+    ]
+    universe = list(
+        enumerate_graphs(nmax, directed=False, loops=True, all_orders=True)
+    )
+    failures = []
+    for m in (3, 5):
+        tm = path_template(m)
+        for hname, h in targets:
+            om = omega(m, h)
+            for g in universe:
+                left = engine.hom_exists(gamma_functor(tm, g), h) is not None
+                right = engine.hom_exists(g, om) is not None
+                if left != right:
+                    failures.append(
+                        f"m={m} H={hname} G=({suites._gshort(g)}) {left}!={right}"
+                    )
+    return failures
+
+
+def _seeded_adjoint(seed):
+    """A wrong right adjoint: a random loop-free graph fixed by (seed, m, H)."""
+
+    def omega(m, h):
+        rng = random.Random(f"{seed}:{m}:{h.out_masks}")
+        return random_graph(rng, rng.randint(2, 5), 0.5)
+
+    return omega
+
+
+MUTANT_ADJOINTS = {
+    "m=3 gives H": lambda m, h: h if m == 3 else omega_odd_path(m, h),
+    "m=5 gives K_|H|": lambda m, h: (
+        complete_graph(h.n) if m == 5 else omega_odd_path(m, h)
+    ),
+    **{f"seed {seed}": _seeded_adjoint(seed) for seed in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANT_ADJOINTS)
+def test_suite_omega_class_scan_matches_labelled_loop(monkeypatch, mutant):
+    # With a wrong adjoint the suite must fail exactly as the labelled
+    # loop does: same failures, in the same order, and the same verdict.
+    omega = MUTANT_ADJOINTS[mutant]
+    monkeypatch.setattr(suites, "omega_odd_path", omega)
+    report = suites.run_suite("omega", nmax=4)
+    expected = _labelled_omega_failures(omega, 4)
+    assert expected
+    assert [f for f in report.failures if f.startswith("m=")] == expected
+    others = [f for f in report.failures if not f.startswith("m=")]
+    reference = suites.SuiteReport("omega", False, 6596, tuple(expected + others))
+    assert report.verdict_line() == reference.verdict_line()
+
+
+def test_suite_omega_builds_gamma_once_per_class(monkeypatch):
+    # 2 values of m x 118 classes of graphs with loops on <= 4 vertices,
+    # plus the three circular-clique images; the labelled loop made 6 591.
+    calls = []
+
+    def counting(t, g):
+        calls.append(g)
+        return gamma_functor(t, g)
+
+    monkeypatch.setattr(suites, "gamma_functor", counting)
+    assert suites.run_suite("omega", nmax=4).verdict_line() == (
+        "VERDICT omega PASS checked=6596"
+    )
+    assert len(calls) == 2 * 118 + 3
 
 
 def test_omega_cycles():

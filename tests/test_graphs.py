@@ -1,4 +1,5 @@
 import math
+from array import array
 from itertools import combinations, permutations
 
 import pytest
@@ -8,7 +9,6 @@ from pultr.graphs import (
     Digraph,
     Graph,
     as_graph,
-    canonical_form,
     circular_complete,
     complete_graph,
     cycle_graph,
@@ -22,6 +22,7 @@ from pultr.graphs import (
     kneser_pairs,
     lexicographic_product,
     odd_girth,
+    orbit_keys,
     orient_edges,
     orientations,
     oriented_path,
@@ -33,7 +34,7 @@ from pultr.graphs import (
 )
 from pultr import engine, limits
 
-from conftest import random_digraph, random_graph
+from conftest import random_graph
 
 
 def test_digraph_basics():
@@ -313,28 +314,58 @@ def test_enumerate_invariants():
             assert 0 <= u < g.n and 0 <= v < g.n
 
 
-def test_canonical_form_is_invariant(rng):
+def test_orbit_keys_are_invariant_under_relabelling(rng):
+    # the 2^20 loop-free digraphs on five vertices fall into 9 608 classes
+    keys = array("I", orbit_keys(5, directed=True, loops=False))
+    assert len(keys) == 1 << 20
+    assert len(set(keys)) == 9608
+    slots = [(u, v) for u in range(5) for v in range(5) if u != v]
+
+    def key(d):
+        return keys[sum(1 << i for i, (u, v) in enumerate(slots) if d.has_arc(u, v))]
+
     for _ in range(20):
-        d = random_digraph(rng, 5, 0.3)
+        d = Digraph(5, [slot for slot in slots if rng.random() < 0.3])
         perm = list(range(5))
         rng.shuffle(perm)
-        assert canonical_form(d) == canonical_form(d.relabel(perm))
+        assert key(d) == key(d.relabel(perm))
 
 
-@pytest.mark.parametrize(
-    "nmax, loops, classes",
-    [(4, False, 238), (3, True, 116)],
-)
-def test_canonical_form_is_a_complete_invariant(nmax, loops, classes):
-    """One form per isomorphism class, isomorphic to its graph: the class
-    counts of the loop-free digraphs on <= 4 vertices and of the digraphs
-    with loops on <= 3 vertices."""
-    forms = set()
-    for g in enumerate_graphs(nmax, directed=True, loops=loops, all_orders=True):
-        form = canonical_form(g)
-        assert engine.isomorphic(g, form)
-        forms.add(form.out_masks)
-    assert len(forms) == classes
+# Isomorphism classes on 1, 2, ... vertices.
+CLASS_COUNTS = [
+    pytest.param(True, False, (1, 3, 16, 218), id="loop-free-digraphs"),
+    pytest.param(True, True, (2, 10, 104), id="digraphs-with-loops"),
+    pytest.param(False, False, (1, 2, 4, 11, 34), id="graphs"),
+    pytest.param(False, True, (2, 6, 20, 90), id="graphs-with-loops"),
+]
+
+
+@pytest.mark.parametrize("directed, loops, counts", CLASS_COUNTS)
+def test_orbit_keys_are_a_complete_invariant(directed, loops, counts):
+    """One key per graph of enumerate_graphs, in its order.  A key is the
+    position of its class's first member, every member is isomorphic to
+    that first member, and the first members of one order are pairwise
+    non-isomorphic; engine.isomorphic, the oracle, does not use the keys.
+    up_to_iso=True yields exactly the first members."""
+    nmax = len(counts)
+    graphs = list(enumerate_graphs(nmax, directed, loops, all_orders=True))
+    keys = list(orbit_keys(nmax, directed, loops, all_orders=True))
+    assert len(keys) == len(graphs)
+    first = {}
+    for position, (g, key) in enumerate(zip(graphs, keys)):
+        if key == position:
+            first[key] = g
+        assert engine.isomorphic(g, first[key])
+    by_order = {}
+    for g in first.values():
+        by_order.setdefault(g.n, []).append(g)
+    assert tuple(len(by_order[k]) for k in range(1, nmax + 1)) == counts
+    for members in by_order.values():
+        for a, b in combinations(members, 2):
+            assert not engine.isomorphic(a, b)
+    assert list(
+        enumerate_graphs(nmax, directed, loops, all_orders=True, up_to_iso=True)
+    ) == list(first.values())
 
 
 def test_connectivity_and_trees():
