@@ -331,6 +331,14 @@ def test_orbit_keys_are_invariant_under_relabelling(rng):
         assert key(d) == key(d.relabel(perm))
 
 
+@pytest.mark.parametrize(
+    "n, directed, loops, classes",
+    [(4, True, True, 3044), (6, False, False, 156), (5, False, True, 544)],
+)
+def test_orbit_keys_count_the_classes_one_order_up(n, directed, loops, classes):
+    assert len(set(orbit_keys(n, directed, loops))) == classes
+
+
 # Isomorphism classes on 1, 2, ... vertices.
 CLASS_COUNTS = [
     pytest.param(True, False, (1, 3, 16, 218), id="loop-free-digraphs"),
