@@ -34,6 +34,10 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget, limit=-1):
     for MODE_EXISTS, int for MODE_COUNT, list of mapping tuples for
     MODE_ENUM (capped at `limit` when limit >= 0)."""
     decisions = 0
+    # The support of a domain mask along an arc, the OR of its rows, is
+    # memoised per call: out_sup for the out-rows, in_sup for the in-rows.
+    out_sup = {}
+    in_sup = {}
 
     def propagate(doms):
         changed = True
@@ -42,12 +46,15 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget, limit=-1):
             for u, v in arcs:
                 du = doms[u]
                 dv = doms[v]
-                sup = 0
-                m = du
-                while m:
-                    low = m & -m
-                    sup |= out_masks[low.bit_length() - 1]
-                    m ^= low
+                sup = out_sup.get(du)
+                if sup is None:
+                    sup = 0
+                    m = du
+                    while m:
+                        low = m & -m
+                        sup |= out_masks[low.bit_length() - 1]
+                        m ^= low
+                    out_sup[du] = sup
                 ndv = dv & sup
                 if ndv != dv:
                     if not ndv:
@@ -55,12 +62,15 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget, limit=-1):
                     doms[v] = ndv
                     dv = ndv
                     changed = True
-                sup = 0
-                m = dv
-                while m:
-                    low = m & -m
-                    sup |= in_masks[low.bit_length() - 1]
-                    m ^= low
+                sup = in_sup.get(dv)
+                if sup is None:
+                    sup = 0
+                    m = dv
+                    while m:
+                        low = m & -m
+                        sup |= in_masks[low.bit_length() - 1]
+                        m ^= low
+                    in_sup[dv] = sup
                 ndu = du & sup
                 if ndu != du:
                     if not ndu:
@@ -127,8 +137,12 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget, limit=-1):
     results = []
     found = 0
 
-    def dfs(i, doms):
-        """False once `cap` maps have been found."""
+    doms = list(doms0)
+
+    def dfs(i):
+        """False once `cap` maps have been found.  The forward checks
+        narrow `doms` in place; each value undoes its own narrowings from
+        a trail, in reverse, since fwd[i] may list one j twice."""
         nonlocal decisions, found
         if i == n_g:
             found += 1
@@ -145,25 +159,27 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget, limit=-1):
             if decisions > budget:
                 raise _BudgetHit
             assign[i] = val
-            if lst:
-                nd = doms.copy()
-                for j, kind in lst:
-                    dj = nd[j] & (out_masks[val] if kind == 0 else in_masks[val])
-                    if not dj:
-                        break
-                    nd[j] = dj
-                else:
-                    if not dfs(i + 1, nd):
-                        return False
-            elif not dfs(i + 1, doms):
-                return False
+            trail = []
+            for j, kind in lst:
+                dj = doms[j]
+                nj = dj & (out_masks[val] if kind == 0 else in_masks[val])
+                if not nj:
+                    break
+                if nj != dj:
+                    trail.append((j, dj))
+                    doms[j] = nj
+            else:
+                if not dfs(i + 1):
+                    return False
+            for j, dj in reversed(trail):
+                doms[j] = dj
         return True
 
     try:
         # A cap of 0 asks for no maps: the DFS would record one before it
         # checks the cap, so it does not start.
         if all(doms0) and cap != 0:
-            dfs(0, list(doms0))
+            dfs(0)
     except _BudgetHit:
         return STATUS_BUDGET, None, decisions
     return STATUS_OK, results if record else found, decisions

@@ -313,10 +313,19 @@ def multiplicativity_search(k, nmax=4):
     G x H -> k.  Returns the first such (G, H) in scan order (unordered
     pairs of the enumeration sequence, lexicographic), else None.
 
+    The scan takes one graph per isomorphism class, the first labelled
+    member, and returns the same pair as a scan of every labelled graph:
+    the refutation is invariant under relabelling G and H, and replacing
+    either member of the first labelled hit by the first member of its
+    class gives a hit no later in the scan, so both members are first
+    members.
+
     None is evidence within the bound, not a proof.
     """
     universe = list(
-        enumerate_graphs(nmax, directed=False, loops=False, all_orders=True)
+        enumerate_graphs(
+            nmax, directed=False, loops=False, all_orders=True, up_to_iso=True
+        )
     )
     hard = []
     for i, g in enumerate(universe):

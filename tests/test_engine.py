@@ -1,3 +1,6 @@
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -337,6 +340,45 @@ def test_multiplicativity_finds_refutation_when_planted():
     # absorbs everything, so no pair qualifies as a counterexample
     target = Graph(2, [(0, 0)])
     assert engine.multiplicativity_search(target, 2) is None
+
+
+def _labelled_multiplicativity_hits(k, nmax):
+    """Every hit of the labelled scan that multiplicativity_search
+    replaces: the pairs (G, H) of loop-free graphs on up to nmax
+    vertices, unordered and in enumeration order, with G -/-> k,
+    H -/-> k and G x H -> k."""
+    hard = [
+        g
+        for g in enumerate_graphs(nmax, directed=False, loops=False, all_orders=True)
+        if engine.hom_exists(g, k) is None
+    ]
+    return [
+        (g, h)
+        for g, h in combinations_with_replacement(hard, 2)
+        if engine.hom_exists(engine.tensor_product(g, h), k) is not None
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_multiplicativity_class_scan_matches_labelled_scan(monkeypatch, seed):
+    # The real product gives no hit at these orders, so a seeded wrong
+    # product that is invariant under relabelling G and H stands in: K_1,
+    # which maps into every k, when the arc counts sum to a seeded residue.
+    rng = random.Random(seed)
+    modulus = rng.randint(2, 7)
+    residue = rng.randrange(modulus)
+    product = engine.tensor_product
+
+    def wrong_product(g, h):
+        if (g.arc_count + h.arc_count) % modulus == residue:
+            return complete_graph(1)
+        return product(g, h)
+
+    monkeypatch.setattr(engine, "tensor_product", wrong_product)
+    for k in (complete_graph(2), cycle_graph(5)):
+        hits = _labelled_multiplicativity_hits(k, 4)
+        assert hits, (modulus, residue, k)
+        assert engine.multiplicativity_search(k, 4) == hits[0]
 
 
 def test_multiplicativity_budget_reports_progress():

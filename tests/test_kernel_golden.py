@@ -1,14 +1,15 @@
-"""Golden corpus for the search kernels: the payload and the decision
-count of `solve` in all three modes (existence, counting, enumeration)
-over a fixed set of digraph pairs, recorded in
+"""Golden corpus for the search kernel: the payload and the decision
+count of `_fallback.solve` in all three modes (existence, counting,
+enumeration) over a fixed set of digraph pairs, recorded in
 tests/data/kernel_golden.json.
 
 The corpus holds every ordered pair of digraphs of order <= 2, loops
 allowed (18 x 18), and 200 seeded random pairs of order <= 5.  An
 enumeration payload is stored as the SHA-256 of its repr; its length is
-the counting payload.  Unlike test_parity, which compares two kernels
-with each other, this catches a change of witness, count, enumeration
-order or decision count that both kernels share.
+the counting payload.  It catches a change of witness, count,
+enumeration order or decision count.  Two more cases are pinned here:
+existence searches into the 210-vertex Omega_5(C_5), whose domains span
+several machine words, and the budget cut-offs of C_9 -> C_7.
 
 Re-record with `PYTHONPATH=src python tests/test_kernel_golden.py` only
 for a change that is meant to move these numbers, and say so where the
@@ -21,8 +22,9 @@ import random
 from pathlib import Path
 
 from pultr import _fallback, limits
+from pultr.adjoints import omega_odd_path
 from pultr.engine import MODE_COUNT, MODE_ENUM, MODE_EXISTS, kernel_args
-from pultr.graphs import Digraph, enumerate_graphs
+from pultr.graphs import Digraph, cycle_graph, enumerate_graphs
 
 CORPUS = Path(__file__).with_name("data") / "kernel_golden.json"
 RANDOM_SEED = 0x5EED
@@ -103,8 +105,48 @@ def test_fallback_matches_golden_corpus():
     _check(_fallback.solve)
 
 
-def test_compiled_kernel_matches_golden_corpus(speedups):
-    _check(speedups.solve)
+# (exists payload, decisions) for the first 40 graphs of
+# enumerate_graphs(3, directed=False, loops=True) into Omega_5(C_5).
+OMEGA_CASES = [
+    ((0, 0, 0), 3), (None, 0), ((33, 75, 0), 3), (None, 0),
+    ((33, 0, 75), 3), (None, 0), ((33, 75, 75), 3), (None, 0),
+    (None, 0), (None, 0), (None, 0), (None, 0),
+    (None, 0), (None, 0), (None, 0), (None, 0),
+    ((0, 33, 75), 3), (None, 0), ((33, 75, 33), 3), (None, 0),
+    ((33, 33, 75), 3), (None, 0), (None, 25), (None, 0),
+] + [(None, 0)] * 16
+
+
+def test_multi_word_domains():
+    om = omega_odd_path(5, cycle_graph(5))
+    assert om.n == 210
+    graphs = list(enumerate_graphs(3, directed=False, loops=True))[:40]
+    got = []
+    with limits.scope(budget=limits.DEFAULT_NODE_BUDGET):
+        for g in graphs:
+            status, payload, decisions = _fallback.solve(
+                *kernel_args(g, om, MODE_EXISTS)
+            )
+            assert status == 0
+            got.append((payload, decisions))
+    assert got == OMEGA_CASES
+
+
+def test_budget_cutoffs():
+    # (status, payload, decisions) of C_9 -> C_7 under each budget.
+    want = {
+        1: (1, None, 2),
+        3: (1, None, 4),
+        10: (0, (0, 1, 0, 1, 2, 3, 4, 5, 6), 4),
+        50: (0, (0, 1, 0, 1, 2, 3, 4, 5, 6), 4),
+        1000: (0, (0, 1, 0, 1, 2, 3, 4, 5, 6), 4),
+    }
+    for budget, result in want.items():
+        with limits.scope(budget=budget):
+            got = _fallback.solve(
+                *kernel_args(cycle_graph(9), cycle_graph(7), MODE_EXISTS)
+            )
+        assert got == result, budget
 
 
 def _write():
