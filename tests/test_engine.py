@@ -364,6 +364,8 @@ def test_multiplicativity_class_scan_matches_labelled_scan(monkeypatch, seed):
     # The real product gives no hit at these orders, so a seeded wrong
     # product that is invariant under relabelling G and H stands in: K_1,
     # which maps into every k, when the arc counts sum to a seeded residue.
+    # k = K_2 only: on up to 4 vertices the graphs that do not map into
+    # C_5 or C_7 are the same as for K_2, those with a triangle.
     rng = random.Random(seed)
     modulus = rng.randint(2, 7)
     residue = rng.randrange(modulus)
@@ -375,10 +377,10 @@ def test_multiplicativity_class_scan_matches_labelled_scan(monkeypatch, seed):
         return product(g, h)
 
     monkeypatch.setattr(engine, "tensor_product", wrong_product)
-    for k in (complete_graph(2), cycle_graph(5)):
-        hits = _labelled_multiplicativity_hits(k, 4)
-        assert hits, (modulus, residue, k)
-        assert engine.multiplicativity_search(k, 4) == hits[0]
+    k = complete_graph(2)
+    hits = _labelled_multiplicativity_hits(k, 4)
+    assert hits, (modulus, residue)
+    assert engine.multiplicativity_search(k, 4) == hits[0]
 
 
 def test_multiplicativity_budget_reports_progress():
