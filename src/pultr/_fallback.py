@@ -4,14 +4,18 @@ The problem is the binary CSP "map V(G) into V(H) preserving arcs":
 variables are the vertices of G, domains are vertex sets of H stored as
 int bitmasks.  Existence queries run AC-3 style propagation to a fixpoint
 and branch on the smallest open domain (ties to the lowest vertex index,
-values in ascending order).  Counting and enumeration use exhaustive DFS
-in vertex order with forward checking only, so counts are exact and the
-enumeration order is lexicographic on the map tuple.
+values in ascending order).  Propagation memoises, per call, the support
+of each domain mask along an arc.  Counting and enumeration use
+exhaustive DFS in vertex order with forward checking only, undone from a
+trail, so counts are exact and the enumeration order is lexicographic on
+the map tuple.
 
-pultr._speedups implements the identical algorithm in C.  Both kernels
-must produce bit-identical results (same first witness, same counts, same
-decision counts); tests/test_parity.py compiles the committed
-_speedups.c and checks this.
+pultr._speedups runs the identical existence search in C and hands
+counting and enumeration to this module.  Both kernels must produce
+bit-identical results (same first witness, same counts, same decision
+counts): tests/test_parity.py compiles the committed _speedups.c and
+compares them, and tests/test_kernel_golden.py pins the witnesses,
+counts, enumeration orders and decision counts of all three modes.
 
 Unary constraints (loops of G, pinned vertices) must already be applied
 to the initial domains; `arcs` must be loop-free.
@@ -111,7 +115,7 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget, limit=-1):
         if n_g == 0:
             return STATUS_OK, (), decisions
         doms = list(doms0)
-        if any(d == 0 for d in doms) or not propagate(doms):
+        if 0 in doms or not propagate(doms):
             return STATUS_OK, None, decisions
         try:
             return STATUS_OK, search_exists(doms), decisions

@@ -1,15 +1,17 @@
-"""Golden corpus for the search kernel: the payload and the decision
-count of `_fallback.solve` in all three modes (existence, counting,
-enumeration) over a fixed set of digraph pairs, recorded in
+"""Golden corpus for the search kernels: the payload and the decision
+count of `solve` in all three modes (existence, counting, enumeration)
+over a fixed set of digraph pairs, recorded in
 tests/data/kernel_golden.json.
 
 The corpus holds every ordered pair of digraphs of order <= 2, loops
 allowed (18 x 18), and 200 seeded random pairs of order <= 5.  An
 enumeration payload is stored as the SHA-256 of its repr; its length is
-the counting payload.  It catches a change of witness, count,
-enumeration order or decision count.  Two more cases are pinned here:
-existence searches into the 210-vertex Omega_5(C_5), whose domains span
-several machine words, and the budget cut-offs of C_9 -> C_7.
+the counting payload.  Unlike test_parity, which compares two kernels
+with each other, this catches a change of witness, count, enumeration
+order or decision count that both kernels share.  Two more cases pin
+`_fallback` to recorded values: existence searches into the 210-vertex
+Omega_5(C_5), whose domains span several machine words, and the budget
+cut-offs of C_9 -> C_7.
 
 Re-record with `PYTHONPATH=src python tests/test_kernel_golden.py` only
 for a change that is meant to move these numbers, and say so where the
@@ -103,6 +105,10 @@ def test_corpus_covers_its_pairs():
 
 def test_fallback_matches_golden_corpus():
     _check(_fallback.solve)
+
+
+def test_compiled_kernel_matches_golden_corpus(speedups):
+    _check(speedups.solve)
 
 
 # (exists payload, decisions) for the first 40 graphs of

@@ -34,6 +34,7 @@ def test_no_unused_imports():
         *(ROOT / "src" / "pultr").glob("*.py"),
         *(ROOT / "tests").glob("*.py"),
         *(ROOT / "benchmarks").glob("*.py"),
+        *(ROOT / "perfbench").glob("*.py"),
     ]
     found = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
