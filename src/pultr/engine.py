@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from . import limits
@@ -161,6 +162,130 @@ def _solve(g, h, mode, pins=None, limit=-1):
     return payload
 
 
+@lru_cache(maxsize=256)
+def _forest_plan(q, root):
+    """The tree edges of Q in leaf-to-root order, or None if Q is not a
+    forest.  Q counts as a forest when the undirected graph of its
+    loop-free arcs, each antiparallel pair merged into one edge, has no
+    cycle.  The component of `root` is rooted there, every other one at
+    its lowest vertex.  An edge is (child, parent, kind): bit 0 of kind
+    is the arc child -> parent, bit 1 the arc parent -> child."""
+    seen = 0
+    edges = []
+    for r in sorted(range(q.n), key=lambda v: v != root):
+        if seen >> r & 1:
+            continue
+        seen |= 1 << r
+        parent = {r: r}
+        queue = [r]
+        for x in queue:
+            nbrs = q.out_masks[x] | q.in_masks[x]
+            for y in iter_bits(nbrs & ~(1 << x | 1 << parent[x])):
+                if seen >> y & 1:
+                    return None
+                seen |= 1 << y
+                parent[y] = x
+                queue.append(y)
+                edges.append((y, x, q.has_arc(y, x) | q.has_arc(x, y) << 1))
+    return tuple(reversed(edges))
+
+
+def _semijoin(plan, doms, rows):
+    """One leaf-to-root pass: each parent keeps the values that some
+    value of its child supports, rows[kind] being the support row of a
+    child value.  On a forest, Q -> K has a homomorphism inside the
+    domains iff no domain ends empty, and a root keeps exactly the
+    values it takes under one.  Given the edges reversed and flipped,
+    (parent, child, kind) in root-to-leaf order, with the support rows
+    of a parent value, the same pass runs top-down; after both passes
+    every domain holds exactly the values its vertex takes under some
+    homomorphism inside the domains."""
+    for c, p, kind in plan:
+        row = rows[kind]
+        sup = 0
+        m = doms[c]
+        while m:
+            low = m & -m
+            sup |= row[low.bit_length() - 1]
+            m ^= low
+        doms[p] &= sup
+    return all(doms)
+
+
+@lru_cache(maxsize=256)
+def _oriented_forest(g):
+    """For a forest g with no antiparallel pair: its `_forest_plan`
+    rooted at 0, the same edges root-to-leaf as (parent, child, kind)
+    seen from the parent, and for each vertex x its tree neighbours
+    (y, kind), kind 1 for the arc x -> y and 2 for y -> x.  Else None.
+
+    A forest with an antiparallel pair stays with the kernel: its
+    per-arc propagation is weaker than the merged constraint of the
+    pair, so its witness can differ from the one the passes give."""
+    plan = _forest_plan(g, 0)
+    if plan is None or any(kind == 3 for _, _, kind in plan):
+        return None
+    nbrs = [[] for _ in range(g.n)]
+    for c, p, kind in plan:
+        nbrs[c].append((p, kind))
+        nbrs[p].append((c, 3 - kind))
+    spread = tuple((p, c, 3 - kind) for c, p, kind in reversed(plan))
+    return plan, spread, tuple(map(tuple, nbrs))
+
+
+def _forest_map(g, h, forest):
+    """The witness of `hom_exists` for g an `_oriented_forest`, or None,
+    without search.  The two semijoin passes leave each vertex the values
+    it takes under some homomorphism.  Then, by the kernel's rule, the
+    smallest domain with more than one value (ties to the lowest vertex)
+    keeps its lowest value, and the domains are narrowed outward from it
+    through its tree; a domain that does not change leaves the rest of
+    its branch as it is.  On a forest that choice never fails, so the
+    kernel makes exactly these decisions, and BudgetExceededError fires
+    at its count."""
+    plan, spread, nbrs = forest
+    budget = limits.default_budget()
+    rows = (None, h.out_masks, h.in_masks)
+    doms = [(1 << h.n) - 1] * g.n
+    if not _semijoin(plan, doms, rows):
+        return None
+    _semijoin(spread, doms, rows)
+    decisions = 0
+    while True:
+        best = -1
+        best_pc = h.n + 1
+        for u, d in enumerate(doms):
+            pc = d.bit_count()
+            if 1 < pc < best_pc:
+                best = u
+                best_pc = pc
+                if pc == 2:
+                    break
+        if best < 0:
+            return tuple(d.bit_length() - 1 for d in doms)
+        decisions += 1
+        if decisions > budget:
+            raise BudgetExceededError(decisions)
+        d = doms[best]
+        doms[best] = d & -d
+        stack = [best]
+        while stack:
+            x = stack.pop()
+            dx = doms[x]
+            for y, kind in nbrs[x]:
+                row = rows[kind]
+                sup = 0
+                m = dx
+                while m:
+                    low = m & -m
+                    sup |= row[low.bit_length() - 1]
+                    m ^= low
+                dy = doms[y]
+                if dy & sup != dy:
+                    doms[y] = dy & sup
+                    stack.append(y)
+
+
 def hom_exists(g, h):
     """A verified homomorphism witness g -> h, or None.
 
@@ -169,7 +294,9 @@ def hom_exists(g, h):
     if h has a loop, the witness is the constant map onto its lowest
     looped vertex v, checked in O(1) by reading the loop bit of row v
     (RuntimeError if it is clear); if h has no loop and g has one, the
-    answer is None.
+    answer is None.  A source that is a forest with no antiparallel pair
+    is settled by semijoin passes (`_forest_map`), with the witness and
+    the decision count of the search.
     """
     if g.n == 0:
         return HomWitness(0, h.n, ())
@@ -182,7 +309,11 @@ def hom_exists(g, h):
         return HomWitness(g.n, h.n, (v,) * g.n)
     if g.loop_mask:
         return None
-    mapping = _solve(g, h, MODE_EXISTS)
+    forest = _oriented_forest(g)
+    if forest is None:
+        mapping = _solve(g, h, MODE_EXISTS)
+    else:
+        mapping = _forest_map(g, h, forest)
     if mapping is None:
         return None
     return _checked(g, h, mapping)

@@ -27,6 +27,7 @@ from itertools import product
 
 from . import engine, limits
 from .bitset import iter_bits
+from .engine import _forest_plan, _semijoin
 from .errors import ParameterError
 from .graphs import (
     Digraph,
@@ -175,56 +176,6 @@ def _lambda_with_labels(t, g):
     out = Digraph(len(roots), ((index[a], index[b]) for a, b in arcs))
     labels = {lab: index[_find(parent, lab)] for lab in parent}
     return (as_graph(out) if undirected else out), labels, edges
-
-
-@lru_cache(maxsize=256)
-def _forest_plan(q, root):
-    """The tree edges of Q in leaf-to-root order, or None if Q is not a
-    forest.  Q counts as a forest when the undirected graph of its
-    loop-free arcs, each antiparallel pair merged into one edge, has no
-    cycle.  The component of `root` is rooted there, every other one at
-    its lowest vertex.  An edge is (child, parent, kind): bit 0 of kind
-    is the arc child -> parent, bit 1 the arc parent -> child."""
-    seen = 0
-    edges = []
-    for r in sorted(range(q.n), key=lambda v: v != root):
-        if seen >> r & 1:
-            continue
-        seen |= 1 << r
-        parent = {r: r}
-        queue = [r]
-        for x in queue:
-            nbrs = q.out_masks[x] | q.in_masks[x]
-            for y in iter_bits(nbrs & ~(1 << x | 1 << parent[x])):
-                if seen >> y & 1:
-                    return None
-                seen |= 1 << y
-                parent[y] = x
-                queue.append(y)
-                edges.append((y, x, q.has_arc(y, x) | q.has_arc(x, y) << 1))
-    return tuple(reversed(edges))
-
-
-def _semijoin(plan, doms, rows):
-    """One leaf-to-root pass: each parent keeps the values that some
-    value of its child supports, rows[kind] being the support row of a
-    child value.  On a forest, Q -> K has a homomorphism inside the
-    domains iff no domain ends empty, and a root keeps exactly the
-    values it takes under one.  Given the edges reversed and flipped,
-    (parent, child, kind) in root-to-leaf order, with the support rows
-    of a parent value, the same pass runs top-down; after both passes
-    every domain holds exactly the values its vertex takes under some
-    homomorphism inside the domains."""
-    for c, p, kind in plan:
-        row = rows[kind]
-        sup = 0
-        m = doms[c]
-        while m:
-            low = m & -m
-            sup |= row[low.bit_length() - 1]
-            m ^= low
-        doms[p] &= sup
-    return all(doms)
 
 
 def _pins(qvs, vals):

@@ -15,6 +15,8 @@ from pultr.graphs import (
     cycle_graph,
     enumerate_graphs,
     kneser_pairs,
+    orient_edges,
+    oriented_path,
     path_graph,
     transitive_tournament,
 )
@@ -93,6 +95,15 @@ def test_invalid_witness_is_rejected(monkeypatch):
     assert len(corrupted) == 3
     assert not any(verify_witness(c5, k3, m) for m in corrupted)
 
+    # The forest path hands its witness to the same check.
+    forest_map = engine._forest_map
+    monkeypatch.setattr(
+        engine, "_forest_map", lambda *args: corrupt(forest_map(*args))
+    )
+    with pytest.raises(RuntimeError):
+        engine.hom_exists(path_graph(3), k3)
+    assert not verify_witness(path_graph(3), k3, corrupted[-1])
+
     # The loop shortcut checks its constant witness on the raw row of h:
     # a cached loop mask that names a loop-free vertex is caught.
     h = Digraph(3, [(0, 1), (2, 2)])
@@ -149,6 +160,76 @@ def test_loop_rules_agree_with_the_search():
             assert (engine.hom_exists(g, h) is None) == (
                 engine.hom_exists_pinned(g, h, {}) is None
             ), (g, h)
+
+
+def test_forest_path_matches_the_kernel(monkeypatch):
+    """On every labelled oriented forest of order <= 4 and the first
+    member of each class of order 5, into every loop-free digraph of
+    order <= 3, hom_exists gives the kernel's witness without calling the
+    kernel, and makes the kernel's decisions: under a budget of that
+    count it succeeds, one below it it stops."""
+    sources = [
+        g
+        for g in [
+            *enumerate_graphs(4, directed=True, loops=False, all_orders=True),
+            *enumerate_graphs(5, directed=True, loops=False, up_to_iso=True),
+        ]
+        if engine._oriented_forest(g) is not None
+    ]
+    targets = list(enumerate_graphs(3, directed=True, loops=False, all_orders=True))
+    assert (len(sources), len(targets)) == (268, 69)
+    kernel = _fallback.solve
+    monkeypatch.setattr(engine, "_solve", None)
+    for g in sources:
+        for h in targets:
+            status, payload, decisions = kernel(
+                *engine.kernel_args(g, h, engine.MODE_EXISTS)
+            )
+            with limits.scope(budget=decisions):
+                w = engine.hom_exists(g, h)
+            assert (w and w.mapping) == payload, (g, h)
+            if decisions:
+                with limits.scope(budget=decisions - 1), pytest.raises(
+                    BudgetExceededError
+                ):
+                    engine.hom_exists(g, h)
+
+
+def test_forest_with_antiparallel_pair_stays_on_the_kernel(monkeypatch):
+    # The kernel propagates along 1 -> 2 and 2 -> 1 one at a time; the
+    # passes, with the pair merged, would give (2, 0, 2).
+    g = Digraph(3, [(0, 1), (1, 2), (2, 1)])
+    h = Digraph(3, [(0, 1), (0, 2), (1, 2), (2, 0)])
+    assert engine._forest_plan(g, 0) is not None
+    assert engine._oriented_forest(g) is None
+    solve = engine._kernel.solve
+    calls = []
+    monkeypatch.setattr(
+        engine._kernel, "solve", lambda *args: calls.append(args) or solve(*args)
+    )
+    assert engine.hom_exists(g, h).mapping == (0, 2, 0)
+    assert len(calls) == 1
+
+
+def test_forest_path_budget_cutoffs():
+    g = oriented_path("10110")
+    h = orient_edges(complete_graph(4), "101010")
+    assert engine._oriented_forest(g) is not None
+    assert _fallback.solve(*engine.kernel_args(g, h, engine.MODE_EXISTS)) == (
+        0,
+        (0, 1, 0, 1, 3, 0),
+        5,
+    )
+    for budget in range(5):
+        with limits.scope(budget=budget):
+            args = engine.kernel_args(g, h, engine.MODE_EXISTS)
+            status, _, decisions = _fallback.solve(*args)
+            with pytest.raises(BudgetExceededError) as e:
+                engine.hom_exists(g, h)
+        assert status == 1
+        assert e.value.decisions == decisions == budget + 1
+    with limits.scope(budget=5):
+        assert engine.hom_exists(g, h).mapping == (0, 1, 0, 1, 3, 0)
 
 
 def test_odd_cycle_to_bipartite_fails():
