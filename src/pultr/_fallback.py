@@ -10,12 +10,10 @@ exhaustive DFS in vertex order with forward checking only, undone from a
 trail, so counts are exact and the enumeration order is lexicographic on
 the map tuple.
 
-pultr._speedups runs the identical existence search in C and hands
-counting and enumeration to this module.  Both kernels must produce
-bit-identical results (same first witness, same counts, same decision
-counts): tests/test_parity.py compiles the committed _speedups.c and
-compares them, and tests/test_kernel_golden.py pins the witnesses,
-counts, enumeration orders and decision counts of all three modes.
+tests/test_kernel_golden.py pins the witnesses, counts, enumeration
+orders and decision counts of all three modes.  engine.hom_exists
+settles an oriented forest source without this module, by semijoin
+passes that reproduce its witness and its decision count.
 
 Unary constraints (loops of G, pinned vertices) must already be applied
 to the initial domains; `arcs` must be loop-free.

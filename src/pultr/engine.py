@@ -1,12 +1,9 @@
 """Homomorphism engine: decide, count and enumerate (di)graph
 homomorphisms, plus the derived relations built on them.
 
-The actual search lives in a kernel module with two interchangeable
-implementations: pultr._speedups (compiled) and pultr._fallback (pure
-Python).  The compiled kernel is preferred when importable; setting
-PULTR_PURE=1 forces the fallback.  Both must give the same witnesses,
-counts and decision counts; tests/test_parity.py compiles the committed
-_speedups.c and checks this, and is skipped only without a C compiler.
+The search lives in the kernel module pultr._fallback, bound here as
+`_kernel`.  tests/test_kernel_golden.py pins its witnesses, counts,
+enumeration orders and decision counts.
 
 Every search runs under the budget of the enclosing `limits.scope`.
 
@@ -16,6 +13,14 @@ with the constant map onto the lowest such vertex; and a looped vertex
 of g can only map onto a looped vertex, so when h has no loop and g has
 one there is no homomorphism.
 
+A source that is a forest needs no search either (Hell, Nesetril & Zhu,
+Trans. AMS 1996; Feder & Vardi, SIAM J. Comput. 1998): a leaf-to-root
+semijoin pass over bitmask domains decides it, and a root-to-leaf pass
+leaves each vertex exactly the values it takes under some homomorphism.
+`gamma_functor` builds its arcs from these passes (`_forest_plan`,
+`_semijoin`), and `hom_exists` settles an oriented forest source with
+them, picking the kernel's witness at the kernel's decision count.
+
 Every witness handed out is checked by code that does not depend on the
 searcher.  A searched witness is re-checked against the raw adjacency
 rows by `verify_witness`; the constant witness of the loop rule needs
@@ -24,30 +29,16 @@ only its one row, `h.out_masks[v] >> v & 1`, which is checked in O(1).
 
 from __future__ import annotations
 
-import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
+from . import _fallback as _kernel
 from . import limits
 from .bitset import iter_bits
 from .errors import BudgetExceededError, ParameterError
 from .graphs import enumerate_graphs, tensor_product
-
-if os.environ.get("PULTR_PURE") == "1":
-    from . import _fallback as _kernel
-
-    KERNEL = "python"
-else:
-    try:
-        from . import _speedups as _kernel
-
-        KERNEL = "compiled"
-    except ImportError:
-        from . import _fallback as _kernel
-
-        KERNEL = "python"
 
 MODE_EXISTS = 0
 MODE_COUNT = 1
@@ -57,7 +48,8 @@ ISO_CAP = 12
 
 
 def kernel_name():
-    return KERNEL
+    """The name of the search kernel.  There is one, in pure Python."""
+    return "python"
 
 
 @dataclass(frozen=True)

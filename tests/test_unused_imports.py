@@ -1,7 +1,7 @@
 """No module imports a name it never references.  No linter is part of
 the toolchain, so this scans the syntax trees of the library (except
 the package `__init__.py`, whose imports are its re-exports), the
-tests and the benchmarks."""
+tests and perfbench."""
 
 import ast
 from pathlib import Path
@@ -33,7 +33,6 @@ def test_no_unused_imports():
     files = [
         *(ROOT / "src" / "pultr").glob("*.py"),
         *(ROOT / "tests").glob("*.py"),
-        *(ROOT / "benchmarks").glob("*.py"),
         *(ROOT / "perfbench").glob("*.py"),
     ]
     found = [
