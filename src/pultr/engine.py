@@ -236,12 +236,12 @@ def _forest_map(g, h, forest):
     kernel makes exactly these decisions, and BudgetExceededError fires
     at its count."""
     plan, spread, nbrs = forest
-    budget = limits.default_budget()
     rows = (None, h.out_masks, h.in_masks)
     doms = [(1 << h.n) - 1] * g.n
     if not _semijoin(plan, doms, rows):
         return None
     _semijoin(spread, doms, rows)
+    budget = limits.default_budget()
     decisions = 0
     while True:
         best = -1
