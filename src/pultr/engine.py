@@ -204,7 +204,9 @@ def _semijoin(plan, doms, rows):
     return all(doms)
 
 
-@lru_cache(maxsize=256)
+# Room for the obstruction and path families that callers test against
+# many targets; a graph streamed from a universe is a source only once.
+@lru_cache(maxsize=64)
 def _oriented_forest(g):
     """For a forest g with no antiparallel pair: its `_forest_plan`
     rooted at 0, the same edges root-to-leaf as (parent, child, kind)
@@ -214,7 +216,9 @@ def _oriented_forest(g):
     A forest with an antiparallel pair stays with the kernel: its
     per-arc propagation is weaker than the merged constraint of the
     pair, so its witness can differ from the one the passes give."""
-    plan = _forest_plan(g, 0)
+    # Past the cache of _forest_plan, which is sized for the templates of
+    # gamma_functor and would keep 256 streamed sources alive.
+    plan = _forest_plan.__wrapped__(g, 0)
     if plan is None or any(kind == 3 for _, _, kind in plan):
         return None
     nbrs = [[] for _ in range(g.n)]

@@ -13,6 +13,7 @@ from pultr.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    directed_path,
     enumerate_graphs,
     kneser_pairs,
     orient_edges,
@@ -100,9 +101,11 @@ def test_invalid_witness_is_rejected(monkeypatch):
     monkeypatch.setattr(
         engine, "_forest_map", lambda *args: corrupt(forest_map(*args))
     )
+    p3 = directed_path(3)
     with pytest.raises(RuntimeError):
-        engine.hom_exists(path_graph(3), k3)
-    assert not verify_witness(path_graph(3), k3, corrupted[-1])
+        engine.hom_exists(p3, k3)
+    assert len(corrupted) == 4
+    assert not verify_witness(p3, k3, corrupted[-1])
 
     # The loop shortcut checks its constant witness on the raw row of h:
     # a cached loop mask that names a loop-free vertex is caught.
