@@ -75,7 +75,6 @@ from .chromatic import (
     circular_chromatic_number,
     circular_colouring,
     circular_gallai_roy_check,
-    circular_lower_bound_via_powers,
     gallai_roy_orientation,
     k_colourable,
     reversal_paths,

@@ -395,12 +395,3 @@ def circular_bound_via_powers(g, i_max, j_max):
         successes=tuple(successes),
         skipped=tuple(skipped),
     )
-
-
-def circular_lower_bound_via_powers(g, i_max, j_max):
-    report = circular_bound_via_powers(g, i_max, j_max)
-    if report.value is None:
-        raise ParameterError(
-            "no grid point certified a bound; enlarge the grid"
-        )
-    return report.value

@@ -27,9 +27,14 @@ def _content_lines(text):
 
 
 def parse_graph(text):
-    lines = list(_content_lines(text))
+    return _graph_from_lines(list(_content_lines(text)))
+
+
+def _graph_from_lines(lines, empty_lineno=None):
+    """The graph of the (lineno, line) pairs of its content lines; an
+    empty list is a ParseError at `empty_lineno`."""
     if not lines:
-        raise ParseError("empty graph text")
+        raise ParseError("empty graph text", empty_lineno)
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[0] not in ("u", "d"):
@@ -90,6 +95,7 @@ def parse_template(text, name="template"):
     (edge-list graphs), `eps1:`, `eps2:` and optional `sym:` holding
     `a -> b` map lines."""
     sections = {}
+    headers = {}
     current = None
     tname = name
     for lineno, line in _content_lines(text):
@@ -101,6 +107,7 @@ def parse_template(text, name="template"):
             if current in sections:
                 raise ParseError(f"duplicate section {current!r}", lineno)
             sections[current] = []
+            headers[current] = lineno
             continue
         if current is None:
             raise ParseError(f"content before any section: {line!r}", lineno)
@@ -108,8 +115,8 @@ def parse_template(text, name="template"):
     for required in ("P", "Q", "eps1", "eps2"):
         if required not in sections:
             raise ParseError(f"missing section {required!r}")
-    p = _parse_section_graph(sections["P"])
-    q = _parse_section_graph(sections["Q"])
+    p = _graph_from_lines(sections["P"], headers["P"])
+    q = _graph_from_lines(sections["Q"], headers["Q"])
     eps1 = _parse_map(sections["eps1"], p.n, q.n)
     eps2 = _parse_map(sections["eps2"], p.n, q.n)
     sym = None
@@ -118,16 +125,6 @@ def parse_template(text, name="template"):
     return PultrTemplate(
         name=tname, p=p, q=q, eps1=eps1, eps2=eps2, symmetry=sym
     )
-
-
-def _parse_section_graph(entries):
-    text = "\n".join(line for _lineno, line in entries)
-    try:
-        return parse_graph(text)
-    except ParseError as e:
-        # re-anchor to the original file lines
-        offset = entries[0][0] - 1 if entries else 0
-        raise ParseError(str(e.args[0]), (e.line or 0) + offset) from None
 
 
 def _parse_map(entries, dom, cod):

@@ -477,17 +477,6 @@ def is_oriented_tree(d):
     return is_connected(d)
 
 
-def disjoint_union(graphs):
-    offset = 0
-    arcs = []
-    total = 0
-    for g in graphs:
-        arcs.extend((u + offset, v + offset) for u, v in g.arcs())
-        offset += g.n
-        total = offset
-    return Digraph._from_masks(total, _mask_rows(total, arcs))
-
-
 def dominated_reduction(d):
     """Remove dominated vertices until none remain; the result is
     homomorphically equivalent to the input (u may be dropped when some w
@@ -579,13 +568,8 @@ def enumerate_graphs(
     orbit_keys).  Orders above ENUM_CAP_DIRECTED / ENUM_CAP_UNDIRECTED are
     refused."""
     orders = _orders(n, directed, all_orders)
-    if up_to_iso:
-        keys = orbit_keys(n, directed, loops, all_orders)
-        graphs = enumerate_graphs(n, directed, loops, all_orders)
-        for position, (key, g) in enumerate(zip(keys, graphs)):
-            if key == position:
-                yield g
-        return
+    keys = orbit_keys(n, directed, loops, all_orders) if up_to_iso else None
+    position = 0
     cls = Digraph if directed else Graph
     for k in orders:
         # Bit u*k + v of the packed adjacency a is the arc (u, v).
@@ -593,16 +577,28 @@ def enumerate_graphs(
             1 << u * k + v if directed else 1 << u * k + v | 1 << v * k + u
             for u, v in _slots(k, directed, loops)
         ]
-        _width, tables = _chunk_tables(images)
-        high = [0]
-        for table in tables[1:]:
-            high = [h | x for x in table for h in high]
+        width, tables = _chunk_tables(images)
         full = (1 << k) - 1
         shifts = [u * k for u in range(k)]
-        for h in high:
-            for low in tables[0]:
-                a = h | low
-                yield cls._from_masks(k, [a >> shift & full for shift in shifts])
+        if up_to_iso:
+            # Build only the first member of each class: the graph whose
+            # key is its own position.
+            mask = (1 << width) - 1
+            for s, key in zip(range(1 << len(images)), keys):
+                if key == position + s:
+                    a = 0
+                    for j, table in enumerate(tables):
+                        a |= table[s >> j * width & mask]
+                    yield cls._from_masks(k, [a >> shift & full for shift in shifts])
+            position += 1 << len(images)
+        else:
+            high = [0]
+            for table in tables[1:]:
+                high = [h | x for x in table for h in high]
+            for h in high:
+                for low in tables[0]:
+                    a = h | low
+                    yield cls._from_masks(k, [a >> shift & full for shift in shifts])
 
 
 def orbit_keys(n, directed=False, loops=True, all_orders=False):

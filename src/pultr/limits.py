@@ -7,24 +7,25 @@ error, never a guess.
 
 Both limits are scoped: `scope(budget=..., size_guard=...)` sets them
 for the code it wraps and restores the enclosing values on exit.  It is
-the only way to set them in-process; no search function takes a budget
-argument.  `engine.kernel_args` and `chromatic.k_colourable` read the
-budget through `default_budget`.
+the only way to set them, in-process or from the CLI's `--budget` and
+`--unsafe-size`; no search function takes a budget argument, and no
+environment variable sets them.  `engine.kernel_args`,
+`engine._forest_map` and `chromatic.k_colourable` read the budget
+through `default_budget`.
 """
 
-import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from .errors import ParameterError, SizeGuardError
+from .errors import SizeGuardError
 
 DEFAULT_SIZE_GUARD = 2_000_000
 DEFAULT_NODE_BUDGET = 100_000_000
-BUDGET_ENV = "PULTR_BUDGET"
 
-# (budget, size guard) of the innermost scope.  A budget of None defers
-# to PULTR_BUDGET and then to the default.
-_limits = ContextVar("pultr_limits", default=(None, DEFAULT_SIZE_GUARD))
+# (budget, size guard) of the innermost scope.
+_limits = ContextVar(
+    "pultr_limits", default=(DEFAULT_NODE_BUDGET, DEFAULT_SIZE_GUARD)
+)
 
 
 @contextmanager
@@ -56,17 +57,5 @@ def check_size(estimate, what="construction"):
 
 
 def default_budget():
-    """The budget of the innermost scope, else PULTR_BUDGET, else the
-    default.  A PULTR_BUDGET that is not a non-negative integer is a
-    ParameterError."""
-    budget = _limits.get()[0]
-    if budget is not None:
-        return budget
-    raw = os.environ.get(BUDGET_ENV)
-    if not raw:
-        return DEFAULT_NODE_BUDGET
-    if not raw.strip().isdecimal():
-        raise ParameterError(
-            f"{BUDGET_ENV}={raw!r} is not a non-negative integer"
-        )
-    return int(raw)
+    """The budget of the innermost scope, else DEFAULT_NODE_BUDGET."""
+    return _limits.get()[0]

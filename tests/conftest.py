@@ -2,6 +2,7 @@ import importlib
 import inspect
 import pkgutil
 import random
+from itertools import product
 
 import pytest
 
@@ -35,6 +36,25 @@ def functions_taking(parameter):
             ):
                 found.add(f"{module.__name__}.{name}")
     return found
+
+
+def interleaved_by_definition(m, h):
+    """The m-th interleaved adjoint of H from its definition: the m-tuples
+    of vertices of H in lexicographic order, with (u_1..u_m) ->
+    (v_1..v_m) iff u_i -> v_i for all i and v_i -> u_{i+1} for i < m."""
+    from pultr.graphs import Digraph
+
+    tuples = list(product(range(h.n), repeat=m))
+    return Digraph(
+        len(tuples),
+        [
+            (a, b)
+            for a, u in enumerate(tuples)
+            for b, v in enumerate(tuples)
+            if all(h.has_arc(u[i], v[i]) for i in range(m))
+            and all(h.has_arc(v[i], u[i + 1]) for i in range(m - 1))
+        ],
+    )
 
 
 def random_graph(rng, n, p, loops=False):

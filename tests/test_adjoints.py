@@ -15,12 +15,11 @@ from pultr.adjoints import (
     root_functor,
     root_size_estimate,
 )
-from conftest import random_graph
+from conftest import interleaved_by_definition, random_graph
 from pultr.errors import ParameterError
 from pultr.functors import (
     arc_graph_template,
     gamma_functor,
-    iota_template,
     oriented_path_template,
     path_template,
     verify_adjunction,
@@ -195,7 +194,12 @@ def test_arc_graph_adjunction_exhaustive():
 def test_interleaved_examples():
     t4 = transitive_tournament(4)
     assert interleaved_adjoint(1, t4) == t4
-    assert interleaved_adjoint(2, t4) == gamma_functor(iota_template(2), t4)
+    universe = [Digraph(0), *enumerate_graphs(3, directed=True, all_orders=True)]
+    for m in (1, 2, 3):
+        for h in universe:
+            got = interleaved_adjoint(m, h)
+            assert type(got) is Digraph, (m, h)
+            assert got == interleaved_by_definition(m, h), (m, h)
     b52 = symmetrization(interleaved_adjoint(2, transitive_tournament(5)))
     from pultr.graphs import circular_complete
 

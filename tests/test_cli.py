@@ -242,12 +242,13 @@ def test_budget_flag(files, capsys):
         assert main(["chi-c", "--input", files["c7"]]) == 2
 
 
-def test_malformed_budget_env(files, capsys, monkeypatch):
-    monkeypatch.setenv("PULTR_BUDGET", "1e6")
-    assert main(["chi-c", "--input", files["c7"]]) == 2
-    assert "PULTR_BUDGET='1e6'" in capsys.readouterr().err
-    # --budget scopes a budget, so the variable is not read
-    assert main(["--budget", "1000000", "chi-c", "--input", files["c7"]]) == 0
+def test_the_environment_sets_no_budget(files, capsys, monkeypatch):
+    # A budget of 0 would stop the search for C7 -> C5 at its first
+    # decision; only limits.scope and --budget set a budget.
+    monkeypatch.setenv("PULTR_BUDGET", "0")
+    assert engine.hom_exists(cycle_graph(7), cycle_graph(5)) is not None
+    assert main(["chi-c", "--input", files["c7"]]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "chi-c 7/3"
 
 
 def test_unsafe_size_flag_is_scoped(files, capsys):

@@ -107,6 +107,23 @@ def test_template_parse_errors():
     assert "out of range" in str(e.value)
     with pytest.raises(ParseError):
         parse_template("stray\nP:\nu 1\n")
+    # A ParseError inside a graph section names its line in the file, past
+    # comments and blank lines, and once.
+    bad_edge = "P:\nu 1\nQ:\n# a comment\n\nu 2\n0 1\n0 5\neps1:\n0 -> 0\neps2:\n0 -> 1\n"
+    with pytest.raises(ParseError) as e:
+        parse_template(bad_edge)
+    assert e.value.line == 8
+    assert str(e.value) == "line 8: vertex out of range in '0 5'"
+    bad_header = "name: x\n\nP:\n# order next\nq 1\nQ:\nu 1\n"
+    with pytest.raises(ParseError) as e:
+        parse_template(bad_header + "eps1:\n0 -> 0\neps2:\n0 -> 0\n")
+    assert e.value.line == 5
+    assert str(e.value).startswith("line 5: expected header")
+    # An empty section names the line of its header.
+    with pytest.raises(ParseError) as e:
+        parse_template("P:\nu 1\n\nQ:\n# nothing\neps1:\neps2:\n")
+    assert e.value.line == 4
+    assert str(e.value) == "line 4: empty graph text"
 
 
 def test_witness_round_trip():

@@ -35,7 +35,7 @@ from pultr.graphs import (
     tensor_product,
 )
 
-from conftest import functions_taking, random_graph
+from conftest import functions_taking, interleaved_by_definition, random_graph
 
 
 TEMPLATES_SMALL = ("t1", "t3", "lex-k2", "arc-graph", "iota-2")
@@ -181,11 +181,13 @@ def test_gamma_exponential():
 
 
 def test_gamma_iota_template_matches_direct():
-    from pultr.adjoints import interleaved_adjoint
-
-    t = iota_template(2)
-    h = directed_cycle(3)
-    assert gamma_functor(t, h) == interleaved_adjoint(2, h)
+    universe = [Digraph(0), *enumerate_graphs(3, directed=True, all_orders=True)]
+    for m in (1, 2, 3):
+        t = iota_template(m)
+        for h in universe:
+            got = gamma_functor(t, h)
+            assert type(got) is Digraph, (m, h)
+            assert got == interleaved_by_definition(m, h), (m, h)
 
 
 def test_gamma_shift_template():

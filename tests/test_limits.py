@@ -1,11 +1,14 @@
 """The search budget is set in one place, `limits.scope`, and reaches
 every search nested in the scope."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from pultr import limits
 from pultr.adjoints import power_functor
-from pultr.errors import BudgetExceededError, ParameterError
+from pultr.errors import BudgetExceededError
 from pultr.functors import builtin_template, verify_adjunction
 from pultr.graphs import complete_graph, cycle_graph
 
@@ -13,9 +16,15 @@ from conftest import functions_taking
 
 # The setter itself and the raw kernel contract, whose budget is positional.
 BUDGET_TAKERS = {"pultr.limits.scope", "pultr._fallback.solve"}
+SRC = Path(__file__).resolve().parent.parent / "src" / "pultr"
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 
 def test_scope_budget_reaches_nested_searches():
+    assert limits.default_budget() == limits.DEFAULT_NODE_BUDGET
+    with limits.scope(budget=3):
+        with limits.scope(size_guard=10):
+            assert limits.default_budget() == 3
     t3, c5, k3 = builtin_template("t3"), cycle_graph(5), complete_graph(3)
     assert verify_adjunction(t3, c5, k3)
     # K3 has no loop, so the lambda side, C15 -> K3, must search.
@@ -31,14 +40,21 @@ def test_only_the_scope_sets_a_budget():
     assert functions_taking("budget") == BUDGET_TAKERS
 
 
-def test_budget_env(monkeypatch):
-    monkeypatch.setenv(limits.BUDGET_ENV, "7")
-    assert limits.default_budget() == 7
-    with limits.scope(budget=3):
-        assert limits.default_budget() == 3
-    monkeypatch.setenv(limits.BUDGET_ENV, "")
-    assert limits.default_budget() == limits.DEFAULT_NODE_BUDGET
-    for raw in ("1e6", "10**6", "-5", "many"):
-        monkeypatch.setenv(limits.BUDGET_ENV, raw)
-        with pytest.raises(ParameterError, match=limits.BUDGET_ENV):
-            limits.default_budget()
+def test_no_module_reads_the_environment():
+    """A limit set through os.environ would apply to the whole process;
+    limits apply per scope."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name in ENVIRONMENT_READERS
+            ]
+    assert found == []
