@@ -15,6 +15,8 @@ isolated and harmless.
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import limits
 from .errors import ParameterError
 from .functors import (
@@ -137,26 +139,12 @@ def omega_oriented_path(q, h):
     full = (1 << n) - 1
     out = h.out_masks
 
-    verts = []
-
-    def extend(u, prefix):
-        depth = len(prefix)
-        if depth == m - 1:
-            for last in _submasks_ascending(out[u]):
-                verts.append((u, tuple(prefix) + (last,)))
-            return
-        for s in range(full + 1):
-            extend(u, prefix + [s])
-
-    for u in range(n):
-        if m == 1:
-            extend(u, [])
-        else:
-            for s in range(full + 1):
-                extend(u, [s])
-    # note: the recursion above enumerates (U_1 .. U_{m-1}) freely and
-    # U_m as submasks of out(u); both ascending, so vertex order is
-    # lexicographic on (u, U_1, ..., U_m)
+    verts = [
+        (u, free + (last,))
+        for u in range(n)
+        for free in product(range(full + 1), repeat=m - 1)
+        for last in _submasks_ascending(out[u])
+    ]
 
     arcs = []
     for a, (u, ua) in enumerate(verts):

@@ -73,9 +73,12 @@ def _note(msg):
 
 def cmd_apply(args):
     g = _read_graph(args.input)
-    if g.has_loop():
-        _note("note: input has loops; gluing quotients are applied literally")
     functor = args.functor
+    glues = functor in ("lambda", "delta-left") or (
+        functor == "power" and args.r is not None and args.r > 1
+    )
+    if glues and g.has_loop():
+        _note("note: input has loops; gluing quotients are applied literally")
     if functor in ("lambda", "gamma"):
         if not args.template:
             raise ParameterError(f"--functor {functor} needs --template")

@@ -36,13 +36,10 @@ from itertools import combinations_with_replacement
 
 from . import _fallback as _kernel
 from . import limits
+from ._fallback import MODE_COUNT, MODE_ENUM, MODE_EXISTS
 from .bitset import iter_bits
 from .errors import BudgetExceededError, ParameterError
 from .graphs import enumerate_graphs, tensor_product
-
-MODE_EXISTS = 0
-MODE_COUNT = 1
-MODE_ENUM = 2
 
 ISO_CAP = 12
 

@@ -11,10 +11,8 @@ parse(serialize(g)) == g.
 
 from __future__ import annotations
 
-from importlib import resources
-
 from .errors import ParseError
-from .functors import PultrTemplate
+from .functors import BUILTIN_TEMPLATE_NAMES, PultrTemplate, builtin_template
 from .graphs import Digraph, Graph, as_graph
 from .engine import HomWitness
 
@@ -117,17 +115,19 @@ def parse_template(text, name="template"):
             raise ParseError(f"missing section {required!r}")
     p = _graph_from_lines(sections["P"], headers["P"])
     q = _graph_from_lines(sections["Q"], headers["Q"])
-    eps1 = _parse_map(sections["eps1"], p.n, q.n)
-    eps2 = _parse_map(sections["eps2"], p.n, q.n)
+    eps1 = _parse_map(sections["eps1"], p.n, q.n, headers["eps1"])
+    eps2 = _parse_map(sections["eps2"], p.n, q.n, headers["eps2"])
     sym = None
     if "sym" in sections:
-        sym = _parse_map(sections["sym"], q.n, q.n)
+        sym = _parse_map(sections["sym"], q.n, q.n, headers["sym"])
     return PultrTemplate(
         name=tname, p=p, q=q, eps1=eps1, eps2=eps2, symmetry=sym
     )
 
 
-def _parse_map(entries, dom, cod):
+def _parse_map(entries, dom, cod, header_lineno):
+    """The map of the (lineno, line) entries of a section; a map that
+    misses a source is a ParseError at the section's header line."""
     values = {}
     for lineno, line in entries:
         parts = [p.strip() for p in line.split("->")]
@@ -146,7 +146,7 @@ def _parse_map(entries, dom, cod):
         values[a] = b
     missing = [a for a in range(dom) if a not in values]
     if missing:
-        raise ParseError(f"map misses sources {missing}")
+        raise ParseError(f"map misses sources {missing}", header_lineno)
     return tuple(values[a] for a in range(dom))
 
 
@@ -167,18 +167,12 @@ def serialize_template(t):
 
 
 def load_template(name_or_path):
-    """Load a shipped template by name, or any template file by path."""
-    text = None
-    if "/" not in name_or_path and "." not in name_or_path:
-        ref = resources.files("pultr").joinpath(
-            f"templates/{name_or_path}.tmpl"
-        )
-        if ref.is_file():
-            text = ref.read_text()
-    if text is None:
-        with open(name_or_path) as fh:
-            text = fh.read()
-    return parse_template(text, name=name_or_path)
+    """The built-in template of a name in `BUILTIN_TEMPLATE_NAMES`, else
+    the template file at the path `name_or_path`."""
+    if name_or_path in BUILTIN_TEMPLATE_NAMES:
+        return builtin_template(name_or_path)
+    with open(name_or_path) as fh:
+        return parse_template(fh.read(), name=name_or_path)
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +190,14 @@ def parse_witness(text):
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError("empty witness text")
-    lineno, header = lines[0]
+    header_lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 3 or parts[0] != "hom":
-        raise ParseError(f"expected header 'hom N M', got {header!r}", lineno)
+        raise ParseError(f"expected header 'hom N M', got {header!r}", header_lineno)
     try:
         n, m = int(parts[1]), int(parts[2])
     except ValueError:
-        raise ParseError("bad witness header", lineno) from None
+        raise ParseError("bad witness header", header_lineno) from None
     mapping = {}
     for lineno, line in lines[1:]:
         bits = line.split()
@@ -219,5 +213,5 @@ def parse_witness(text):
             raise ParseError(f"duplicate witness entry for {u}", lineno)
         mapping[u] = v
     if len(mapping) != n:
-        raise ParseError("witness does not cover the source")
+        raise ParseError("witness does not cover the source", header_lineno)
     return HomWitness(n, m, tuple(mapping[u] for u in range(n)))

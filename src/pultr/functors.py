@@ -410,6 +410,9 @@ def oriented_path_template(spec, name=None):
     )
 
 
+# The names that `formats.load_template` and the CLI's `--template` resolve
+# through `builtin_template`; any other string there is a file path.
+# `builtin_template` itself takes more names, such as `t7` and `shift-3`.
 BUILTIN_TEMPLATE_NAMES = (
     "t1",
     "t3",

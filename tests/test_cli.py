@@ -3,7 +3,8 @@ import os
 import pytest
 
 from pultr.cli import main
-from pultr.formats import parse_graph, parse_witness, serialize_graph
+from pultr.formats import parse_graph, parse_witness, serialize_graph, serialize_template
+from pultr.functors import builtin_template, gamma_functor
 from pultr.graphs import (
     complete_graph,
     cycle_graph,
@@ -65,6 +66,32 @@ def test_apply_iota_and_power(files, capsys):
     assert main(["apply", "--functor", "power", "--s", "3", "--r", "1", "--input", files["c5"]]) == 0
     g = parse_graph(capsys.readouterr().out)
     assert engine.isomorphic(g, complete_graph(5))
+
+
+def test_loops_note_only_for_gluing_functors(tmp_path, capsys):
+    looped = tmp_path / "loop.g"
+    looped.write_text("d 3\n0 0\n0 1\n1 2\n2 0\n")
+    note = "note: input has loops; gluing quotients are applied literally\n"
+    assert main(["apply", "--functor", "lambda", "--template", "t3", "--input", str(looped)]) == 0
+    assert capsys.readouterr().err == note
+    assert main(["apply", "--functor", "iota", "--m", "2", "--input", str(looped)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_bare_template_names(tmp_path, capsys, monkeypatch):
+    # Run from an empty directory.  A built-in name beats a file of that
+    # name; any other bare name is a path.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c5.g").write_text(serialize_graph(cycle_graph(5)))
+    (tmp_path / "t3").write_text(serialize_template(builtin_template("t1")))
+    args = ["apply", "--functor", "gamma", "--input", "c5.g", "--template"]
+    assert main([*args, "t7"]) == 2
+    assert capsys.readouterr().err == "io error: [Errno 2] No such file or directory: 't7'\n"
+    (tmp_path / "t7").write_text(serialize_template(builtin_template("t7")))
+    for name in ("t3", "t7"):
+        assert main([*args, name]) == 0
+        gamma = gamma_functor(builtin_template(name), cycle_graph(5))
+        assert capsys.readouterr().out == serialize_graph(gamma)
 
 
 def test_apply_missing_parameter(files, capsys):

@@ -12,7 +12,7 @@ from pultr.formats import (
     serialize_witness,
     to_dot,
 )
-from pultr.functors import builtin_template, validate_template
+from pultr.functors import BUILTIN_TEMPLATE_NAMES, builtin_template, validate_template
 from pultr.graphs import Digraph, Graph, cycle_graph, path_graph
 
 from conftest import random_digraph, random_graph
@@ -60,42 +60,14 @@ def test_dot_export():
     assert "0 -> 1;" in dot and dot.startswith("digraph")
 
 
-def test_template_round_trip():
-    for name in ("t3", "lex-k2", "arc-graph", "iota-2", "tensor-c3"):
-        t = builtin_template(name)
-        back = parse_template(serialize_template(t))
-        assert (back.p, back.q, back.eps1, back.eps2, back.symmetry) == (
-            t.p,
-            t.q,
-            t.eps1,
-            t.eps2,
-            t.symmetry,
-        )
-
-
 def test_shipped_templates_match_builders():
-    for name in (
-        "t1",
-        "t3",
-        "t5",
-        "lex-k2",
-        "tensor-c3",
-        "arc-graph",
-        "iota-1",
-        "iota-2",
-        "iota-3",
-    ):
-        shipped = load_template(name)
-        built = builtin_template(name)
-        assert (shipped.p, shipped.q, shipped.eps1, shipped.eps2, shipped.symmetry) == (
-            built.p,
-            built.q,
-            built.eps1,
-            built.eps2,
-            built.symmetry,
-        )
-        undirected = built.symmetry is not None
-        assert validate_template(shipped, undirected_mode=undirected) == []
+    # A bare built-in name loads its builder's template; the text format
+    # round-trips each of them; each is valid in its mode.
+    for name in BUILTIN_TEMPLATE_NAMES:
+        t = builtin_template(name)
+        assert load_template(name) == t
+        assert parse_template(serialize_template(t)) == t
+        assert validate_template(t, undirected_mode=t.symmetry is not None) == []
 
 
 def test_template_parse_errors():
@@ -124,13 +96,26 @@ def test_template_parse_errors():
         parse_template("P:\nu 1\n\nQ:\n# nothing\neps1:\neps2:\n")
     assert e.value.line == 4
     assert str(e.value) == "line 4: empty graph text"
+    # A map section that misses a source, or is empty, names its header.
+    graphs = "P:\nu 2\nQ:\nu 2\n0 1\n"
+    for maps, line in (
+        ("eps1:\n0 -> 0\neps2:\n0 -> 1\n1 -> 0\n", 6),
+        ("eps1:\n0 -> 0\n1 -> 1\n\n# none\neps2:\n", 11),
+        ("eps1:\n0 -> 0\n1 -> 1\neps2:\n0 -> 1\n1 -> 0\nsym:\n", 12),
+    ):
+        with pytest.raises(ParseError) as e:
+            parse_template(graphs + maps)
+        assert e.value.line == line
+        assert "map misses sources" in str(e.value)
 
 
 def test_witness_round_trip():
     w = HomWitness(3, 2, (0, 1, 0))
     assert parse_witness(serialize_witness(w)) == w
-    with pytest.raises(ParseError):
-        parse_witness("hom 2 2\n0 0\n")  # missing an entry
+    with pytest.raises(ParseError) as e:
+        parse_witness("# a witness\nhom 2 2\n0 0\n")  # missing an entry
+    assert e.value.line == 2
+    assert str(e.value) == "line 2: witness does not cover the source"
     with pytest.raises(ParseError) as e:
         parse_witness("hom 2 2\n0 x\n1 0\n")  # non-integer entry
     assert e.value.line == 2

@@ -1,6 +1,6 @@
 """The thin adjunction and product commutation hold for *every* template,
 so randomly generated templates exercise the gluing/enumeration stack far
-beyond the shipped ones.  Generation is derandomized, so the examples are
+beyond the built-in ones.  Generation is derandomized, so the examples are
 the same on every run; failures are real bugs.  Each functor picks its
 mode from the template and the argument, so a symmetric template runs
 the undirected form and any other the directed form.  The adjunction on
