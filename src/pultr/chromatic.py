@@ -6,6 +6,10 @@ search (greedy-clique seeding, colours capped at first-use order to break
 colour symmetry).  Its contract is exactly "least n such that a
 homomorphism to K_n exists", and the test suite cross-checks it against
 raw hom searches on all small graphs.
+
+The Gallai-Roy checks ask whether an oriented path maps into an
+orientation.  A path is a tree, so `_path_map` answers with one semijoin
+pass and a walk back, without search, and its map is re-checked.
 """
 
 from __future__ import annotations
@@ -218,6 +222,34 @@ def _require_scannable(g):
         )
 
 
+def _path_map(path, plan, d):
+    """A homomorphism from the oriented path `path` into d, or None,
+    without search.  `plan` is `engine._forest_plan(path, path.n - 1)`:
+    its edges run from vertex 0 to the last vertex, so one semijoin pass
+    leaves each vertex the values that the path up to it can take, and
+    the walk back from the last vertex picks, at each step, the lowest
+    such value joined to the next one.  The map is re-checked by
+    `engine.verify_witness` (RuntimeError if it fails)."""
+    doms = [(1 << d.n) - 1] * path.n
+    rows = (None, d.out_masks, d.in_masks)
+    if not engine._semijoin(plan, doms, rows):
+        return None
+    last = doms[-1]
+    mapping = [0] * path.n
+    mapping[-1] = v = (last & -last).bit_length() - 1
+    # An edge (i, i + 1, kind) has kind 1 for the arc i -> i + 1, so
+    # vertex i takes an in-neighbour of v; kind 2 asks for an
+    # out-neighbour.
+    for i, _, kind in reversed(plan):
+        m = doms[i] & rows[3 - kind][v]
+        mapping[i] = v = (m & -m).bit_length() - 1
+    if not engine.verify_witness(path, d, mapping):
+        raise RuntimeError(
+            f"path walk produced an invalid map {mapping} for {path!r} -> {d!r}"
+        )
+    return tuple(mapping)
+
+
 def gallai_roy_orientation(g, k):
     """If g is k-colourable: the orientation along increasing colours,
     certified to admit no homomorphism from the directed path with k arcs.
@@ -229,14 +261,14 @@ def gallai_roy_orientation(g, k):
     if k < 1:
         raise ParameterError("needs k >= 1")
     path = directed_path(k)
+    plan = engine._forest_plan(path, k)
     colours = k_colourable(g, k)
     if colours is not None:
         spec = "".join(
             "1" if colours[u] < colours[v] else "0" for u, v in sorted_edges(g)
         )
         oriented = orient_edges(g, spec)
-        hit = engine.hom_exists(path, oriented) is not None
-        if hit:
+        if _path_map(path, plan, oriented) is not None:
             raise RuntimeError("colour-increasing orientation admits the path")
         witness = engine.hom_exists(g, complete_graph(k))
         return ColouringCertificate(
@@ -247,7 +279,7 @@ def gallai_roy_orientation(g, k):
         )
     _require_scannable(g)
     for oriented in orientations(g):
-        if engine.hom_exists(path, oriented) is None:
+        if _path_map(path, plan, oriented) is None:
             raise RuntimeError(
                 "found an orientation avoiding the path although the graph "
                 "is not k-colourable"
@@ -268,19 +300,9 @@ def reversal_path_specs(n, r):
             yield "".join(bits)
 
 
-def reversal_paths(n, r, dedupe=False):
-    """The oriented paths of reversal_path_specs, optionally deduplicated
-    up to end-to-end reversal symmetry."""
-    out = []
-    seen = set()
-    for spec in reversal_path_specs(n, r):
-        if dedupe:
-            mirrored = "".join("0" if c == "1" else "1" for c in reversed(spec))
-            if min(spec, mirrored) in seen:
-                continue
-            seen.add(min(spec, mirrored))
-        out.append(oriented_path(spec))
-    return out
+def reversal_paths(n, r):
+    """The oriented paths of reversal_path_specs."""
+    return [oriented_path(spec) for spec in reversal_path_specs(n, r)]
 
 
 @lru_cache(maxsize=None)
@@ -310,6 +332,7 @@ def circular_gallai_roy_check(g, n, m):
     target = circular_complete(n, m)
     w = engine.hom_exists(g, target)
     specs = list(reversal_path_specs(n, m - 1))
+    paths = [(p, engine._forest_plan(p, n)) for p in map(oriented_path, specs)]
     if w is not None:
         iota = _interleaved_tournament(m, n)
         lift = engine.compose(w, _clique_to_interleaved(n, m))
@@ -324,8 +347,8 @@ def circular_gallai_roy_check(g, n, m):
         spec = "".join(bits)
         oriented = orient_edges(g, spec)
         family = tuple(
-            (s, engine.hom_exists(oriented_path(s), oriented) is not None)
-            for s in specs
+            (s, _path_map(p, plan, oriented) is not None)
+            for s, (p, plan) in zip(specs, paths)
         )
         if any(hit for _, hit in family):
             raise RuntimeError("certificate orientation admits a family path")
@@ -336,11 +359,8 @@ def circular_gallai_roy_check(g, n, m):
             family=family,
         )
     _require_scannable(g)
-    paths = [oriented_path(s) for s in specs]
     for oriented in orientations(g):
-        if all(
-            engine.hom_exists(p, oriented) is None for p in paths
-        ):
+        if all(_path_map(p, plan, oriented) is None for p, plan in paths):
             raise RuntimeError(
                 "found an orientation avoiding the whole family although "
                 "the circular colouring does not exist"

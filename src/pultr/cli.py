@@ -74,11 +74,6 @@ def _note(msg):
 def cmd_apply(args):
     g = _read_graph(args.input)
     functor = args.functor
-    glues = functor in ("lambda", "delta-left") or (
-        functor == "power" and args.r is not None and args.r > 1
-    )
-    if glues and g.has_loop():
-        _note("note: input has loops; gluing quotients are applied literally")
     if functor in ("lambda", "gamma"):
         if not args.template:
             raise ParameterError(f"--functor {functor} needs --template")
@@ -110,6 +105,9 @@ def cmd_apply(args):
         out = root_functor(args.r, args.s, as_graph(g))
     else:
         raise ParameterError(f"unknown functor {functor!r}")
+    glues = functor in ("lambda", "delta-left") or (functor == "power" and args.r > 1)
+    if glues and g.has_loop():
+        _note("note: input has loops; gluing quotients are applied literally")
     _emit_graph(out, args.output, f"apply {functor}")
     return EXIT_OK
 

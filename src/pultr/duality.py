@@ -15,6 +15,7 @@ class, and `checked` still counts the whole labelled universe.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -41,7 +42,7 @@ def shift_graph(n, k, directed=True):
     variant is the symmetrization."""
     if not 2 <= k <= n:
         raise ParameterError("shift graph needs 2 <= k <= n")
-    limits.check_size(_binom(n, k) + _binom(n, k + 1), "shift graph")
+    limits.check_size(math.comb(n, k) + math.comb(n, k + 1), "shift graph")
     tuples = list(combinations(range(n), k))
     index = {t: i for i, t in enumerate(tuples)}
     arcs = []
@@ -49,15 +50,6 @@ def shift_graph(n, k, directed=True):
         arcs.append((index[window[:-1]], index[window[1:]]))
     d = Digraph(len(tuples), arcs)
     return d if directed else symmetrization(d)
-
-
-def _binom(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def delta_colouring_lift(h, colouring):

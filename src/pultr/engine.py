@@ -18,8 +18,9 @@ Trans. AMS 1996; Feder & Vardi, SIAM J. Comput. 1998): a leaf-to-root
 semijoin pass over bitmask domains decides it, and a root-to-leaf pass
 leaves each vertex exactly the values it takes under some homomorphism.
 `gamma_functor` builds its arcs from these passes (`_forest_plan`,
-`_semijoin`), and `hom_exists` settles an oriented forest source with
-them, picking the kernel's witness at the kernel's decision count.
+`_semijoin`), and the Gallai-Roy checks of `chromatic` decide their
+oriented paths with them.  `hom_exists` itself has one searcher, the
+kernel, behind its two loop rules.
 
 Every witness handed out is checked by code that does not depend on the
 searcher.  A searched witness is re-checked against the raw adjacency
@@ -201,84 +202,6 @@ def _semijoin(plan, doms, rows):
     return all(doms)
 
 
-# Room for the obstruction and path families that callers test against
-# many targets; a graph streamed from a universe is a source only once.
-@lru_cache(maxsize=64)
-def _oriented_forest(g):
-    """For a forest g with no antiparallel pair: its `_forest_plan`
-    rooted at 0, the same edges root-to-leaf as (parent, child, kind)
-    seen from the parent, and for each vertex x its tree neighbours
-    (y, kind), kind 1 for the arc x -> y and 2 for y -> x.  Else None.
-
-    A forest with an antiparallel pair stays with the kernel: its
-    per-arc propagation is weaker than the merged constraint of the
-    pair, so its witness can differ from the one the passes give."""
-    # Past the cache of _forest_plan, which is sized for the templates of
-    # gamma_functor and would keep 256 streamed sources alive.
-    plan = _forest_plan.__wrapped__(g, 0)
-    if plan is None or any(kind == 3 for _, _, kind in plan):
-        return None
-    nbrs = [[] for _ in range(g.n)]
-    for c, p, kind in plan:
-        nbrs[c].append((p, kind))
-        nbrs[p].append((c, 3 - kind))
-    spread = tuple((p, c, 3 - kind) for c, p, kind in reversed(plan))
-    return plan, spread, tuple(map(tuple, nbrs))
-
-
-def _forest_map(g, h, forest):
-    """The witness of `hom_exists` for g an `_oriented_forest`, or None,
-    without search.  The two semijoin passes leave each vertex the values
-    it takes under some homomorphism.  Then, by the kernel's rule, the
-    smallest domain with more than one value (ties to the lowest vertex)
-    keeps its lowest value, and the domains are narrowed outward from it
-    through its tree; a domain that does not change leaves the rest of
-    its branch as it is.  On a forest that choice never fails, so the
-    kernel makes exactly these decisions, and BudgetExceededError fires
-    at its count."""
-    plan, spread, nbrs = forest
-    rows = (None, h.out_masks, h.in_masks)
-    doms = [(1 << h.n) - 1] * g.n
-    if not _semijoin(plan, doms, rows):
-        return None
-    _semijoin(spread, doms, rows)
-    budget = limits.default_budget()
-    decisions = 0
-    while True:
-        best = -1
-        best_pc = h.n + 1
-        for u, d in enumerate(doms):
-            pc = d.bit_count()
-            if 1 < pc < best_pc:
-                best = u
-                best_pc = pc
-                if pc == 2:
-                    break
-        if best < 0:
-            return tuple(d.bit_length() - 1 for d in doms)
-        decisions += 1
-        if decisions > budget:
-            raise BudgetExceededError(decisions)
-        d = doms[best]
-        doms[best] = d & -d
-        stack = [best]
-        while stack:
-            x = stack.pop()
-            dx = doms[x]
-            for y, kind in nbrs[x]:
-                row = rows[kind]
-                sup = 0
-                m = dx
-                while m:
-                    low = m & -m
-                    sup |= row[low.bit_length() - 1]
-                    m ^= low
-                dy = doms[y]
-                if dy & sup != dy:
-                    doms[y] = dy & sup
-                    stack.append(y)
-
-
 def hom_exists(g, h):
     """A verified homomorphism witness g -> h, or None.
 
@@ -287,9 +210,7 @@ def hom_exists(g, h):
     if h has a loop, the witness is the constant map onto its lowest
     looped vertex v, checked in O(1) by reading the loop bit of row v
     (RuntimeError if it is clear); if h has no loop and g has one, the
-    answer is None.  A source that is a forest with no antiparallel pair
-    is settled by semijoin passes (`_forest_map`), with the witness and
-    the decision count of the search.
+    answer is None.  Every other query goes to the kernel.
     """
     if g.n == 0:
         return HomWitness(0, h.n, ())
@@ -302,11 +223,7 @@ def hom_exists(g, h):
         return HomWitness(g.n, h.n, (v,) * g.n)
     if g.loop_mask:
         return None
-    forest = _oriented_forest(g)
-    if forest is None:
-        mapping = _solve(g, h, MODE_EXISTS)
-    else:
-        mapping = _forest_map(g, h, forest)
+    mapping = _solve(g, h, MODE_EXISTS)
     if mapping is None:
         return None
     return _checked(g, h, mapping)

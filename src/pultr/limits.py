@@ -9,9 +9,8 @@ Both limits are scoped: `scope(budget=..., size_guard=...)` sets them
 for the code it wraps and restores the enclosing values on exit.  It is
 the only way to set them, in-process or from the CLI's `--budget` and
 `--unsafe-size`; no search function takes a budget argument, and no
-environment variable sets them.  `engine.kernel_args`,
-`engine._forest_map` and `chromatic.k_colourable` read the budget
-through `default_budget`.
+environment variable sets them.  `engine.kernel_args` and
+`chromatic.k_colourable` read the budget through `default_budget`.
 """
 
 from contextlib import contextmanager

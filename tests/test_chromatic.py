@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -30,6 +31,7 @@ from pultr.graphs import (
     kneser_pairs,
     lexicographic_product,
     orient_edges,
+    oriented_path,
     path_graph,
     symmetrization,
     transitive_tournament,
@@ -199,13 +201,29 @@ def test_reversal_paths():
     target = symmetrization(directed_path(4))
     for p in reversal_paths(4, 2):
         assert engine.hom_exists(p, target) is not None
-    # mirrors of <=1-reversal strings have >=3 reversals, so dedupe keeps
-    # all of P_{4,1}; in P_{3,2} the mirror pairs 011/001, 101/010 and
-    # 110/100 collapse, leaving 4 of 7
-    assert len(reversal_paths(4, 1, dedupe=True)) == 5
-    assert len(reversal_paths(3, 2, dedupe=True)) == 4
     with pytest.raises(ParameterError):
         list(reversal_path_specs(3, 3))
+
+
+def test_path_map_agrees_with_the_search():
+    """The semijoin walk of the Gallai-Roy checks finds a map exactly
+    when hom_exists does, and every map it returns verifies: all 30
+    oriented paths of 1-4 arcs into every loop-free digraph of order
+    1-3."""
+    specs = [
+        "".join(bits)
+        for length in range(1, 5)
+        for bits in product("01", repeat=length)
+    ]
+    targets = list(enumerate_graphs(3, directed=True, loops=False, all_orders=True))
+    assert (len(specs), len(targets)) == (30, 69)
+    for spec in specs:
+        path = oriented_path(spec)
+        plan = engine._forest_plan(path, path.n - 1)
+        for d in targets:
+            mapping = chromatic._path_map(path, plan, d)
+            assert (mapping is None) == (engine.hom_exists(path, d) is None), (spec, d)
+            assert mapping is None or engine.verify_witness(path, d, mapping)
 
 
 def test_circular_gallai_roy_examples():

@@ -78,6 +78,15 @@ def test_loops_note_only_for_gluing_functors(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_loops_note_only_after_the_build(tmp_path, capsys):
+    # An invalid call fails before the note: a looped digraph that is not
+    # symmetric cannot be viewed as a graph for the power functor.
+    looped = tmp_path / "loop.g"
+    looped.write_text("d 3\n0 0\n0 1\n1 2\n")
+    assert main(["apply", "--functor", "power", "--s", "3", "--r", "2", "--input", str(looped)]) == 2
+    assert capsys.readouterr().err == "error: digraph is not symmetric; cannot view as graph\n"
+
+
 def test_bare_template_names(tmp_path, capsys, monkeypatch):
     # Run from an empty directory.  A built-in name beats a file of that
     # name; any other bare name is a path.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pultr import _fallback, engine, limits
+from pultr import _fallback, chromatic, engine, limits
 from pultr.engine import compose, verify_witness
 from pultr.errors import BudgetExceededError, ParameterError
 from pultr.graphs import (
@@ -96,16 +96,14 @@ def test_invalid_witness_is_rejected(monkeypatch):
     assert len(corrupted) == 3
     assert not any(verify_witness(c5, k3, m) for m in corrupted)
 
-    # The forest path hands its witness to the same check.
-    forest_map = engine._forest_map
-    monkeypatch.setattr(
-        engine, "_forest_map", lambda *args: corrupt(forest_map(*args))
-    )
-    p3 = directed_path(3)
-    with pytest.raises(RuntimeError):
-        engine.hom_exists(p3, k3)
-    assert len(corrupted) == 4
-    assert not verify_witness(p3, k3, corrupted[-1])
+    # The path walk of the Gallai-Roy checks has the same check: misled by
+    # in-rows that claim every arc, it picks 0 -> 2, which h lacks.
+    p2, h = directed_path(2), Digraph(4, [(1, 2), (2, 3)])
+    plan = engine._forest_plan(p2, 2)
+    assert chromatic._path_map(p2, plan, h) == (1, 2, 3)
+    h.in_masks = (0b1111,) * 4
+    with pytest.raises(RuntimeError, match=r"invalid map \[0, 2, 3\]"):
+        chromatic._path_map(p2, plan, h)
 
     # The loop shortcut checks its constant witness on the raw row of h:
     # a cached loop mask that names a loop-free vertex is caught.
@@ -165,46 +163,30 @@ def test_loop_rules_agree_with_the_search():
             ), (g, h)
 
 
-def test_forest_path_matches_the_kernel(monkeypatch):
-    """On every labelled oriented forest of order <= 4 and the first
-    member of each class of order 5, into every loop-free digraph of
-    order <= 3, hom_exists gives the kernel's witness without calling the
-    kernel, and makes the kernel's decisions: under a budget of that
-    count it succeeds, one below it it stops."""
-    sources = [
-        g
-        for g in [
-            *enumerate_graphs(4, directed=True, loops=False, all_orders=True),
-            *enumerate_graphs(5, directed=True, loops=False, up_to_iso=True),
-        ]
-        if engine._oriented_forest(g) is not None
-    ]
-    targets = list(enumerate_graphs(3, directed=True, loops=False, all_orders=True))
-    assert (len(sources), len(targets)) == (268, 69)
-    kernel = _fallback.solve
-    monkeypatch.setattr(engine, "_solve", None)
-    for g in sources:
-        for h in targets:
-            status, payload, decisions = kernel(
-                *engine.kernel_args(g, h, engine.MODE_EXISTS)
-            )
-            with limits.scope(budget=decisions):
-                w = engine.hom_exists(g, h)
-            assert (w and w.mapping) == payload, (g, h)
-            if decisions:
-                with limits.scope(budget=decisions - 1), pytest.raises(
-                    BudgetExceededError
-                ):
-                    engine.hom_exists(g, h)
+def test_hom_exists_has_one_searcher(monkeypatch):
+    """Past the loop rules, every hom_exists call is one kernel call: on
+    every pair of loop-free digraphs of order 1-3 it calls the kernel
+    exactly once, so no second searcher answers in its place."""
+    solve = engine._kernel.solve
+    calls = []
+    monkeypatch.setattr(
+        engine._kernel, "solve", lambda *args: calls.append(args) or solve(*args)
+    )
+    graphs = list(enumerate_graphs(3, directed=True, loops=False, all_orders=True))
+    assert len(graphs) == 69
+    for g in graphs:
+        for h in graphs:
+            before = len(calls)
+            engine.hom_exists(g, h)
+            assert len(calls) == before + 1, (g, h)
 
 
-def test_forest_with_antiparallel_pair_stays_on_the_kernel(monkeypatch):
+def test_forest_with_antiparallel_pair_gets_the_kernel_witness(monkeypatch):
     # The kernel propagates along 1 -> 2 and 2 -> 1 one at a time; the
-    # passes, with the pair merged, would give (2, 0, 2).
+    # semijoin passes, with the pair merged, would give (2, 0, 2).
     g = Digraph(3, [(0, 1), (1, 2), (2, 1)])
     h = Digraph(3, [(0, 1), (0, 2), (1, 2), (2, 0)])
     assert engine._forest_plan(g, 0) is not None
-    assert engine._oriented_forest(g) is None
     solve = engine._kernel.solve
     calls = []
     monkeypatch.setattr(
@@ -214,10 +196,9 @@ def test_forest_with_antiparallel_pair_stays_on_the_kernel(monkeypatch):
     assert len(calls) == 1
 
 
-def test_forest_path_budget_cutoffs():
+def test_oriented_path_budget_cutoffs():
     g = oriented_path("10110")
     h = orient_edges(complete_graph(4), "101010")
-    assert engine._oriented_forest(g) is not None
     assert _fallback.solve(*engine.kernel_args(g, h, engine.MODE_EXISTS)) == (
         0,
         (0, 1, 0, 1, 3, 0),
