@@ -1,11 +1,13 @@
 """Chromatic and circular chromatic computation, orientation certificates
 in the Gallai-Roy style, and the circular bound through power functors.
 
-k-colourability is decided by a dedicated deterministic DSATUR-style
-search (greedy-clique seeding, colours capped at first-use order to break
-colour symmetry).  Its contract is exactly "least n such that a
-homomorphism to K_n exists", and the test suite cross-checks it against
-raw hom searches on all small graphs.
+k-colourability is decided by a dedicated deterministic DSATUR search
+(Brelaz, Comm. ACM 1979) with greedy-clique seeding and colours capped
+at first-use order to break colour symmetry.  The uncoloured vertices
+sit in one bitmask per saturation level, so a pick is a lowest-bit
+lookup rather than a scan of all vertices.  Its contract is exactly
+"least n such that a homomorphism to K_n exists", and the test suite
+cross-checks it against raw hom searches on all small graphs.
 
 The Gallai-Roy checks ask whether an oriented path maps into an
 orientation.  A path is a tree, so `_path_map` answers with one semijoin
@@ -77,7 +79,13 @@ def k_colourable(g, k):
     None.  Deterministic; counts decisions against the budget of the
     enclosing `limits.scope`.  A colouring is re-checked as a
     homomorphism into K_k by `engine.verify_witness` before it is
-    returned."""
+    returned.
+
+    Each pick is the uncoloured vertex with the most colours around it,
+    then the highest degree, then the lowest index.  levels[s] masks,
+    over the ranks by (degree descending, index), the uncoloured
+    vertices with s colours around them, so a pick is the lowest bit of
+    the highest non-empty level and a decision costs O(k + deg)."""
     g = as_graph(g)
     if g.has_loop():
         raise ParameterError("colouring is undefined for graphs with loops")
@@ -99,45 +107,62 @@ def k_colourable(g, k):
         colours[v] = c
         for w in iter_bits(adj[v]):
             nbr_used[w] |= 1 << c
-    full = (1 << k) - 1
+    order = sorted(range(n), key=lambda u: (-adj[u].bit_count(), u))
+    rank = [0] * n  # the bit of u's rank
+    for r, u in enumerate(order):
+        rank[u] = 1 << r
+    levels = [0] * (k + 1)
+    uncoloured = 0
+    for u in range(n):
+        if colours[u] < 0:
+            levels[nbr_used[u].bit_count()] |= rank[u]
+            uncoloured |= 1 << u
     decisions = 0
-    degs = [adj[u].bit_count() for u in range(n)]
-
-    def pick():
-        best, key = -1, None
-        for v in range(n):
-            if colours[v] >= 0:
-                continue
-            kv = (nbr_used[v].bit_count(), degs[v], -v)
-            if key is None or kv > key:
-                best, key = v, kv
-        return best
 
     def dfs(assigned, max_used):
-        nonlocal decisions
+        nonlocal decisions, uncoloured
         if assigned == n:
             return True
-        v = pick()
+        s = k
+        while not levels[s]:
+            s -= 1
+        low = levels[s] & -levels[s]
+        v = order[low.bit_length() - 1]
+        levels[s] ^= low
+        uncoloured ^= 1 << v
         avail = ~nbr_used[v] & ((1 << min(k, max_used + 2)) - 1)
-        for c in iter_bits(avail):
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
             decisions += 1
             if decisions > budget:
                 raise BudgetExceededError(decisions)
-            colours[v] = c
-            bit = 1 << c
+            colours[v] = c = bit.bit_length() - 1
             touched = []
             dead = False
-            for w in iter_bits(adj[v]):
-                if colours[w] < 0 and not nbr_used[w] & bit:
+            m = adj[v] & uncoloured
+            while m:
+                wb = m & -m
+                m ^= wb
+                w = wb.bit_length() - 1
+                if not nbr_used[w] & bit:
                     nbr_used[w] |= bit
                     touched.append(w)
-                    if nbr_used[w] == full:
+                    sw = nbr_used[w].bit_count()
+                    levels[sw - 1] ^= rank[w]
+                    levels[sw] |= rank[w]
+                    if sw == k:
                         dead = True
-            if not dead and dfs(assigned + 1, max(max_used, c)):
+            if not dead and dfs(assigned + 1, c if c > max_used else max_used):
                 return True
             for w in touched:
-                nbr_used[w] &= ~bit
-            colours[v] = -1
+                sw = nbr_used[w].bit_count()
+                nbr_used[w] ^= bit
+                levels[sw] ^= rank[w]
+                levels[sw - 1] |= rank[w]
+        colours[v] = -1
+        levels[s] |= low
+        uncoloured |= 1 << v
         return False
 
     if not dfs(len(clique), len(clique) - 1):

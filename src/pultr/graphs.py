@@ -146,7 +146,14 @@ class Digraph:
 
 class Graph(Digraph):
     """A symmetric digraph.  The constructor takes undirected edges and
-    closes them under reversal; loops stay single arcs."""
+    closes them under reversal; loops stay single arcs.  Every Graph is
+    built with symmetric rows, so its in-rows are its out-rows."""
+
+    is_symmetric = True
+
+    @property
+    def in_masks(self):
+        return self.out_masks
 
     def __init__(self, n, edges=()):
         arcs = []
@@ -481,31 +488,31 @@ def dominated_reduction(d):
     """Remove dominated vertices until none remain; the result is
     homomorphically equivalent to the input (u may be dropped when some w
     satisfies N_out(u)-{u} <= N_out(w), N_in(u)-{u} <= N_in(w), and w has a
-    loop if u does).  Never applied implicitly by any construction."""
-    g = d
-    while True:
-        victim = None
-        for u in range(g.n):
-            ubit = 1 << u
-            ou = g.out_masks[u] & ~ubit
-            iu = g.in_masks[u] & ~ubit
-            uloop = g.out_masks[u] >> u & 1
-            for w in range(g.n):
-                if w == u:
-                    continue
-                if uloop and not g.out_masks[w] >> w & 1:
-                    continue
-                wbit = 1 << w
-                if ou & ~(g.out_masks[w] & ~wbit) == 0 and (
-                    iu & ~(g.in_masks[w] & ~wbit) == 0
-                ):
-                    victim = u
-                    break
-            if victim is not None:
-                break
-        if victim is None:
-            return g
-        g = g.induced([v for v in range(g.n) if v != victim])
+    loop if u does).  Never applied implicitly by any construction.
+
+    Each step drops the dominated vertex of least index; the result is
+    the subgraph induced on the survivors.  Dropping x can newly dominate
+    only a neighbour of x, so `todo` holds the live vertices not checked
+    since they last lost a neighbour.  u's dominators are the live w != u
+    with an arc to each out-neighbour of u and from each in-neighbour."""
+    out, inn = d.out_masks, d.in_masks
+    alive = todo = (1 << d.n) - 1
+    while todo:
+        ubit = todo & -todo
+        todo ^= ubit
+        u = ubit.bit_length() - 1
+        dominators = alive & ~ubit
+        if out[u] & ubit:
+            dominators &= d.loop_mask
+        for row, cols in ((out[u], inn), (inn[u], out)):
+            for a in iter_bits(row & alive & ~ubit):
+                dominators &= cols[a] & ~(1 << a)
+        if dominators:
+            alive ^= ubit
+            todo |= (out[u] | inn[u]) & alive
+    if alive == (1 << d.n) - 1:
+        return d
+    return d.induced(list(iter_bits(alive)))
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +545,11 @@ def _slots(k, directed, loops):
 
 
 def _chunk_tables(images):
-    """Split the bits of a slot counter into at most 10-bit chunks, and
-    return the chunk width and, per chunk, the table from the chunk's value
-    to the OR of images[i] over its set bits i."""
-    chunks = -(-len(images) // 10) or 1
+    """Split the bits of a slot counter into two or more chunks of at most
+    10 bits, and return the chunk width and, per chunk, the table from the
+    chunk's value to the OR of images[i] over its set bits i.  Two chunks
+    of 5 bits take 64 entries where one of 10 takes 1 024."""
+    chunks = max(2, -(-len(images) // 10))
     width = -(-len(images) // chunks)
     tables = []
     for j in range(chunks):
@@ -615,9 +623,9 @@ def orbit_keys(n, directed=False, loops=True, all_orders=False):
     s grows along the stream, so the first s met in an orbit is its
     least.  It marks the whole orbit in an array('I') over the 2^slots
     counters of the order: the image of s under each relabelling is the
-    OR of per-permutation tables looked up on the chunks of s, of at most
-    10 bits each.  The array takes 4 bytes per labelled graph of the
-    order and is dropped when the order grows."""
+    OR of per-permutation tables looked up on the chunks of s, at least
+    two and of at most 10 bits each.  The array takes 4 bytes per
+    labelled graph of the order and is dropped when the order grows."""
     offset = 0
     for k in _orders(n, directed, all_orders):
         slots = _slots(k, directed, loops)

@@ -143,9 +143,11 @@ def suite_omega(nmax=4):
     kind = dict(directed=False, loops=True, all_orders=True)
     universe = list(zip(enumerate_graphs(nmax, **kind), orbit_keys(nmax, **kind)))
     ms = (3, 5)
+    # Omega_m(H) per m and target, reused by the checks after the loop.
+    omega = {}
     for m in ms:
         tm = path_template(m)
-        omegas = [omega_odd_path(m, h) for _hname, h in targets]
+        omegas = omega[m] = [omega_odd_path(m, h) for _hname, h in targets]
         # Class key -> one (left, right) pair per target.
         sides = {}
         for g, key in universe:
@@ -168,17 +170,16 @@ def suite_omega(nmax=4):
     checked += len(ms) * len(targets) * len(universe)
     notes.append(f"adjunction: {len(ms) * len(targets)} targets x {len(universe)} graphs")
 
-    for n in (2, 3, 4):
-        chi = chromatic_number(omega_odd_path(3, complete_graph(n)))
+    omega_k4 = omega_odd_path(3, complete_graph(4))
+    for n, om in ((2, omega[3][0]), (3, omega[3][1]), (4, omega_k4)):
+        chi = chromatic_number(om)
         checked += 1
         if chi != n:
             failures.append(f"chi(omega_3(K{n})) = {chi} != {n}")
     notes.append("chromatic identity n=2..4")
 
     for m, cyc in ((3, 9), (5, 15)):
-        ok = engine.hom_equivalent(
-            omega_odd_path(m, complete_graph(3)), cycle_graph(cyc)
-        )
+        ok = engine.hom_equivalent(omega[m][1], cycle_graph(cyc))
         checked += 1
         if not ok:
             failures.append(f"omega_{m}(K3) not hom-equivalent to C{cyc}")

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from pultr import chromatic, engine, limits
-from pultr.adjoints import omega_odd_path
+from pultr.adjoints import arc_graph, omega_odd_path
 from pultr.chromatic import (
     chromatic_number,
     circular_bound_via_powers,
@@ -90,6 +90,90 @@ def test_k_colourable_rejects_an_invalid_colouring(monkeypatch):
     monkeypatch.setattr(chromatic, "greedy_clique", lambda g: [0, 0])
     with pytest.raises(RuntimeError, match="invalid"):
         k_colourable(g, 3)
+
+
+def _scan_dsatur(g, k):
+    """(colouring or None, decisions) of the search that k_colourable
+    makes, with each pick a scan of all n vertices for the largest
+    (saturation, degree, -index)."""
+    n = g.n
+    if n == 0:
+        return [], 0
+    adj = g.out_masks
+    clique = greedy_clique(g)
+    if k == 0 or len(clique) > k:
+        return None, 0
+    colours = [-1] * n
+    used = [0] * n
+    for c, v in enumerate(clique):
+        colours[v] = c
+        for w in range(n):
+            if adj[v] >> w & 1:
+                used[w] |= 1 << c
+    decisions = 0
+
+    def dfs(assigned, max_used):
+        nonlocal decisions
+        if assigned == n:
+            return True
+        v = max(
+            (u for u in range(n) if colours[u] < 0),
+            key=lambda u: (used[u].bit_count(), adj[u].bit_count(), -u),
+        )
+        for c in range(min(k, max_used + 2)):
+            if used[v] >> c & 1:
+                continue
+            decisions += 1
+            colours[v] = c
+            touched = [
+                w
+                for w in range(n)
+                if adj[v] >> w & 1 and colours[w] < 0 and not used[w] >> c & 1
+            ]
+            for w in touched:
+                used[w] |= 1 << c
+            dead = any(used[w] == (1 << k) - 1 for w in touched)
+            if not dead and dfs(assigned + 1, max(max_used, c)):
+                return True
+            for w in touched:
+                used[w] &= ~(1 << c)
+            colours[v] = -1
+        return False
+
+    return (colours if dfs(len(clique), len(clique) - 1) else None), decisions
+
+
+def _decisions_are_exact(g, k, expect, decisions):
+    """k_colourable(g, k) returns `expect` within `decisions` decisions
+    and runs out of budget with one fewer."""
+    with limits.scope(budget=decisions):
+        assert k_colourable(g, k) == expect
+    if decisions:
+        with limits.scope(budget=decisions - 1):
+            with pytest.raises(BudgetExceededError):
+                k_colourable(g, k)
+
+
+def test_k_colourable_matches_the_scan_oracle():
+    """Same colouring and the same decision count as the scan-based
+    DSATUR on every loop-free graph of order <= 5, for every k."""
+    cases = 0
+    for g in enumerate_graphs(5, directed=False, loops=False, all_orders=True):
+        for k in range(g.n + 1):
+            _decisions_are_exact(g, k, *_scan_dsatur(g, k))
+            cases += 1
+    assert cases == 6504
+
+
+def test_k_colourable_decision_counts():
+    omega = omega_odd_path(3, complete_graph(4))
+    assert _scan_dsatur(omega, 3) == (None, 3577)
+    _decisions_are_exact(omega, 3, None, 3577)
+    delta = symmetrization(arc_graph(complete_graph(8)))
+    _decisions_are_exact(delta, 4, None, 10776)
+    five = k_colourable(delta, 5)
+    assert five is not None and max(five) == 4
+    _decisions_are_exact(delta, 5, five, 16431)
 
 
 def test_greedy_clique_is_clique():

@@ -34,7 +34,7 @@ from pultr.graphs import (
 )
 from pultr import engine, limits
 
-from conftest import random_graph
+from conftest import random_digraph, random_graph
 
 
 def test_digraph_basics():
@@ -54,6 +54,56 @@ def test_graph_symmetry_and_edges():
     assert g.arc_count == 3  # loop is a single arc
     with pytest.raises(ParameterError):
         as_graph(Digraph(2, [(0, 1)]))
+
+
+def _transpose(g):
+    """The transposed rows of g, read arc by arc from the out-rows."""
+    return tuple(
+        sum(1 << u for u in range(g.n) if g.out_masks[u] >> v & 1)
+        for v in range(g.n)
+    )
+
+
+def test_every_graph_construction_gives_symmetric_rows(rng):
+    """A Graph's in-rows are its out-rows and its symmetry is not
+    computed, so every construction that returns a Graph must give rows
+    equal to their own transpose."""
+    from pultr.adjoints import omega_odd_path
+    from pultr.functors import builtin_template, gamma_functor
+
+    c5, k3 = cycle_graph(5), complete_graph(3)
+    looped = Graph(3, [(0, 1), (1, 1), (1, 2)])
+    digraphs = [random_digraph(rng, 5, 0.3) for _ in range(5)]
+    made = [
+        Graph(4, [(0, 1), (2, 2), (3, 1)]),
+        looped,
+        c5,
+        k3,
+        path_graph(3),
+        circular_complete(7, 3),
+        kneser_pairs(5),
+        as_graph(Digraph(2, [(0, 1), (1, 0), (1, 1)])),
+        *map(symmetrization, digraphs),
+        tensor_product(c5, looped),
+        lexicographic_product(c5, complete_graph(2)),
+        exponential_graph(k3, path_graph(1)),
+        c5.relabel([2, 0, 4, 1, 3]),
+        looped.relabel([2, 1, 0]),
+        kneser_pairs(5).induced([9, 0, 4, 7]),
+        *enumerate_graphs(3, directed=False, loops=True, all_orders=True),
+        *enumerate_graphs(4, directed=False, loops=False, up_to_iso=True),
+        omega_odd_path(3, k3),
+        omega_odd_path(5, c5),
+        gamma_functor(builtin_template("t3"), c5),
+        gamma_functor(builtin_template("lex-k2"), looped),
+        gamma_functor(builtin_template("tensor-c3"), k3),
+    ]
+    for g in made:
+        assert isinstance(g, Graph), g
+        assert g.out_masks == _transpose(g), g
+        assert g.in_masks == g.out_masks and g.is_symmetric
+    d = Digraph(3, [(0, 1), (1, 1)])
+    assert not d.is_symmetric and d.in_masks == _transpose(d)
 
 
 def test_relabel_and_equality():
