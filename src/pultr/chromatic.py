@@ -10,8 +10,9 @@ lookup rather than a scan of all vertices.  Its contract is exactly
 cross-checks it against raw hom searches on all small graphs.
 
 The Gallai-Roy checks ask whether an oriented path maps into an
-orientation.  A path is a tree, so `_path_map` answers with one semijoin
-pass and a walk back, without search, and its map is re-checked.
+orientation.  A path is a tree, so `engine._forest_walk` answers with one
+semijoin pass and a walk back, without search, and its map is
+re-checked.
 """
 
 from __future__ import annotations
@@ -175,20 +176,25 @@ def k_colourable(g, k):
     return list(colours)
 
 
-def chromatic_number(g):
-    """Least n with a homomorphism to K_n.  Errors on loops."""
+def _chromatic_colouring(g):
+    """(chromatic number, a proper colouring with that many colours) of
+    g, from one scan of k_colourable.  Errors on loops."""
     g = as_graph(g)
     if g.has_loop():
         raise ParameterError("chromatic number is undefined for graphs with loops")
-    if g.n == 0:
-        return 0
     if g.arc_count == 0:
-        return 1
+        return min(g.n, 1), [0] * g.n
     lb = len(greedy_clique(g))
     for k in range(max(lb, 2), g.n + 1):
-        if k_colourable(g, k) is not None:
-            return k
-    return g.n
+        colours = k_colourable(g, k)
+        if colours is not None:
+            return k, colours
+    raise RuntimeError("no colouring with one colour per vertex")  # unreachable
+
+
+def chromatic_number(g):
+    """Least n with a homomorphism to K_n.  Errors on loops."""
+    return _chromatic_colouring(g)[0]
 
 
 def digraph_chromatic_number(d):
@@ -247,34 +253,6 @@ def _require_scannable(g):
         )
 
 
-def _path_map(path, plan, d):
-    """A homomorphism from the oriented path `path` into d, or None,
-    without search.  `plan` is `engine._forest_plan(path, path.n - 1)`:
-    its edges run from vertex 0 to the last vertex, so one semijoin pass
-    leaves each vertex the values that the path up to it can take, and
-    the walk back from the last vertex picks, at each step, the lowest
-    such value joined to the next one.  The map is re-checked by
-    `engine.verify_witness` (RuntimeError if it fails)."""
-    doms = [(1 << d.n) - 1] * path.n
-    rows = (None, d.out_masks, d.in_masks)
-    if not engine._semijoin(plan, doms, rows):
-        return None
-    last = doms[-1]
-    mapping = [0] * path.n
-    mapping[-1] = v = (last & -last).bit_length() - 1
-    # An edge (i, i + 1, kind) has kind 1 for the arc i -> i + 1, so
-    # vertex i takes an in-neighbour of v; kind 2 asks for an
-    # out-neighbour.
-    for i, _, kind in reversed(plan):
-        m = doms[i] & rows[3 - kind][v]
-        mapping[i] = v = (m & -m).bit_length() - 1
-    if not engine.verify_witness(path, d, mapping):
-        raise RuntimeError(
-            f"path walk produced an invalid map {mapping} for {path!r} -> {d!r}"
-        )
-    return tuple(mapping)
-
-
 def gallai_roy_orientation(g, k):
     """If g is k-colourable: the orientation along increasing colours,
     certified to admit no homomorphism from the directed path with k arcs.
@@ -293,7 +271,7 @@ def gallai_roy_orientation(g, k):
             "1" if colours[u] < colours[v] else "0" for u, v in sorted_edges(g)
         )
         oriented = orient_edges(g, spec)
-        if _path_map(path, plan, oriented) is not None:
+        if engine._forest_walk(path, plan, oriented) is not None:
             raise RuntimeError("colour-increasing orientation admits the path")
         witness = engine.hom_exists(g, complete_graph(k))
         return ColouringCertificate(
@@ -304,7 +282,7 @@ def gallai_roy_orientation(g, k):
         )
     _require_scannable(g)
     for oriented in orientations(g):
-        if _path_map(path, plan, oriented) is None:
+        if engine._forest_walk(path, plan, oriented) is None:
             raise RuntimeError(
                 "found an orientation avoiding the path although the graph "
                 "is not k-colourable"
@@ -372,7 +350,7 @@ def circular_gallai_roy_check(g, n, m):
         spec = "".join(bits)
         oriented = orient_edges(g, spec)
         family = tuple(
-            (s, _path_map(p, plan, oriented) is not None)
+            (s, engine._forest_walk(p, plan, oriented) is not None)
             for s, (p, plan) in zip(specs, paths)
         )
         if any(hit for _, hit in family):
@@ -385,7 +363,7 @@ def circular_gallai_roy_check(g, n, m):
         )
     _require_scannable(g)
     for oriented in orientations(g):
-        if all(_path_map(p, plan, oriented) is None for p, plan in paths):
+        if all(engine._forest_walk(p, plan, oriented) is None for p, plan in paths):
             raise RuntimeError(
                 "found an orientation avoiding the whole family although "
                 "the circular colouring does not exist"

@@ -10,7 +10,9 @@ and again only after its family has widened: the classes are the
 isomorphism classes of loop-free digraphs, keyed by `graphs.orbit_keys`,
 and the looped digraphs.  Only the loop-free digraphs are enumerated; a
 looped one is built only when some job still has to decide the looped
-class, and `checked` still counts the whole labelled universe.
+class, and `checked` still counts the whole labelled universe.  F -> G
+takes the forest walk `engine._forest_walk` when F is an oriented forest,
+as in every family of the suite, and `engine.hom_exists` otherwise.
 """
 
 from __future__ import annotations
@@ -229,12 +231,34 @@ class DualityJob:
     initial_len: int | None = None
 
 
+def _members(family):
+    """Each member F of a family with its `engine._forest_plan` if F is
+    an oriented forest, for `engine._forest_walk`, else None."""
+    members = []
+    for f in family:
+        plan = None if f.loop_mask else engine._forest_plan(f, 0)
+        if plan is not None and any(kind == 3 for _, _, kind in plan):
+            plan = None
+        members.append((f, plan))
+    return members
+
+
+def _maps_in(members, g):
+    """Whether some member of the family maps into g."""
+    return any(
+        engine.hom_exists(f, g) is not None
+        if plan is None
+        else engine._forest_walk(f, plan, g) is not None
+        for f, plan in members
+    )
+
+
 class _OpenJob:
     """The running state of one job during the pass."""
 
     def __init__(self, job):
         self.h = job.h
-        self.family = list(job.family)
+        self.family = _members(job.family)
         self.lengths = (job.initial_len,) if job.initial_len is not None else ()
         # Set while the job may still double its truncation once.
         self.widen = (
@@ -249,15 +273,15 @@ class _OpenJob:
     def failure(self, g):
         """The direction in which g refutes the duality, or None."""
         to_h = engine.hom_exists(g, self.h) is not None
-        hit = any(engine.hom_exists(f, g) is not None for f in self.family)
+        hit = _maps_in(self.family, g)
         if to_h and hit:
             return "false-obstruction"
         if not to_h and not hit:
             if self.widen is not None:
-                wider = list(self.widen(2 * self.initial_len))
+                wider = _members(self.widen(2 * self.initial_len))
                 self.widen = None
                 self.lengths = (self.initial_len, 2 * self.initial_len)
-                if any(engine.hom_exists(f, g) is not None for f in wider):
+                if _maps_in(wider, g):
                     self.family = wider
                     return None
             return "missing-obstruction"

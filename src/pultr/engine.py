@@ -18,9 +18,10 @@ Trans. AMS 1996; Feder & Vardi, SIAM J. Comput. 1998): a leaf-to-root
 semijoin pass over bitmask domains decides it, and a root-to-leaf pass
 leaves each vertex exactly the values it takes under some homomorphism.
 `gamma_functor` builds its arcs from these passes (`_forest_plan`,
-`_semijoin`), and the Gallai-Roy checks of `chromatic` decide their
-oriented paths with them.  `hom_exists` itself has one searcher, the
-kernel, behind its two loop rules.
+`_semijoin`); `_forest_walk` adds a walk back from the roots, which
+decides the oriented paths of `chromatic`'s Gallai-Roy checks and the
+oriented-forest obstructions of `duality`.  `hom_exists` itself has one
+searcher, the kernel, behind its two loop rules.
 
 Every witness handed out is checked by code that does not depend on the
 searcher.  A searched witness is re-checked against the raw adjacency
@@ -200,6 +201,30 @@ def _semijoin(plan, doms, rows):
             m ^= low
         doms[p] &= sup
     return all(doms)
+
+
+def _forest_walk(f, plan, d):
+    """A homomorphism from the oriented forest f (no loop, no antiparallel
+    pair) into d, or None, without search; `plan` is a `_forest_plan` of
+    f.  After one semijoin pass every root and isolated vertex takes the
+    lowest value left, and every other vertex the lowest one joined to
+    its parent's.  The map is re-checked by `verify_witness`
+    (RuntimeError if it fails)."""
+    doms = [(1 << d.n) - 1] * f.n
+    rows = (None, d.out_masks, d.in_masks)
+    if not _semijoin(plan, doms, rows):
+        return None
+    mapping = [(m & -m).bit_length() - 1 for m in doms]
+    # An edge (c, p, kind) has kind 1 for the arc c -> p, so c takes an
+    # in-neighbour of p's value; kind 2 asks for an out-neighbour.
+    for c, p, kind in reversed(plan):
+        m = doms[c] & rows[3 - kind][mapping[p]]
+        mapping[c] = (m & -m).bit_length() - 1
+    if not verify_witness(f, d, mapping):
+        raise RuntimeError(
+            f"forest walk produced an invalid map {mapping} for {f!r} -> {d!r}"
+        )
+    return tuple(mapping)
 
 
 def hom_exists(g, h):

@@ -11,11 +11,10 @@ from fractions import Fraction
 from . import engine
 from .adjoints import arc_graph, interleaved_adjoint, omega_odd_path, power_functor
 from .chromatic import (
+    _chromatic_colouring,
     chromatic_number,
     circular_bound_via_powers,
     circular_chromatic_number,
-    digraph_chromatic_number,
-    k_colourable,
 )
 from .duality import (
     DualityJob,
@@ -261,8 +260,7 @@ def suite_shift():
         failures.append(f"chi(R'(8,2)) = {chi} != 3")
     k8 = complete_graph(8)
     delta8 = arc_graph(k8)
-    chi8 = digraph_chromatic_number(delta8)
-    colour = k_colourable(symmetrization(delta8), chi8)
+    chi8, colour = _chromatic_colouring(symmetrization(delta8))
     lift = delta_colouring_lift(k8, HomWitness(delta8.n, chi8, tuple(colour)))
     checked += 1
     if chi8 < 3 or len(set(lift.mapping)) < 8 or lift.target_order != 1 << chi8:

@@ -289,25 +289,44 @@ def test_reversal_paths():
         list(reversal_path_specs(3, 3))
 
 
+# The orientation strings of the 30 oriented paths of 1-4 arcs.
+PATH_SPECS = [
+    "".join(bits) for length in range(1, 5) for bits in product("01", repeat=length)
+]
+
+
 def test_path_map_agrees_with_the_search():
-    """The semijoin walk of the Gallai-Roy checks finds a map exactly
-    when hom_exists does, and every map it returns verifies: all 30
-    oriented paths of 1-4 arcs into every loop-free digraph of order
+    """The forest walk, as the Gallai-Roy checks call it, finds a map
+    exactly when hom_exists does, and every map it returns verifies: all
+    30 oriented paths of 1-4 arcs into every loop-free digraph of order
     1-3."""
-    specs = [
-        "".join(bits)
-        for length in range(1, 5)
-        for bits in product("01", repeat=length)
-    ]
     targets = list(enumerate_graphs(3, directed=True, loops=False, all_orders=True))
-    assert (len(specs), len(targets)) == (30, 69)
-    for spec in specs:
+    assert (len(PATH_SPECS), len(targets)) == (30, 69)
+    for spec in PATH_SPECS:
         path = oriented_path(spec)
         plan = engine._forest_plan(path, path.n - 1)
         for d in targets:
-            mapping = chromatic._path_map(path, plan, d)
+            mapping = engine._forest_walk(path, plan, d)
             assert (mapping is None) == (engine.hom_exists(path, d) is None), (spec, d)
             assert mapping is None or engine.verify_witness(path, d, mapping)
+
+
+def test_path_reversal_symmetry():
+    """Read from its other end, oriented_path(s) is oriented_path(s[::-1])
+    with every arc reversed, so P_s -> D exactly when
+    P_{s[::-1]} -> reverse(D): all 30 specs of 1-4 arcs, on every
+    loop-free digraph of order 1-3."""
+    targets = list(enumerate_graphs(3, directed=True, loops=False, all_orders=True))
+    assert len(PATH_SPECS) * len(targets) == 2070
+    for spec in PATH_SPECS:
+        path, back = oriented_path(spec), oriented_path(spec[::-1])
+        assert engine.isomorphic(back, path.reverse()), spec
+        plan = engine._forest_plan(path, path.n - 1)
+        back_plan = engine._forest_plan(back, back.n - 1)
+        for d in targets:
+            assert (engine._forest_walk(path, plan, d) is None) == (
+                engine._forest_walk(back, back_plan, d.reverse()) is None
+            ), (spec, d)
 
 
 def test_circular_gallai_roy_examples():

@@ -479,6 +479,24 @@ def test_verify_dualities_decides_each_class_once(monkeypatch):
     assert list(calls.values()) == [21, 28]
 
 
+def test_duality_obstructions_leave_the_kernel(monkeypatch):
+    # Every member of the suite's families is an oriented path, so each
+    # F -> G is a forest walk; the kernel sees only the G -> H side.
+    solve = engine._kernel.solve
+    counts = [0, 0]
+
+    def counting(*args):
+        result = solve(*args)
+        counts[0] += 1
+        counts[1] += result[2]
+        return result
+
+    monkeypatch.setattr(engine._kernel, "solve", counting)
+    rep = suites.run_suite("duality", nmax=4)
+    assert rep.verdict_line() == "VERDICT duality PASS checked=330331"
+    assert counts == [1190, 244]
+
+
 def test_positions_follow_the_labelled_universe():
     # what a report's `checked` is: the counterexample's 1-based number in
     # the labelled stream of digraphs with loops

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pultr import _fallback, chromatic, engine, limits
+from pultr import _fallback, engine, limits
 from pultr.engine import compose, verify_witness
 from pultr.errors import BudgetExceededError, ParameterError
 from pultr.graphs import (
@@ -16,6 +16,7 @@ from pultr.graphs import (
     directed_path,
     enumerate_graphs,
     kneser_pairs,
+    orbit_keys,
     orient_edges,
     oriented_path,
     path_graph,
@@ -96,14 +97,14 @@ def test_invalid_witness_is_rejected(monkeypatch):
     assert len(corrupted) == 3
     assert not any(verify_witness(c5, k3, m) for m in corrupted)
 
-    # The path walk of the Gallai-Roy checks has the same check: misled by
-    # in-rows that claim every arc, it picks 0 -> 2, which h lacks.
+    # The forest walk has the same check: misled by in-rows that claim
+    # every arc, it picks 0 -> 2, which h lacks.
     p2, h = directed_path(2), Digraph(4, [(1, 2), (2, 3)])
     plan = engine._forest_plan(p2, 2)
-    assert chromatic._path_map(p2, plan, h) == (1, 2, 3)
+    assert engine._forest_walk(p2, plan, h) == (1, 2, 3)
     h.in_masks = (0b1111,) * 4
     with pytest.raises(RuntimeError, match=r"invalid map \[0, 2, 3\]"):
-        chromatic._path_map(p2, plan, h)
+        engine._forest_walk(p2, plan, h)
 
     # The loop shortcut checks its constant witness on the raw row of h:
     # a cached loop mask that names a loop-free vertex is caught.
@@ -194,6 +195,57 @@ def test_forest_with_antiparallel_pair_gets_the_kernel_witness(monkeypatch):
     )
     assert engine.hom_exists(g, h).mapping == (0, 2, 0)
     assert len(calls) == 1
+
+
+def _is_oriented_forest(g):
+    """For a loop-free g: no antiparallel pair, and no arc that joins two
+    vertices already connected, checked by union-find."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    if len({frozenset(arc) for arc in g.arcs()}) != g.arc_count:
+        return False
+    for u, v in g.arcs():
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def test_forest_walk_agrees_with_the_search():
+    """The forest walk finds a map exactly when hom_exists does, from
+    every root, and every map it returns verifies: the 22 isomorphism
+    classes of oriented forests on 1-4 vertices into every digraph with
+    loops on at most 3 vertices."""
+    loop_free = dict(directed=True, loops=False, all_orders=True)
+    forests = {}
+    for f, key in zip(enumerate_graphs(4, **loop_free), orbit_keys(4, **loop_free)):
+        if key not in forests and _is_oriented_forest(f):
+            forests[key] = f
+    forests = list(forests.values())
+    targets = list(enumerate_graphs(3, directed=True, loops=True, all_orders=True))
+    assert len(forests) * len(targets) == 22 * 530 == 11660
+    # two components, both with an arc; a vertex of degree 3
+    two_arcs = Digraph(4, [(0, 1), (2, 3)])
+    assert any(engine.isomorphic(f, two_arcs) for f in forests)
+    assert any(
+        (f.out_masks[u] | f.in_masks[u]).bit_count() == 3
+        for f in forests
+        for u in range(f.n)
+    )
+    for f in forests:
+        plans = [engine._forest_plan(f, root) for root in range(f.n)]
+        for d in targets:
+            want = engine.hom_exists(f, d) is not None
+            for plan in plans:
+                mapping = engine._forest_walk(f, plan, d)
+                assert (mapping is not None) == want, (f, d, plan)
+                assert mapping is None or verify_witness(f, d, mapping)
 
 
 def test_oriented_path_budget_cutoffs():
