@@ -3,16 +3,17 @@ graph, sproink generation, minimal sproinks for directed paths, and
 exhaustive duality verification over small digraph universes.
 
 `verify_dualities` checks a batch of duality jobs in one streaming pass
-over the digraph universe: each graph is built once, checked against
-every job still open, and dropped; `verify_duality` is the one-job case.
-Each job decides a class of digraphs once, on the first member it meets,
-and again only after its family has widened: the classes are the
+over the digraph universe; `verify_duality` is the one-job case.  Each
+job decides a class of digraphs once, on the first member it meets, and
+again only after its family has widened: the classes are the
 isomorphism classes of loop-free digraphs, keyed by `graphs.orbit_keys`,
-and the looped digraphs.  Only the loop-free digraphs are enumerated; a
-looped one is built only when some job still has to decide the looped
-class, and `checked` still counts the whole labelled universe.  F -> G
-takes the forest walk `engine._forest_walk` when F is an oriented forest,
-as in every family of the suite, and `engine.hom_exists` otherwise.
+and the looped digraphs.  Until a family widens, the pass builds only
+the first member of each loop-free class (`enumerate_graphs` with
+up_to_iso=True) and the one looped digraph it checks; `checked` still
+counts the whole labelled universe.  F -> G takes the forest walk
+`engine._forest_walk` when F is an oriented forest, as in every family
+of the suite, and `engine.hom_exists` otherwise; equal family members
+are shared across jobs and decided once per graph.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from . import engine, limits
 from .engine import HomWitness
@@ -33,6 +34,7 @@ from .graphs import (
     is_oriented_tree,
     orbit_keys,
     oriented_path,
+    stream_index,
     symmetrization,
 )
 from .adjoints import arc_graph
@@ -231,34 +233,42 @@ class DualityJob:
     initial_len: int | None = None
 
 
-def _members(family):
-    """Each member F of a family with its `engine._forest_plan` if F is
-    an oriented forest, for `engine._forest_walk`, else None."""
-    members = []
-    for f in family:
+class _Member:
+    """A family member F, with its `engine._forest_plan` if F is an
+    oriented forest (for `engine._forest_walk`) and the answer to F -> g
+    for the last g it was asked about."""
+
+    __slots__ = ("f", "plan", "g", "hit")
+
+    def __init__(self, f):
         plan = None if f.loop_mask else engine._forest_plan(f, 0)
         if plan is not None and any(kind == 3 for _, _, kind in plan):
             plan = None
-        members.append((f, plan))
-    return members
+        self.f = f
+        self.plan = plan
+        self.g = None
+        self.hit = False
 
-
-def _maps_in(members, g):
-    """Whether some member of the family maps into g."""
-    return any(
-        engine.hom_exists(f, g) is not None
-        if plan is None
-        else engine._forest_walk(f, plan, g) is not None
-        for f, plan in members
-    )
+    def maps_into(self, g):
+        if self.g is not g:
+            self.g = g
+            if self.plan is None:
+                self.hit = engine.hom_exists(self.f, g) is not None
+            else:
+                self.hit = engine._forest_walk(self.f, self.plan, g) is not None
+        return self.hit
 
 
 class _OpenJob:
-    """The running state of one job during the pass."""
+    """The running state of one job during the pass.  `members` interns
+    family members across the jobs of a pass: equal digraphs share one
+    _Member, so F -> g is decided once per graph however many families
+    hold F."""
 
-    def __init__(self, job):
+    def __init__(self, job, members):
         self.h = job.h
-        self.family = _members(job.family)
+        self.members = members
+        self.family = self._intern(job.family)
         self.lengths = (job.initial_len,) if job.initial_len is not None else ()
         # Set while the job may still double its truncation once.
         self.widen = (
@@ -270,18 +280,24 @@ class _OpenJob:
         # Class key -> the family under which that class passed.
         self.passed = {}
 
+    def _intern(self, family):
+        for f in family:
+            if f not in self.members:
+                self.members[f] = _Member(f)
+        return [self.members[f] for f in family]
+
     def failure(self, g):
         """The direction in which g refutes the duality, or None."""
         to_h = engine.hom_exists(g, self.h) is not None
-        hit = _maps_in(self.family, g)
+        hit = any(m.maps_into(g) for m in self.family)
         if to_h and hit:
             return "false-obstruction"
         if not to_h and not hit:
             if self.widen is not None:
-                wider = _members(self.widen(2 * self.initial_len))
+                wider = self._intern(self.widen(2 * self.initial_len))
                 self.widen = None
                 self.lengths = (self.initial_len, 2 * self.initial_len)
-                if _maps_in(wider, g):
+                if any(m.maps_into(g) for m in wider):
                     self.family = wider
                     return None
             return "missing-obstruction"
@@ -290,11 +306,8 @@ class _OpenJob:
 
 def _position(g):
     """g's 1-based number in the labelled stream of digraphs with loops on
-    1..n vertices: offset_k + sum(out_masks[u] << u*k) + 1, where k = g.n
-    and offset_k counts the digraphs of order below k."""
-    k = g.n
-    offset = sum(1 << j * j for j in range(1, k))
-    return offset + sum(row << u * k for u, row in enumerate(g.out_masks)) + 1
+    1..n vertices (graphs.stream_index)."""
+    return stream_index(g, directed=True, loops=True) + 1
 
 
 def verify_dualities(jobs, nmax):
@@ -303,7 +316,7 @@ def verify_dualities(jobs, nmax):
     job order.
 
     Each graph is checked against every job still open and then dropped:
-    the universe is built once and never held.  A job closes at its first
+    the universe is never held.  A job closes at its first
     counterexample, with the report it gives when checked alone, and the
     pass stops once every job is closed.
 
@@ -317,21 +330,26 @@ def verify_dualities(jobs, nmax):
     every class; and a class that fails is decided at its first labelled
     member, which is the reported counterexample.
 
-    Only the loop-free digraphs are streamed, zipped with their class
-    keys from graphs.orbit_keys; a report's `checked` is the labelled
-    position of its counterexample, computed from the rows (_position).
-    A graph is skipped outright when every open job has passed its class
-    since the last widening of any family.  The labelled graph after a
-    loop-free g is g with the loop (0, 0), and it is checked only when
-    some open job may not have passed the looped class under its current
-    family.  After it every open job has, and only a checked graph can
-    widen a family, so every open job would skip the other looped graphs,
-    which lie between it and the next loop-free one.
-    `checked` counts every labelled graph.  nmax below 1 is a
-    ParameterError."""
+    Until some family widens, every class is checked on its first member
+    and never again, so the pass streams only the first members of the
+    loop-free classes (enumerate_graphs with up_to_iso=True), keyed by
+    their positions (graphs.stream_index).  After the first widening it
+    goes on with the labelled loop-free digraphs just after the current
+    one, zipped with their class keys from graphs.orbit_keys, and skips a
+    graph outright when every open job has passed its class since the
+    last widening of any family (`settled`).  A report's `checked` is the
+    labelled position of its counterexample, computed from the rows
+    (_position).  The labelled graph after a loop-free g is g with the
+    loop (0, 0), and it is checked only when some open job may not have
+    passed the looped class under its current family.  After it every
+    open job has, and only a checked graph can widen a family, so every
+    open job would skip the other looped graphs, which lie between it and
+    the next loop-free one.  `checked` counts every labelled graph.  nmax
+    below 1 is a ParameterError."""
     if nmax < 1:
         raise ParameterError(f"nmax must be at least 1, got {nmax}")
-    states = [_OpenJob(job) for job in jobs]
+    members = {}
+    states = [_OpenJob(job, members) for job in jobs]
     reports = [None] * len(states)
     open_jobs = list(range(len(states)))
 
@@ -357,17 +375,28 @@ def verify_dualities(jobs, nmax):
                     open_jobs.remove(i)
         settled[key] = widenings
 
+    def visit(g, key):
+        if settled.get(key) != widenings:
+            step(g, key)
+        if settled.get(None) != widenings:
+            rows = g.out_masks
+            step(Digraph._from_masks(g.n, (rows[0] | 1,) + rows[1:]), None)
+
     if open_jobs:
         loop_free = dict(directed=True, loops=False, all_orders=True)
-        graphs = enumerate_graphs(nmax, **loop_free)
-        for g, key in zip(graphs, orbit_keys(nmax, **loop_free)):
-            if settled.get(key) != widenings:
-                step(g, key)
-            if settled.get(None) != widenings:
-                rows = g.out_masks
-                step(Digraph._from_masks(g.n, (rows[0] | 1,) + rows[1:]), None)
-            if not open_jobs:
+        for g in enumerate_graphs(nmax, up_to_iso=True, **loop_free):
+            key = stream_index(g, directed=True, loops=False)
+            visit(g, key)
+            if widenings or not open_jobs:
                 break
+        if widenings and open_jobs:
+            labelled = zip(
+                enumerate_graphs(nmax, **loop_free), orbit_keys(nmax, **loop_free)
+            )
+            for g, key in islice(labelled, key + 1, None):
+                visit(g, key)
+                if not open_jobs:
+                    break
     checked = sum(1 << k * k for k in range(1, nmax + 1))
     for i in open_jobs:
         reports[i] = DualityReport(True, checked, None, None, states[i].lengths)

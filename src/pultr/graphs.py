@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, permutations
 from operator import or_
 
@@ -532,16 +532,17 @@ def _orders(n, directed, all_orders):
     return range(1, n + 1) if all_orders else [n]
 
 
+@cache
 def _slots(k, directed, loops):
     """The slots of order k: bit i of the counter s selects slot i, an arc
     (u, v), or for graphs an edge {u, v} with u <= v, in lexicographic
     order."""
-    return [
+    return tuple(
         (u, v)
         for u in range(k)
         for v in range(0 if directed else u, k)
         if loops or u != v
-    ]
+    )
 
 
 def _chunk_tables(images):
@@ -572,12 +573,10 @@ def enumerate_graphs(
     """Yield every labelled digraph/graph on exactly n vertices (or on all
     orders 1..n with all_orders=True), in slot order: order by order, and
     within an order by the counter s over _slots.  With up_to_iso=True,
-    yield only the first member of each isomorphism class (see
-    orbit_keys).  Orders above ENUM_CAP_DIRECTED / ENUM_CAP_UNDIRECTED are
-    refused."""
+    yield only the first member of each isomorphism class, the graphs
+    whose orbit_keys key is their own position (see stream_index).
+    Orders above ENUM_CAP_DIRECTED / ENUM_CAP_UNDIRECTED are refused."""
     orders = _orders(n, directed, all_orders)
-    keys = orbit_keys(n, directed, loops, all_orders) if up_to_iso else None
-    position = 0
     cls = Digraph if directed else Graph
     for k in orders:
         # Bit u*k + v of the packed adjacency a is the arc (u, v).
@@ -589,16 +588,20 @@ def enumerate_graphs(
         full = (1 << k) - 1
         shifts = [u * k for u in range(k)]
         if up_to_iso:
-            # Build only the first member of each class: the graph whose
-            # key is its own position.
+            # The first member of a class is the least counter that no
+            # earlier class's orbit has marked; bytearray.find skips the
+            # marked ones in C, so the loop runs once per class.
+            mark = _orbit_marker(k, directed, loops)
             mask = (1 << width) - 1
-            for s, key in zip(range(1 << len(images)), keys):
-                if key == position + s:
-                    a = 0
-                    for j, table in enumerate(tables):
-                        a |= table[s >> j * width & mask]
-                    yield cls._from_masks(k, [a >> shift & full for shift in shifts])
-            position += 1 << len(images)
+            orbit = bytearray(1 << len(images))
+            s = orbit.find(0)
+            while s >= 0:
+                mark(orbit, s, 1)
+                a = 0
+                for j, table in enumerate(tables):
+                    a |= table[s >> j * width & mask]
+                yield cls._from_masks(k, [a >> shift & full for shift in shifts])
+                s = orbit.find(0, s + 1)
         else:
             high = [0]
             for table in tables[1:]:
@@ -607,6 +610,53 @@ def enumerate_graphs(
                 for low in tables[0]:
                     a = h | low
                     yield cls._from_masks(k, [a >> shift & full for shift in shifts])
+
+
+def stream_index(g, directed=False, loops=True):
+    """g's 0-based position in enumerate_graphs(n, directed, loops,
+    all_orders=True), for any n >= g.n: the slot counters of every lower
+    order, plus g's own counter.  For a first member of its class this is
+    its orbit_keys key."""
+    rows = g.out_masks
+    s = sum(1 << len(_slots(j, directed, loops)) for j in range(1, g.n))
+    for i, (u, v) in enumerate(_slots(g.n, directed, loops)):
+        if rows[u] >> v & 1:
+            s += 1 << i
+    return s
+
+
+@cache
+def _orbit_marker(k, directed, loops):
+    """mark(orbit, s, value), which sets orbit[t] = value for every slot
+    counter t of order k in the orbit of s under relabelling.  The image
+    of s under a relabelling is the OR of per-permutation tables looked
+    up on the chunks of s, at least two and of at most 10 bits each.  The
+    tables take 4 bytes per entry, k! 2^width per chunk (0.9 MiB for
+    loop-free digraphs on five vertices), and are kept for the next scan
+    of the order."""
+    slots = _slots(k, directed, loops)
+    index = {slot: i for i, slot in enumerate(slots)}
+    per_permutation = []
+    for p in permutations(range(k)):
+        images = [
+            1 << index[(p[u], p[v]) if directed or p[u] <= p[v] else (p[v], p[u])]
+            for u, v in slots
+        ]
+        width, tables = _chunk_tables(images)
+        per_permutation.append([array("I", table) for table in tables])
+    # Chunk j's table for every permutation.
+    low, *high = zip(*per_permutation)
+    mask = (1 << width) - 1
+
+    def mark(orbit, s, value):
+        images = [table[s & mask] for table in low]
+        for j, column in enumerate(high, 1):
+            part = s >> j * width & mask
+            images = map(or_, images, [table[part] for table in column])
+        for image in images:
+            orbit[image] = value
+
+    return mark
 
 
 def orbit_keys(n, directed=False, loops=True, all_orders=False):
@@ -621,36 +671,18 @@ def orbit_keys(n, directed=False, loops=True, all_orders=False):
     the first member of its class in the stream.
 
     s grows along the stream, so the first s met in an orbit is its
-    least.  It marks the whole orbit in an array('I') over the 2^slots
-    counters of the order: the image of s under each relabelling is the
-    OR of per-permutation tables looked up on the chunks of s, at least
-    two and of at most 10 bits each.  The array takes 4 bytes per
+    least.  It marks the whole orbit (_orbit_marker) in an array('I')
+    over the 2^slots counters of the order.  The array takes 4 bytes per
     labelled graph of the order and is dropped when the order grows."""
     offset = 0
     for k in _orders(n, directed, all_orders):
-        slots = _slots(k, directed, loops)
-        index = {slot: i for i, slot in enumerate(slots)}
-        per_permutation = []
-        for p in permutations(range(k)):
-            images = [
-                1 << index[(p[u], p[v]) if directed or p[u] <= p[v] else (p[v], p[u])]
-                for u, v in slots
-            ]
-            width, tables = _chunk_tables(images)
-            per_permutation.append([array("I", table) for table in tables])
-        # Chunk j's table for every permutation.
-        low, *high = zip(*per_permutation)
-        mask = (1 << width) - 1
-        orbit = array("I", bytes(4 << len(slots)))  # 1 + least member, or 0
-        for s in range(1 << len(slots)):
+        bits = len(_slots(k, directed, loops))
+        mark = _orbit_marker(k, directed, loops)
+        orbit = array("I", bytes(4 << bits))  # 1 + least member, or 0
+        for s in range(1 << bits):
             least = orbit[s]
             if not least:
                 least = s + 1
-                images = [table[s & mask] for table in low]
-                for j, column in enumerate(high, 1):
-                    part = s >> j * width & mask
-                    images = map(or_, images, [table[part] for table in column])
-                for image in images:
-                    orbit[image] = least
+                mark(orbit, s, least)
             yield offset + least - 1
-        offset += 1 << len(slots)
+        offset += 1 << bits

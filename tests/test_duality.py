@@ -31,6 +31,7 @@ from pultr.graphs import (
     enumerate_graphs,
     odd_girth,
     oriented_path,
+    stream_index,
     symmetrization,
     tensor_product,
     transitive_tournament,
@@ -279,11 +280,15 @@ def test_verify_dualities_stops_when_every_job_is_closed(monkeypatch):
     ]
     reports = verify_dualities(jobs, 3)
     assert [r.checked for r in reports] == [31, 2]
-    # only loop-free digraphs are pulled, and none after the last job
-    # closes at the 12th of them, labelled graph 31
-    assert len(yielded) == 12
+    # no family widens, so only the first members of the loop-free
+    # classes are pulled, and none after the last job closes at the 9th
+    # of them, the 12th loop-free digraph and labelled graph 31
+    assert len(yielded) == 9
     assert yielded[-1] == reports[0].counterexample
-    assert not any(g.loop_mask for g in yielded)
+    assert stream_index(yielded[-1], directed=True, loops=False) == 11
+    loop_free = dict(directed=True, loops=False, all_orders=True)
+    leaders = enumerate_graphs(3, up_to_iso=True, **loop_free)
+    assert yielded == list(islice(leaders, 9))
 
 
 class _LabelledJob:
@@ -398,12 +403,16 @@ def test_verify_dualities_matches_labelled_reference():
         DualityJob((directed_path(2),), t3),
         DualityJob((two_cycle,), t3, lambda length: [two_cycle, c3, directed_path(2)], 1),
         DualityJob((two_cycle,), t3, lambda length: [c3], 1),
+        # Widens on the 2-cycle, a loop-free first member, so the pass
+        # re-checks the looped class and goes on over the labelled graphs;
+        # then fails at a class met after the widening, the 2-arc path.
+        DualityJob((loop,), t2, lambda length: [loop, two_cycle], 1),
     ]
     rng = random.Random(20130409)
     jobs += [_random_job(rng) for _ in range(40)]
     batch = verify_dualities(jobs, 3)
     assert batch == _labelled_reference(jobs, 3)
-    assert [(r.ok, r.checked, r.direction, r.truncation) for r in batch[:11]] == [
+    assert [(r.ok, r.checked, r.direction, r.truncation) for r in batch[:12]] == [
         (True, 530, None, ()),
         (False, 2, "false-obstruction", ()),
         (True, 530, None, (1, 2)),
@@ -415,11 +424,13 @@ def test_verify_dualities_matches_labelled_reference():
         (False, 31, "false-obstruction", ()),
         (False, 123, "false-obstruction", (1, 2)),
         (False, 119, "missing-obstruction", (1, 2)),
+        (False, 31, "missing-obstruction", (1, 2)),
     ]
-    assert [r.counterexample.out_masks for r in batch[8:11]] == [
+    assert [r.counterexample.out_masks for r in batch[8:12]] == [
         (4, 1, 0),
         (0, 5, 1),
         (4, 4, 1),
+        (4, 1, 0),
     ]
     universe = list(
         islice(enumerate_graphs(3, directed=True, loops=True, all_orders=True), 122)
@@ -482,19 +493,37 @@ def test_verify_dualities_decides_each_class_once(monkeypatch):
 def test_duality_obstructions_leave_the_kernel(monkeypatch):
     # Every member of the suite's families is an oriented path, so each
     # F -> G is a forest walk; the kernel sees only the G -> H side.
+    # No family of the suite widens at nmax 4, so the pass builds only the
+    # 238 first members of the loop-free classes.  P2 is in paths/T2 and
+    # sproinks/delta(T3), and P3 in paths/T3 and sproinks/delta(T4); each
+    # is walked once per graph.
+    counts = dict.fromkeys(("solve", "decisions", "walks", "hits", "yielded"), 0)
     solve = engine._kernel.solve
-    counts = [0, 0]
+    walk = engine._forest_walk
 
-    def counting(*args):
+    def counting_solve(*args):
         result = solve(*args)
-        counts[0] += 1
-        counts[1] += result[2]
+        counts["solve"] += 1
+        counts["decisions"] += result[2]
         return result
 
-    monkeypatch.setattr(engine._kernel, "solve", counting)
+    def counting_walk(*args):
+        result = walk(*args)
+        counts["walks"] += 1
+        counts["hits"] += result is not None
+        return result
+
+    def counting_enumerate(*args, **kwargs):
+        for g in enumerate_graphs(*args, **kwargs):
+            counts["yielded"] += 1
+            yield g
+
+    monkeypatch.setattr(engine._kernel, "solve", counting_solve)
+    monkeypatch.setattr(engine, "_forest_walk", counting_walk)
+    monkeypatch.setattr(duality, "enumerate_graphs", counting_enumerate)
     rep = suites.run_suite("duality", nmax=4)
     assert rep.verdict_line() == "VERDICT duality PASS checked=330331"
-    assert counts == [1190, 244]
+    assert counts == dict(solve=1190, decisions=244, walks=818, hits=638, yielded=238)
 
 
 def test_positions_follow_the_labelled_universe():

@@ -1,6 +1,6 @@
 import math
 from array import array
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -28,6 +28,7 @@ from pultr.graphs import (
     oriented_path,
     path_graph,
     standard_family,
+    stream_index,
     symmetrization,
     tensor_product,
     transitive_tournament,
@@ -379,6 +380,26 @@ def test_orbit_keys_are_invariant_under_relabelling(rng):
         perm = list(range(5))
         rng.shuffle(perm)
         assert key(d) == key(d.relabel(perm))
+
+
+def test_up_to_iso_yields_the_first_members_one_order_up():
+    # the 9 608 loop-free digraphs on five vertices whose key is their
+    # own position, found without walking the keys
+    keys = array("I", orbit_keys(5, directed=True, loops=False))
+    firsts = [s for s, key in enumerate(keys) if key == s]
+    assert len(firsts) == 9608
+    offset = stream_index(Digraph(5), directed=True, loops=False)
+    leaders = enumerate_graphs(5, directed=True, loops=False, up_to_iso=True)
+    assert [
+        stream_index(g, directed=True, loops=False) - offset for g in leaders
+    ] == firsts
+
+
+@pytest.mark.parametrize("directed, loops", list(product((True, False), repeat=2)))
+def test_stream_index_is_the_position(directed, loops):
+    graphs = enumerate_graphs(3, directed, loops, all_orders=True)
+    for position, g in enumerate(graphs):
+        assert stream_index(g, directed, loops) == position
 
 
 @pytest.mark.parametrize(
