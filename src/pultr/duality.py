@@ -4,16 +4,19 @@ exhaustive duality verification over small digraph universes.
 
 `verify_dualities` checks a batch of duality jobs in one streaming pass
 over the digraph universe; `verify_duality` is the one-job case.  Each
-job decides a class of digraphs once, on the first member it meets, and
-again only after its family has widened: the classes are the
-isomorphism classes of loop-free digraphs, keyed by `graphs.orbit_keys`,
-and the looped digraphs.  Until a family widens, the pass builds only
-the first member of each loop-free class (`enumerate_graphs` with
-up_to_iso=True) and the one looped digraph it checks; `checked` still
-counts the whole labelled universe.  F -> G takes the forest walk
-`engine._forest_walk` when F is an oriented forest, as in every family
-of the suite, and `engine.hom_exists` otherwise; equal family members
-are shared across jobs and decided once per graph.
+job decides a class of digraphs once, on the first member it meets: the
+classes are the isomorphism classes of loop-free digraphs, keyed by
+`graphs.orbit_keys`, and the looped digraphs.  A loop-free class is
+decided again after the job's family has widened.  Until a family
+widens, the pass builds only the first member of each loop-free class
+(`enumerate_graphs` with up_to_iso=True) and the one looped digraph it
+checks; `checked` still counts the whole labelled universe.  F -> G
+takes the forest walk `engine._forest_walk` when F is an oriented
+forest, as in every family of the suite, and `engine.hom_exists`
+otherwise; equal family members are shared across jobs and decided once
+per graph.  G -> H is read off the homomorphism order of the jobs'
+distinct targets, which the pass decides once: a yes for G -> T settles
+every target above T, and a no every target below it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, islice, permutations, product
 
 from . import engine, limits
 from .engine import HomWitness
@@ -259,15 +262,64 @@ class _Member:
         return self.hit
 
 
+class _Targets:
+    """The distinct targets of a pass, interned by digraph equality, with
+    their homomorphism order and the answers to g -> h for the last g
+    asked about.
+
+    The order is decided once, by `engine.hom_exists` on every ordered
+    pair of distinct targets.  It is a preorder, so g -> t gives g -> t'
+    for every t' above t (t -> t'), and g -/-> t gives g -/-> t'' for
+    every t'' below t (t'' -> t).  Only these target-to-target facts are
+    used; an answer to F -> g never settles g -> h.  To read g -> h the
+    kernel is asked about the unknown targets in `order` until h is
+    known: first the targets that most targets map into, so a no settles
+    many, ties in job order.  A single target is asked about directly."""
+
+    def __init__(self, hs):
+        self.targets = targets = list(dict.fromkeys(hs))
+        self.index = {h: i for i, h in enumerate(targets)}
+        # above[i] and below[i]: bit masks of the targets that targets[i]
+        # maps into and of those that map into it, itself included.
+        self.above = [1 << i for i in range(len(targets))]
+        self.below = list(self.above)
+        for i, j in permutations(range(len(targets)), 2):
+            if engine.hom_exists(targets[i], targets[j]) is not None:
+                self.above[i] |= 1 << j
+                self.below[j] |= 1 << i
+        self.order = sorted(
+            range(len(targets)), key=lambda i: -self.below[i].bit_count()
+        )
+        self.g = None
+        self.yes = self.no = 0
+
+    def maps_into(self, g, i):
+        """Whether g -> targets[i]."""
+        if self.g is not g:
+            self.g = g
+            self.yes = self.no = 0
+        for j in self.order:
+            known = self.yes | self.no
+            if known >> i & 1:
+                break
+            if not known >> j & 1:
+                if engine.hom_exists(g, self.targets[j]) is not None:
+                    self.yes |= self.above[j]
+                else:
+                    self.no |= self.below[j]
+        return bool(self.yes >> i & 1)
+
+
 class _OpenJob:
     """The running state of one job during the pass.  `members` interns
     family members across the jobs of a pass: equal digraphs share one
     _Member, so F -> g is decided once per graph however many families
-    hold F."""
+    hold F.  `h` is the index of the job's target in the pass's _Targets."""
 
-    def __init__(self, job, members):
-        self.h = job.h
+    def __init__(self, job, members, targets):
         self.members = members
+        self.targets = targets
+        self.h = targets.index[job.h]
         self.family = self._intern(job.family)
         self.lengths = (job.initial_len,) if job.initial_len is not None else ()
         # Set while the job may still double its truncation once.
@@ -288,7 +340,7 @@ class _OpenJob:
 
     def failure(self, g):
         """The direction in which g refutes the duality, or None."""
-        to_h = engine.hom_exists(g, self.h) is not None
+        to_h = self.targets.maps_into(g, self.h)
         hit = any(m.maps_into(g) for m in self.family)
         if to_h and hit:
             return "false-obstruction"
@@ -327,8 +379,17 @@ def verify_dualities(jobs, nmax):
     This is exact: g -> h and F -> g are invariant under isomorphism of
     g, and for looped g under homomorphic equivalence; a pass is
     remembered under the family object, so a widened family re-checks
-    every class; and a class that fails is decided at its first labelled
-    member, which is the reported counterexample.
+    every loop-free class; and a class that fails is decided at its
+    first labelled member, which is the reported counterexample.
+
+    The looped class is checked once, on the one-vertex loop, labelled
+    graph 2, right after the one-vertex digraph, and not after a
+    widening.  That re-check could not fail: a job widens only on a
+    miss, so its h has no loop (every digraph maps into a looped one);
+    and only to a family with a member that maps into the graph of the
+    miss, so the family is not empty, and each of its members maps into
+    every looped digraph.  So a looped g maps into no such h and is
+    obstructed, which passes.
 
     Until some family widens, every class is checked on its first member
     and never again, so the pass streams only the first members of the
@@ -339,17 +400,19 @@ def verify_dualities(jobs, nmax):
     graph outright when every open job has passed its class since the
     last widening of any family (`settled`).  A report's `checked` is the
     labelled position of its counterexample, computed from the rows
-    (_position).  The labelled graph after a loop-free g is g with the
-    loop (0, 0), and it is checked only when some open job may not have
-    passed the looped class under its current family.  After it every
-    open job has, and only a checked graph can widen a family, so every
-    open job would skip the other looped graphs, which lie between it and
-    the next loop-free one.  `checked` counts every labelled graph.  nmax
+    (_position); `checked` counts every labelled graph.
+
+    g -> h is read from the jobs' targets in their homomorphism order
+    (_Targets), decided once per pass: with the suite's five targets a
+    graph takes 1.4 kernel calls on average, not 5.  F -> g is decided
+    once per graph for each distinct member F (_Member).  Neither side
+    is ever inferred from the other, which is the duality under test.  nmax
     below 1 is a ParameterError."""
     if nmax < 1:
         raise ParameterError(f"nmax must be at least 1, got {nmax}")
     members = {}
-    states = [_OpenJob(job, members) for job in jobs]
+    targets = _Targets([job.h for job in jobs])
+    states = [_OpenJob(job, members, targets) for job in jobs]
     reports = [None] * len(states)
     open_jobs = list(range(len(states)))
 
@@ -378,7 +441,7 @@ def verify_dualities(jobs, nmax):
     def visit(g, key):
         if settled.get(key) != widenings:
             step(g, key)
-        if settled.get(None) != widenings:
+        if None not in settled:
             rows = g.out_masks
             step(Digraph._from_masks(g.n, (rows[0] | 1,) + rows[1:]), None)
 

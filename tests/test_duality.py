@@ -482,12 +482,13 @@ def test_verify_dualities_decides_each_class_once(monkeypatch):
         # one call per class: the 20 classes of loop-free digraphs on at
         # most three vertices, and the looped digraphs
         DualityJob((directed_path(3),), transitive_tournament(3)),
-        # the family widens once, on a loop-free graph, so the classes
-        # met after it are checked once more
+        # the family widens once, on a loop-free graph, so the loop-free
+        # classes met after it are checked once more; the looped class is
+        # not, since a widened family passes every looped digraph
         _sproink_job(4, 3),
     ]
     assert [r.ok for r in verify_dualities(jobs, 3)] == [True, True]
-    assert list(calls.values()) == [21, 28]
+    assert list(calls.values()) == [21, 27]
 
 
 def test_duality_obstructions_leave_the_kernel(monkeypatch):
@@ -523,7 +524,80 @@ def test_duality_obstructions_leave_the_kernel(monkeypatch):
     monkeypatch.setattr(duality, "enumerate_graphs", counting_enumerate)
     rep = suites.run_suite("duality", nmax=4)
     assert rep.verdict_line() == "VERDICT duality PASS checked=330331"
-    assert counts == dict(solve=1190, decisions=244, walks=818, hits=638, yielded=238)
+    # 20 calls order the five targets; then a graph takes 1.4 calls on
+    # average for G -> H, where asking each job's target took 5 (1 190)
+    assert counts == dict(solve=353, decisions=257, walks=818, hits=638, yielded=238)
+
+    # a one-job pass has one target, so it orders nothing and asks the
+    # kernel once per loop-free class, as before the order was used
+    counts.update(solve=0, decisions=0)
+    assert verify_duality([directed_path(4)], transitive_tournament(4), 4).ok
+    assert (counts["solve"], counts["decisions"]) == (238, 105)
+
+
+def _suite_targets():
+    t = transitive_tournament
+    return [t(2), t(3), t(4), arc_graph(t(3)), arc_graph(t(4))]
+
+
+def _assert_memo_reads_hom_exists(targets, graphs):
+    """Every answer of the memo is engine.hom_exists', whatever order the
+    kernel is asked in and the targets are read in."""
+    n = len(targets.targets)
+    for order in (targets.order, targets.order[::-1]):
+        targets.order = order
+        for g in graphs:
+            truth = [
+                engine.hom_exists(g, h) is not None for h in targets.targets
+            ]
+            for asked in (range(n), range(n - 1, -1, -1)):
+                # a new object, so the memo starts afresh
+                g = Digraph._from_masks(g.n, g.out_masks)
+                assert [targets.maps_into(g, i) for i in asked] == [
+                    truth[i] for i in asked
+                ]
+
+
+def test_target_order_memo_matches_the_kernel():
+    leaders = list(
+        enumerate_graphs(
+            4, directed=True, loops=False, all_orders=True, up_to_iso=True
+        )
+    )
+    graphs = leaders + [Digraph(1, [(0, 0)])]
+    assert len(leaders) == 238
+
+    # the suite's targets: T2 == delta(T3) < delta(T4) < T3 < T4
+    targets = duality._Targets(_suite_targets())
+    assert targets.above == [0b11111, 0b00110, 0b00100, 0b11111, 0b10110]
+    assert targets.below == [0b01001, 0b11011, 0b11111, 0b01001, 0b11001]
+    assert targets.order == [2, 1, 4, 0, 3]
+    _assert_memo_reads_hom_exists(targets, graphs)
+
+    # equal targets are interned; T2 and delta(T3) are equivalent but not
+    # equal; the directed 3-cycle and T3 are incomparable
+    t2, t3, c3 = transitive_tournament(2), transitive_tournament(3), directed_cycle(3)
+    delta_t3 = arc_graph(t3)
+    t3_again = Digraph(3, [(1, 2), (0, 2), (0, 1)])
+    assert t3_again == t3 and t3_again is not t3 and delta_t3 != t2
+    jobs = [
+        DualityJob((directed_path(3),), t3),
+        DualityJob((directed_path(2),), c3),
+        DualityJob((directed_path(2),), t3_again),
+        DualityJob((directed_path(2),), t2),
+        DualityJob(tuple(minimal_path_sproinks(3, 12)), delta_t3),
+        DualityJob((Digraph(1, [(0, 0)]), Digraph(2, [(0, 1), (1, 0)])), c3),
+    ]
+    targets = duality._Targets([job.h for job in jobs])
+    assert targets.targets == [t3, c3, t2, delta_t3]
+    assert targets.above == [0b0001, 0b0010, 0b1111, 0b1111]
+    assert targets.below == [0b1101, 0b1110, 0b1100, 0b1100]
+    assert targets.order == [0, 1, 2, 3]
+    _assert_memo_reads_hom_exists(targets, graphs)
+    # the pass keeps reading the order after jobs close
+    reports = verify_dualities(jobs, 3)
+    assert reports == _labelled_reference(jobs, 3)
+    assert [r.ok for r in reports] == [True, False, False, True, True, False]
 
 
 def test_positions_follow_the_labelled_universe():
