@@ -535,11 +535,6 @@ def test_duality_obstructions_leave_the_kernel(monkeypatch):
     assert (counts["solve"], counts["decisions"]) == (238, 105)
 
 
-def _suite_targets():
-    t = transitive_tournament
-    return [t(2), t(3), t(4), arc_graph(t(3)), arc_graph(t(4))]
-
-
 def _assert_memo_reads_hom_exists(targets, graphs):
     """Every answer of the memo is engine.hom_exists', whatever order the
     kernel is asked in and the targets are read in."""
@@ -567,8 +562,10 @@ def test_target_order_memo_matches_the_kernel():
     graphs = leaders + [Digraph(1, [(0, 0)])]
     assert len(leaders) == 238
 
-    # the suite's targets: T2 == delta(T3) < delta(T4) < T3 < T4
-    targets = duality._Targets(_suite_targets())
+    # the suite's targets: T2 ~ delta(T3) < delta(T4) < T3 < T4
+    t2, t3, t4 = (transitive_tournament(k) for k in (2, 3, 4))
+    delta_t3 = arc_graph(t3)
+    targets = duality._Targets([t2, t3, t4, delta_t3, arc_graph(t4)])
     assert targets.above == [0b11111, 0b00110, 0b00100, 0b11111, 0b10110]
     assert targets.below == [0b01001, 0b11011, 0b11111, 0b01001, 0b11001]
     assert targets.order == [2, 1, 4, 0, 3]
@@ -576,8 +573,7 @@ def test_target_order_memo_matches_the_kernel():
 
     # equal targets are interned; T2 and delta(T3) are equivalent but not
     # equal; the directed 3-cycle and T3 are incomparable
-    t2, t3, c3 = transitive_tournament(2), transitive_tournament(3), directed_cycle(3)
-    delta_t3 = arc_graph(t3)
+    c3 = directed_cycle(3)
     t3_again = Digraph(3, [(1, 2), (0, 2), (0, 1)])
     assert t3_again == t3 and t3_again is not t3 and delta_t3 != t2
     jobs = [
