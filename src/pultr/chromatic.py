@@ -18,8 +18,7 @@ re-checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
@@ -44,19 +43,22 @@ from .graphs import (
 ORIENTATION_SCAN_CAP = 18  # max edge count for exhaustive orientation scans
 
 
-@dataclass(frozen=True)
-class ColouringCertificate:
+class ColouringCertificate(
+    namedtuple(
+        "ColouringCertificate",
+        "target_name witness orientation family",
+        defaults=("", None, None, ()),
+    )
+):
     """Either a verified homomorphism into a colouring target, or an
     orientation certified against a family of oriented paths (or both).
 
-    `family` records the exhaustive check outcome per family member as
-    (orientation spec of the path, maps into the orientation?).
+    `witness` is a HomWitness or None, `orientation` a spec string or
+    None.  `family` records the exhaustive check outcome per family
+    member as (orientation spec of the path, maps into the orientation?).
     """
 
-    target_name: str = ""
-    witness: HomWitness | None = None
-    orientation: str | None = None
-    family: tuple = ()
+    __slots__ = ()
 
 
 def greedy_clique(g):
@@ -204,6 +206,8 @@ def digraph_chromatic_number(d):
 
 def _fraction_scan(g):
     """All reduced n/m with 2m <= n <= |V(G)|, ascending by value."""
+    from fractions import Fraction
+
     fracs = []
     for n in range(2, g.n + 1):
         for m in range(1, n // 2 + 1):
@@ -220,6 +224,8 @@ def circular_colouring(g):
     K_{a/b} -> K_{c/d} holds exactly when a/b <= c/d, the first success is
     the minimum.  An edgeless graph has circular chromatic number 1.
     """
+    from fractions import Fraction
+
     g = as_graph(g)
     if g.has_loop():
         raise ParameterError("circular chromatic number is undefined with loops")
@@ -376,12 +382,18 @@ def circular_gallai_roy_check(g, n, m):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerBoundReport:
-    value: Fraction | None
-    attained_at: tuple | None
-    successes: tuple = ()
-    skipped: tuple = ()
+class PowerBoundReport(
+    namedtuple(
+        "PowerBoundReport",
+        "value attained_at successes skipped",
+        defaults=((), ()),
+    )
+):
+    """The least grid value (a Fraction, or None) and the grid point
+    (i, j) it was attained at, with the ((i, j), value) successes and
+    the skipped points of the scan."""
+
+    __slots__ = ()
 
 
 def circular_bound_via_powers(g, i_max, j_max):
@@ -393,6 +405,8 @@ def circular_bound_via_powers(g, i_max, j_max):
     equals chi_c(g) whenever the grid contains the matching point.  Grid
     points with 3i+1-j <= 0 are skipped and reported.
     """
+    from fractions import Fraction
+
     g = as_graph(g)
     best = None
     best_at = None

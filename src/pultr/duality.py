@@ -10,20 +10,21 @@ classes are the isomorphism classes of loop-free digraphs, keyed by
 decided again after the job's family has widened.  Until a family
 widens, the pass builds only the first member of each loop-free class
 (`enumerate_graphs` with up_to_iso=True) and the one looped digraph it
-checks; `checked` still counts the whole labelled universe.  F -> G
-takes the forest walk `engine._forest_walk` when F is an oriented
-forest, as in every family of the suite, and `engine.hom_exists`
-otherwise; equal family members are shared across jobs and decided once
-per graph.  G -> H is read off the homomorphism order of the jobs'
-distinct targets, which the pass decides once: a yes for G -> T settles
-every target above T, and a no every target below it.
+checks; after a widening it builds a labelled member only when its
+class is still open.  `checked` still counts the whole labelled
+universe.  F -> G takes the forest walk `engine._forest_walk` when F is
+an oriented forest, as in every family of the suite, and
+`engine.hom_exists` otherwise; equal family members are shared across
+jobs and decided once per graph.  G -> H is read off the homomorphism
+order of the jobs' distinct targets, which the pass decides once: a yes
+for G -> T settles every target above T, and a no every target below
+it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, islice, permutations, product
 
 from . import engine, limits
@@ -37,6 +38,7 @@ from .graphs import (
     is_oriented_tree,
     orbit_keys,
     oriented_path,
+    stream_graph,
     stream_index,
     symmetrization,
 )
@@ -91,17 +93,23 @@ def delta_colouring_lift(h, colouring):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SproinkRecipe:
+class SproinkRecipe(
+    namedtuple(
+        "SproinkRecipe",
+        (
+            "base",  # Digraph
+            "pieces",  # per base vertex: (tree: Digraph, levels: tuple of 0/1)
+            "attachments",  # per base vertex: dict arc_index -> piece vertex
+        ),
+    )
+):
     """Substitution data over a base tree: for each vertex u of the base,
     a level tree piece (every arc goes level 0 -> level 1) with its level
     map, and for each incident arc an attachment vertex whose level
     matches the arc direction (1 when the arc leaves u, 0 when it
     enters)."""
 
-    base: Digraph
-    pieces: tuple  # per base vertex: (tree: Digraph, levels: tuple of 0/1)
-    attachments: tuple  # per base vertex: dict arc_index -> piece vertex
+    __slots__ = ()
 
 
 def validate_recipe(recipe):
@@ -212,28 +220,39 @@ def minimal_path_sproinks(k, max_len):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    ok: bool
-    checked: int
-    counterexample: Digraph | None = None
-    direction: str | None = None  # "missing-obstruction" | "false-obstruction"
-    truncation: tuple = ()  # lengths tried, when a family factory was used
+class DualityReport(
+    namedtuple(
+        "DualityReport",
+        (
+            "ok",
+            "checked",
+            "counterexample",  # Digraph or None
+            "direction",  # "missing-obstruction", "false-obstruction" or None
+            "truncation",  # lengths tried, when a family factory was used
+        ),
+        defaults=(None, None, ()),
+    )
+):
+    """The outcome of one duality check; true exactly when it passed."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
 
 
-@dataclass(frozen=True)
-class DualityJob:
+class DualityJob(
+    namedtuple(
+        "DualityJob",
+        "family h family_factory initial_len",
+        defaults=(None, None),
+    )
+):
     """One duality to check: the obstruction family, the target h, and,
     when the family truncates an infinite set, family_factory(length) and
     the initial_len it was truncated at."""
 
-    family: tuple
-    h: Digraph
-    family_factory: Callable | None = None
-    initial_len: int | None = None
+    __slots__ = ()
 
 
 class _Member:
@@ -395,10 +414,11 @@ def verify_dualities(jobs, nmax):
     and never again, so the pass streams only the first members of the
     loop-free classes (enumerate_graphs with up_to_iso=True), keyed by
     their positions (graphs.stream_index).  After the first widening it
-    goes on with the labelled loop-free digraphs just after the current
-    one, zipped with their class keys from graphs.orbit_keys, and skips a
-    graph outright when every open job has passed its class since the
-    last widening of any family (`settled`).  A report's `checked` is the
+    goes on with the class keys (graphs.orbit_keys) of the labelled
+    loop-free digraphs just after the current one, and skips a graph
+    unbuilt when every open job has passed its class since the last
+    widening of any family (`settled`); any other graph it builds from
+    its position (graphs.stream_graph).  A report's `checked` is the
     labelled position of its counterexample, computed from the rows
     (_position); `checked` counts every labelled graph.
 
@@ -453,13 +473,14 @@ def verify_dualities(jobs, nmax):
             if widenings or not open_jobs:
                 break
         if widenings and open_jobs:
-            labelled = zip(
-                enumerate_graphs(nmax, **loop_free), orbit_keys(nmax, **loop_free)
-            )
-            for g, key in islice(labelled, key + 1, None):
-                visit(g, key)
-                if not open_jobs:
-                    break
+            # The looped class is settled by now, so a graph is built and
+            # stepped only when its class is open.
+            labelled = enumerate(orbit_keys(nmax, **loop_free))
+            for position, key in islice(labelled, key + 1, None):
+                if settled.get(key) != widenings:
+                    step(stream_graph(position, directed=True, loops=False), key)
+                    if not open_jobs:
+                        break
     checked = sum(1 << k * k for k in range(1, nmax + 1))
     for i in open_jobs:
         reports[i] = DualityReport(True, checked, None, None, states[i].lengths)

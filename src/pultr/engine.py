@@ -51,6 +51,7 @@ def kernel_name():
     return "python"
 
 
+# Stays a dataclass: perfbench/selftest.py corrupts witnesses via dataclasses.replace.
 @dataclass(frozen=True)
 class HomWitness:
     """An explicit vertex map certifying a homomorphism."""

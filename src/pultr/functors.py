@@ -21,7 +21,7 @@ existence search per pair (g1, g2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
@@ -42,14 +42,17 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class PultrTemplate:
-    name: str
-    p: Digraph
-    q: Digraph
-    eps1: tuple
-    eps2: tuple
-    symmetry: tuple | None = None
+class PultrTemplate(
+    namedtuple(
+        "PultrTemplate", "name p q eps1 eps2 symmetry", defaults=(None,)
+    )
+):
+    """A named template (P, Q, eps1, eps2): digraphs P and Q, and the
+    homomorphisms eps1, eps2: P -> Q as vertex tuples.  `symmetry`, a
+    vertex tuple or None, is the automorphism of Q that swaps eps1 and
+    eps2 in the undirected setting."""
+
+    __slots__ = ()
 
 
 def validate_template(t, undirected_mode=False):

@@ -625,6 +625,26 @@ def stream_index(g, directed=False, loops=True):
     return s
 
 
+def stream_graph(position, directed=False, loops=True):
+    """The graph at 0-based `position` of enumerate_graphs(n, directed,
+    loops, all_orders=True), for any n at least its order: the inverse of
+    stream_index."""
+    if position < 0:
+        raise ParameterError(f"stream position {position} is negative")
+    k = 1
+    while position >> len(_slots(k, directed, loops)):
+        position -= 1 << len(_slots(k, directed, loops))
+        k += 1
+    slots = _slots(k, directed, loops)
+    rows = [0] * k
+    for i in iter_bits(position):
+        u, v = slots[i]
+        rows[u] |= 1 << v
+        if not directed:
+            rows[v] |= 1 << u
+    return (Digraph if directed else Graph)._from_masks(k, rows)
+
+
 @cache
 def _orbit_marker(k, directed, loops):
     """mark(orbit, s, value), which sets orbit[t] = value for every slot

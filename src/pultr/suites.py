@@ -5,8 +5,7 @@ deterministic report whose verdict line is byte-identical across runs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from . import engine
 from .adjoints import arc_graph, interleaved_adjoint, omega_odd_path, power_functor
@@ -54,14 +53,18 @@ SUITE_NAMES = (
 NMAX_SUITES = ("adjunction", "omega", "duality", "ordering")
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    name: str
-    ok: bool
-    checked: int
-    failures: tuple = ()
-    notes: tuple = ()
-    artifacts: tuple = ()  # (label, graph) pairs for counterexample output
+class SuiteReport(
+    namedtuple(
+        "SuiteReport",
+        "name ok checked failures notes artifacts",
+        defaults=((), (), ()),
+    )
+):
+    """The outcome of one suite: its name, whether it passed, how many
+    items it checked, and tuples of failure strings, notes and
+    (label, graph) artifact pairs for counterexample output."""
+
+    __slots__ = ()
 
     def verdict_line(self):
         status = "PASS" if self.ok else "FAIL"
@@ -305,7 +308,7 @@ def _power_grid_pairs():
         (a, b)
         for a in grid
         for b in grid
-        if Fraction(a[0], a[1]) <= Fraction(b[0], b[1])
+        if a[0] * b[1] <= b[0] * a[1]
     ]
 
 
@@ -342,6 +345,8 @@ def suite_ordering(nmax=4):
 def suite_powers_chi_c():
     """The grid bound through power functors hits the circular chromatic
     number of the 5- and 7-cycles on the stated grids."""
+    from fractions import Fraction
+
     failures = []
     checked = 0
     for g, i_max, j_max, expect in (

@@ -477,7 +477,15 @@ def test_verify_dualities_decides_each_class_once(monkeypatch):
         calls[id(self)] = calls.get(id(self), 0) + 1
         return failure(self, g)
 
+    built = []
+    stream_graph = duality.stream_graph
+
+    def building(position, **kwargs):
+        built.append(position)
+        return stream_graph(position, **kwargs)
+
     monkeypatch.setattr(duality._OpenJob, "failure", counting)
+    monkeypatch.setattr(duality, "stream_graph", building)
     jobs = [
         # one call per class: the 20 classes of loop-free digraphs on at
         # most three vertices, and the looped digraphs
@@ -489,6 +497,10 @@ def test_verify_dualities_decides_each_class_once(monkeypatch):
     ]
     assert [r.ok for r in verify_dualities(jobs, 3)] == [True, True]
     assert list(calls.values()) == [21, 27]
+    # The widening comes at loop-free digraph 16 of 70.  Of the 53 after
+    # it, the pass builds only the 14 whose class some job has not passed
+    # since, each once and in stream order.
+    assert len(built) == 14 and built == sorted(set(built)) and built[0] > 16
 
 
 def test_duality_obstructions_leave_the_kernel(monkeypatch):

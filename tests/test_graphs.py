@@ -28,6 +28,7 @@ from pultr.graphs import (
     oriented_path,
     path_graph,
     standard_family,
+    stream_graph,
     stream_index,
     symmetrization,
     tensor_product,
@@ -400,6 +401,11 @@ def test_stream_index_is_the_position(directed, loops):
     graphs = enumerate_graphs(3, directed, loops, all_orders=True)
     for position, g in enumerate(graphs):
         assert stream_index(g, directed, loops) == position
+        built = stream_graph(position, directed, loops)
+        assert built == g and type(built) is type(g)
+        assert built.in_masks == g.in_masks
+    with pytest.raises(ParameterError):
+        stream_graph(-1, directed, loops)
 
 
 @pytest.mark.parametrize(
