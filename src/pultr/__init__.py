@@ -54,8 +54,6 @@ from .graphs import (
     oriented_path,
     orientations,
     path_graph,
-    product,
-    standard_family,
     symmetrization,
     tensor_product,
     transitive_tournament,

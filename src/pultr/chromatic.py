@@ -199,11 +199,6 @@ def chromatic_number(g):
     return _chromatic_colouring(g)[0]
 
 
-def digraph_chromatic_number(d):
-    """Chromatic number of a digraph = that of its symmetrization."""
-    return chromatic_number(symmetrization(d))
-
-
 def _fraction_scan(g):
     """All reduced n/m with 2m <= n <= |V(G)|, ascending by value."""
     from fractions import Fraction

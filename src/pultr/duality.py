@@ -5,14 +5,14 @@ exhaustive duality verification over small digraph universes.
 `verify_dualities` checks a batch of duality jobs in one streaming pass
 over the digraph universe; `verify_duality` is the one-job case.  Each
 job decides a class of digraphs once, on the first member it meets: the
-classes are the isomorphism classes of loop-free digraphs, keyed by
-`graphs.orbit_keys`, and the looped digraphs.  A loop-free class is
-decided again after the job's family has widened.  Until a family
-widens, the pass builds only the first member of each loop-free class
-(`enumerate_graphs` with up_to_iso=True) and the one looped digraph it
-checks; after a widening it builds a labelled member only when its
-class is still open.  `checked` still counts the whole labelled
-universe.  F -> G takes the forest walk `engine._forest_walk` when F is
+classes are the isomorphism classes of loop-free digraphs, keyed by the
+stream position of their first member, and the looped digraphs.  A
+loop-free class is decided again after the job's family has widened.
+Until a family widens, the pass builds only the first member of each
+loop-free class (`enumerate_graphs` with up_to_iso=True) and the one
+looped digraph it checks; after a widening it builds a labelled member
+only when its class is still open.  `checked` still counts the whole
+labelled universe.  F -> G takes the forest walk `engine._forest_walk` when F is
 an oriented forest, as in every family of the suite, and
 `engine.hom_exists` otherwise; equal family members are shared across
 jobs and decided once per graph.  G -> H is read off the homomorphism
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, permutations, product
 
 from . import engine, limits
 from .engine import HomWitness
@@ -33,10 +33,11 @@ from .errors import ParameterError
 from .functors import _find, _union
 from .graphs import (
     Digraph,
+    _orbit_marker,
+    _slots,
     complete_graph,
     enumerate_graphs,
     is_oriented_tree,
-    orbit_keys,
     oriented_path,
     stream_graph,
     stream_index,
@@ -414,11 +415,13 @@ def verify_dualities(jobs, nmax):
     and never again, so the pass streams only the first members of the
     loop-free classes (enumerate_graphs with up_to_iso=True), keyed by
     their positions (graphs.stream_index).  After the first widening it
-    goes on with the class keys (graphs.orbit_keys) of the labelled
-    loop-free digraphs just after the current one, and skips a graph
-    unbuilt when every open job has passed its class since the last
-    widening of any family (`settled`); any other graph it builds from
-    its position (graphs.stream_graph).  A report's `checked` is the
+    goes on over the labelled loop-free digraphs just after the current
+    one.  Per order it marks the orbit of each class that every open job
+    has passed since the last widening of any family (`marks`), and
+    skips the marked counters with bytearray.find, as enumerate_graphs
+    does; any other graph it builds from its position
+    (graphs.stream_graph), keyed by the least counter of its orbit, the
+    position of the class's first member.  A report's `checked` is the
     labelled position of its counterexample, computed from the rows
     (_position); `checked` counts every labelled graph.
 
@@ -436,9 +439,6 @@ def verify_dualities(jobs, nmax):
     reports = [None] * len(states)
     open_jobs = list(range(len(states)))
 
-    # settled[key] is the number of widenings there had been when every
-    # open job last passed class key under its current family.
-    settled = {}
     widenings = 0
 
     def step(g, key):
@@ -456,31 +456,46 @@ def verify_dualities(jobs, nmax):
                         False, _position(g), g, direction, state.lengths
                     )
                     open_jobs.remove(i)
-        settled[key] = widenings
-
-    def visit(g, key):
-        if settled.get(key) != widenings:
-            step(g, key)
-        if None not in settled:
-            rows = g.out_masks
-            step(Digraph._from_masks(g.n, (rows[0] | 1,) + rows[1:]), None)
 
     if open_jobs:
-        loop_free = dict(directed=True, loops=False, all_orders=True)
-        for g in enumerate_graphs(nmax, up_to_iso=True, **loop_free):
-            key = stream_index(g, directed=True, loops=False)
-            visit(g, key)
+        loop_free = dict(directed=True, loops=False)
+        for g in enumerate_graphs(nmax, up_to_iso=True, all_orders=True, **loop_free):
+            key = stream_index(g, **loop_free)
+            step(g, key)
+            if not key:
+                # The looped class, on the one-vertex loop.
+                step(Digraph(1, [(0, 0)]), None)
             if widenings or not open_jobs:
                 break
         if widenings and open_jobs:
-            # The looped class is settled by now, so a graph is built and
-            # stepped only when its class is open.
-            labelled = enumerate(orbit_keys(nmax, **loop_free))
-            for position, key in islice(labelled, key + 1, None):
-                if settled.get(key) != widenings:
-                    step(stream_graph(position, directed=True, loops=False), key)
-                    if not open_jobs:
+            # The looped class is settled by now.  marks holds the
+            # counters of the order whose class every open job has passed
+            # since the last widening, the current graph's among them.
+            k = g.n
+            # The edgeless digraph is the first of its order.
+            offset = stream_index(Digraph(k), **loop_free)
+            s = key - offset
+            mark = _orbit_marker(k, True, False)
+            marks = bytearray(1 << len(_slots(k, True, False)))
+            mark(marks, s, 1)
+            while True:
+                s = marks.find(0, s + 1)
+                if s < 0:
+                    if k == nmax:
                         break
+                    offset += len(marks)
+                    k += 1
+                    mark = _orbit_marker(k, True, False)
+                    marks = bytearray(1 << len(_slots(k, True, False)))
+                    continue
+                key = offset + min(mark(marks, s, 1))
+                before = widenings
+                step(stream_graph(offset + s, **loop_free), key)
+                if not open_jobs:
+                    break
+                if widenings != before:
+                    marks = bytearray(len(marks))
+                    mark(marks, s, 1)
     checked = sum(1 << k * k for k in range(1, nmax + 1))
     for i in open_jobs:
         reports[i] = DualityReport(True, checked, None, None, states[i].lengths)

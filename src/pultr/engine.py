@@ -67,23 +67,24 @@ class HomWitness:
 def verify_witness(g, h, mapping):
     """Independent check that `mapping` is a homomorphism g -> h.
 
-    Bitmask form: for each vertex u of g, the images of its
-    out-neighbours, as a bitmask, must lie inside the out-row of h at
-    the image of u."""
+    It reads only the raw out-rows of g and h, never a cached arc tuple
+    or in-row that a searcher consumes: every image must be a vertex of
+    h, and for each vertex u of g, each arc u -> v read off g's row u
+    must have its image mapping[v] in h's row at mapping[u]."""
     if len(mapping) != g.n:
         return False
-    if any(not 0 <= x < h.n for x in mapping):
-        return False
-    bits = [1 << x for x in mapping]
+    n = h.n
+    for x in mapping:
+        if not 0 <= x < n:
+            return False
     rows = h.out_masks
-    for u, row in enumerate(g.out_masks):
-        image = 0
+    for x, row in zip(mapping, g.out_masks):
+        target = rows[x]
         while row:
             low = row & -row
-            image |= bits[low.bit_length() - 1]
+            if not target >> mapping[low.bit_length() - 1] & 1:
+                return False
             row ^= low
-        if image & ~rows[mapping[u]]:
-            return False
     return True
 
 

@@ -1,5 +1,5 @@
-"""Frozen text formats: edge-list graphs, template files, witness maps and
-DOT export.  See docs/formats.md for the grammar.
+"""Frozen text formats: edge-list graphs, template files and witness maps.
+See docs/formats.md for the grammar.
 
 Graph files: a header line `u N` (undirected) or `d N` (directed), then
 one `a b` pair per line; `#` starts a comment.  Undirected files list
@@ -70,15 +70,6 @@ def serialize_graph(g):
         lines = [f"d {g.n}"]
         lines += [f"{a} {b}" for a, b in sorted(g.arcs())]
     return "\n".join(lines) + "\n"
-
-
-def to_dot(g, name="G"):
-    if isinstance(g, Graph) or g.is_symmetric:
-        g = as_graph(g)
-        body = "".join(f"  {a} -- {b};\n" for a, b in sorted(g.edges()))
-        return f"graph {name} {{\n{body}}}\n"
-    body = "".join(f"  {a} -> {b};\n" for a, b in sorted(g.arcs()))
-    return f"digraph {name} {{\n{body}}}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     directed_path,
-    oriented_path,
     path_graph,
     tensor_product,
 )
@@ -393,23 +392,6 @@ def shift_template(k):
         q=directed_path(k),
         eps1=tuple(range(k)),
         eps2=tuple(range(1, k + 1)),
-    )
-
-
-def oriented_path_template(spec, name=None):
-    """Template (K_1, Q) for an oriented path Q given by an orientation
-    string.  eps1 maps to the last vertex and eps2 to vertex 0: with the
-    subset-tuple right adjoint construction implemented in
-    pultr.adjoints, this is the endpoint assignment under which the
-    adjunction biconditional holds (the survey text leaves the
-    assignment open; the harness arbitrates)."""
-    q = oriented_path(spec)
-    return PultrTemplate(
-        name=name or f"path-{spec}",
-        p=Digraph(1),
-        q=q,
-        eps1=(q.n - 1,),
-        eps2=(0,),
     )
 
 

@@ -53,8 +53,10 @@ class Digraph:
         masks = [0] * self.n
         for u, row in enumerate(self.out_masks):
             bit = 1 << u
-            for v in iter_bits(row):
-                masks[v] |= bit
+            while row:
+                low = row & -row
+                masks[low.bit_length() - 1] |= bit
+                row ^= low
         return tuple(masks)
 
     @cached_property
@@ -92,11 +94,14 @@ class Digraph:
     def loop_free_arcs(self):
         """The arcs (u, v) with u != v, in arc order: the binary
         constraints of a search from this graph."""
-        return tuple(
-            (u, v)
-            for u, row in enumerate(self.out_masks)
-            for v in iter_bits(row & ~(1 << u))
-        )
+        arcs = []
+        for u, row in enumerate(self.out_masks):
+            row &= ~(1 << u)
+            while row:
+                low = row & -row
+                arcs.append((u, low.bit_length() - 1))
+                row ^= low
+        return tuple(arcs)
 
     def reverse(self):
         return Digraph(self.n, ((v, u) for u, v in self.arcs()))
@@ -285,47 +290,9 @@ def _parse_orientation(spec):
     return [1 if b else 0 for b in spec]
 
 
-def standard_family(spec):
-    """Parse a compact family name: K5, C7, P3, dC3, dP4, T4, K7/3, KG5,
-    or o<bits> for an oriented path (e.g. o1101)."""
-    s = spec.strip()
-    try:
-        if s.startswith("dC"):
-            return directed_cycle(int(s[2:]))
-        if s.startswith("dP"):
-            return directed_path(int(s[2:]))
-        if s.startswith("KG"):
-            return kneser_pairs(int(s[2:]))
-        if s.startswith("K") and "/" in s:
-            n, m = s[1:].split("/")
-            return circular_complete(int(n), int(m))
-        if s.startswith("K"):
-            return complete_graph(int(s[1:]))
-        if s.startswith("C"):
-            return cycle_graph(int(s[1:]))
-        if s.startswith("P"):
-            return path_graph(int(s[1:]))
-        if s.startswith("T"):
-            return transitive_tournament(int(s[1:]))
-        if s.startswith("o"):
-            return oriented_path(s[1:])
-    except ValueError:
-        pass
-    raise ParameterError(f"unrecognized family spec {spec!r}")
-
-
 # ---------------------------------------------------------------------------
 # products and other constructions
 # ---------------------------------------------------------------------------
-
-
-def product(kind, g, h):
-    """Dispatch to tensor_product or lexicographic_product by name."""
-    if kind == "tensor":
-        return tensor_product(g, h)
-    if kind == "lexicographic":
-        return lexicographic_product(g, h)
-    raise ParameterError(f"unknown product kind {kind!r}")
 
 
 def tensor_product(g, h):
@@ -554,11 +521,10 @@ def _chunk_tables(images):
     width = -(-len(images) // chunks)
     tables = []
     for j in range(chunks):
-        part = images[j * width : (j + 1) * width]
-        table = [0] * (1 << len(part))
-        for x in range(1, len(table)):
-            low = x & -x
-            table[x] = table[x ^ low] | part[low.bit_length() - 1]
+        table = [0]
+        for image in images[j * width : (j + 1) * width]:
+            # The values with this bit set follow those without it.
+            table += [x | image for x in table]
         tables.append(table)
     return width, tables
 
@@ -616,13 +582,22 @@ def stream_index(g, directed=False, loops=True):
     """g's 0-based position in enumerate_graphs(n, directed, loops,
     all_orders=True), for any n >= g.n: the slot counters of every lower
     order, plus g's own counter.  For a first member of its class this is
-    its orbit_keys key."""
-    rows = g.out_masks
-    s = sum(1 << len(_slots(j, directed, loops)) for j in range(1, g.n))
-    for i, (u, v) in enumerate(_slots(g.n, directed, loops)):
-        if rows[u] >> v & 1:
-            s += 1 << i
-    return s
+    its orbit_keys key.
+
+    The slots of vertex u are consecutive in _slots, so the counter is
+    the rows laid end to end: row u whole (directed, with loops), with
+    its bit u squeezed out (directed, loop-free), or from bit u or u + 1
+    on (graphs, with or without loops)."""
+    k = g.n
+    s = shift = 0
+    for u, row in enumerate(g.out_masks):
+        if not directed:
+            row >>= u if loops else u + 1
+        elif not loops:
+            row = row & (1 << u) - 1 | row >> u + 1 << u
+        s |= row << shift
+        shift += k - (0 if directed else u) - (0 if loops else 1)
+    return s + sum(1 << len(_slots(j, directed, loops)) for j in range(1, k))
 
 
 def stream_graph(position, directed=False, loops=True):
@@ -648,12 +623,13 @@ def stream_graph(position, directed=False, loops=True):
 @cache
 def _orbit_marker(k, directed, loops):
     """mark(orbit, s, value), which sets orbit[t] = value for every slot
-    counter t of order k in the orbit of s under relabelling.  The image
-    of s under a relabelling is the OR of per-permutation tables looked
-    up on the chunks of s, at least two and of at most 10 bits each.  The
-    tables take 4 bytes per entry, k! 2^width per chunk (0.9 MiB for
-    loop-free digraphs on five vertices), and are kept for the next scan
-    of the order."""
+    counter t of order k in the orbit of s under relabelling, and returns
+    those counters, one per permutation.  The image of s under a
+    relabelling is the OR of per-permutation tables looked up on the
+    chunks of s, at least two and of at most 10 bits each.  The tables
+    take 4 bytes per entry, k! 2^width per chunk (0.9 MiB for loop-free
+    digraphs on five vertices), and are kept for the next scan of the
+    order."""
     slots = _slots(k, directed, loops)
     index = {slot: i for i, slot in enumerate(slots)}
     per_permutation = []
@@ -672,9 +648,10 @@ def _orbit_marker(k, directed, loops):
         images = [table[s & mask] for table in low]
         for j, column in enumerate(high, 1):
             part = s >> j * width & mask
-            images = map(or_, images, [table[part] for table in column])
+            images = list(map(or_, images, [table[part] for table in column]))
         for image in images:
             orbit[image] = value
+        return images
 
     return mark
 

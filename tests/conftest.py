@@ -66,3 +66,19 @@ def random_graph(rng, n, p, loops=False):
             if rng.random() < p:
                 edges.append((u, v))
     return Graph(n, edges)
+
+
+def oriented_path_template(spec):
+    """Template (K_1, Q) for an oriented path Q given by an orientation
+    string.  eps1 maps to the last vertex and eps2 to vertex 0: with the
+    subset-tuple right adjoint construction of pultr.adjoints, this is
+    the endpoint assignment under which the adjunction biconditional
+    holds (the survey text leaves the assignment open; the tests that
+    use this template arbitrate)."""
+    from pultr.functors import PultrTemplate
+    from pultr.graphs import Digraph, oriented_path
+
+    q = oriented_path(spec)
+    return PultrTemplate(
+        name=f"path-{spec}", p=Digraph(1), q=q, eps1=(q.n - 1,), eps2=(0,)
+    )

@@ -18,7 +18,6 @@ from pultr.chromatic import (
     circular_bound_via_powers,
     circular_chromatic_number,
     circular_gallai_roy_check,
-    digraph_chromatic_number,
     k_colourable,
 )
 from pultr.duality import (
@@ -191,7 +190,7 @@ def test_criterion_11_shift_graphs():
 def test_criterion_12_colour_lift():
     k8 = complete_graph(8)
     delta8 = arc_graph(k8)
-    chi = digraph_chromatic_number(delta8)
+    chi = chromatic_number(symmetrization(delta8))
     colouring = k_colourable(symmetrization(delta8), chi)
     lift = delta_colouring_lift(k8, HomWitness(delta8.n, chi, tuple(colouring)))
     proper = engine.verify_witness(

@@ -15,12 +15,11 @@ from pultr.adjoints import (
     root_functor,
     root_size_estimate,
 )
-from conftest import interleaved_by_definition, random_graph
+from conftest import interleaved_by_definition, oriented_path_template, random_graph
 from pultr.errors import ParameterError
 from pultr.functors import (
     arc_graph_template,
     gamma_functor,
-    oriented_path_template,
     path_template,
     verify_adjunction,
 )
@@ -326,14 +325,14 @@ def test_ordering_root_side_with_reduction():
 
 
 def test_delta_chromatic_bound():
-    from pultr.chromatic import digraph_chromatic_number, k_colourable
+    from pultr.chromatic import chromatic_number, k_colourable
     from pultr.duality import delta_colouring_lift
     from pultr.engine import HomWitness
 
     for n in (4, 8):
         kn = complete_graph(n)
         delta = arc_graph(kn)
-        chi = digraph_chromatic_number(delta)
+        chi = chromatic_number(symmetrization(delta))
         col = k_colourable(symmetrization(delta), chi)
         lift = delta_colouring_lift(kn, HomWitness(delta.n, chi, tuple(col)))
         assert engine.verify_witness(kn, complete_graph(1 << chi), lift.mapping)

@@ -12,7 +12,6 @@ from pultr.chromatic import (
     circular_chromatic_number,
     circular_colouring,
     circular_gallai_roy_check,
-    digraph_chromatic_number,
     gallai_roy_orientation,
     greedy_clique,
     k_colourable,
@@ -34,7 +33,6 @@ from pultr.graphs import (
     oriented_path,
     path_graph,
     symmetrization,
-    transitive_tournament,
 )
 
 from conftest import random_graph
@@ -238,11 +236,6 @@ def test_denominator_bound_is_safe():
                 best = value
                 break
         assert best == chi_c, g
-
-
-def test_digraph_chromatic_is_symmetrization():
-    d = transitive_tournament(4)
-    assert digraph_chromatic_number(d) == 4
 
 
 def test_gallai_roy_certificates():

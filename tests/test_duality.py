@@ -502,6 +502,22 @@ def test_verify_dualities_decides_each_class_once(monkeypatch):
     # since, each once and in stream order.
     assert len(built) == 14 and built == sorted(set(built)) and built[0] > 16
 
+    # A second family widens in the labelled tail, on the directed
+    # 3-cycle; the pass builds no later member of that class.
+    two_cycle = Digraph(2, [(0, 1), (1, 0)])
+    wider = [two_cycle, directed_cycle(3), directed_path(2)]
+    jobs = [
+        _sproink_job(4, 3),
+        DualityJob((two_cycle,), transitive_tournament(3), lambda length: wider, 1),
+    ]
+    built.clear()
+    reports = verify_dualities(jobs, 3)
+    assert [(r.ok, r.checked, r.truncation) for r in reports] == [
+        (True, 530, (3, 6)),
+        (False, 123, (1, 2)),
+    ]
+    assert len(built) == 24 and built == sorted(set(built))
+
 
 def test_duality_obstructions_leave_the_kernel(monkeypatch):
     # Every member of the suite's families is an oriented path, so each

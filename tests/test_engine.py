@@ -150,6 +150,24 @@ def test_verify_witness_matches_arc_definition(case):
     assert verify_witness(g, h, mapping) == _witness_by_arcs(g, h, mapping)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_witness_cases(), st.booleans())
+def test_verify_witness_reads_only_out_rows(case, claim_all):
+    """The check reads no cached arc tuple, in-row or loop mask, which a
+    searcher consumes: corrupted to claim no arc or every arc, they
+    leave its answer the definition's."""
+    g, h, mapping = case
+    want = _witness_by_arcs(g, h, mapping)
+    for d in (g, h):
+        full = (1 << d.n) - 1 if claim_all else 0
+        arcs = tuple((u, v) for u in range(d.n) for v in range(d.n) if claim_all)
+        d.in_masks = (full,) * d.n
+        d.loop_mask = full
+        d.arc_list = arcs
+        d.loop_free_arcs = tuple((u, v) for u, v in arcs if u != v)
+    assert verify_witness(g, h, mapping) == want
+
+
 def test_loop_rules_agree_with_the_search():
     """The loop shortcut and the loop refutation of hom_exists give the
     answer of the search without them, on every digraph g of order <= 3

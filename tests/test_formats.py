@@ -10,10 +10,9 @@ from pultr.formats import (
     serialize_graph,
     serialize_template,
     serialize_witness,
-    to_dot,
 )
 from pultr.functors import BUILTIN_TEMPLATE_NAMES, builtin_template, validate_template
-from pultr.graphs import Digraph, Graph, cycle_graph, path_graph
+from pultr.graphs import Graph, path_graph
 
 from conftest import random_digraph, random_graph
 
@@ -51,13 +50,6 @@ def test_serialize_is_canonical():
     messy = "u 3\n# c\n1 0\n0 1\n2 1\n"
     g = parse_graph(messy)
     assert serialize_graph(g) == "u 3\n0 1\n1 2\n"
-
-
-def test_dot_export():
-    dot = to_dot(cycle_graph(3))
-    assert dot.startswith("graph G {") and "0 -- 1;" in dot
-    dot = to_dot(Digraph(2, [(0, 1)]))
-    assert "0 -> 1;" in dot and dot.startswith("digraph")
 
 
 def test_shipped_templates_match_builders():

@@ -11,7 +11,6 @@ from pultr.functors import (
     lambda_functor,
     _lambda_with_labels,
     lexicographic_template,
-    oriented_path_template,
     path_template,
     product_commutation_check,
     require_valid,
@@ -35,7 +34,12 @@ from pultr.graphs import (
     tensor_product,
 )
 
-from conftest import functions_taking, interleaved_by_definition, random_graph
+from conftest import (
+    functions_taking,
+    interleaved_by_definition,
+    oriented_path_template,
+    random_graph,
+)
 
 
 TEMPLATES_SMALL = ("t1", "t3", "lex-k2", "arc-graph", "iota-2")

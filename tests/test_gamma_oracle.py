@@ -10,11 +10,12 @@ from pultr import engine
 from pultr.functors import (
     builtin_template,
     gamma_functor,
-    oriented_path_template,
     path_template,
     shift_template,
 )
 from pultr.graphs import Digraph, as_graph, enumerate_graphs
+
+from conftest import oriented_path_template
 
 ORDER_3 = list(enumerate_graphs(3, directed=True, loops=True, all_orders=True))
 ORDER_2 = list(enumerate_graphs(2, directed=True, loops=True, all_orders=True))

@@ -27,7 +27,6 @@ from pultr.graphs import (
     orientations,
     oriented_path,
     path_graph,
-    standard_family,
     stream_graph,
     stream_index,
     symmetrization,
@@ -64,6 +63,16 @@ def _transpose(g):
         sum(1 << u for u in range(g.n) if g.out_masks[u] >> v & 1)
         for v in range(g.n)
     )
+
+
+def test_in_rows_are_the_transpose(rng):
+    for n in range(8):
+        for p in (0.2, 0.5, 0.9):
+            d = random_digraph(rng, n, p)
+            assert d.in_masks == _transpose(d)
+    # O(arcs): one in-row bit per arc of a long cycle
+    cycle = directed_cycle(1000)
+    assert cycle.in_masks == tuple(1 << (v - 1) % 1000 for v in range(1000))
 
 
 def test_every_graph_construction_gives_symmetric_rows(rng):
@@ -146,11 +155,6 @@ def test_kneser_pairs_matches_brute_force():
 def test_trivial_families():
     assert transitive_tournament(1).arc_count == 0
     assert directed_path(0).n == 1
-    assert standard_family("K5/2") == circular_complete(5, 2)
-    assert standard_family("dP3") == directed_path(3)
-    assert standard_family("o101") == oriented_path("101")
-    with pytest.raises(ParameterError):
-        standard_family("Z9")
 
 
 def test_tensor_product_rule_brute_force():
@@ -180,18 +184,6 @@ def test_tensor_commutes_by_coordinate_swap():
         for x in range(h.n):
             swap[u * h.n + x] = x * g.n + u
     assert gh.relabel(swap) == hg
-
-
-def test_product_dispatcher():
-    from pultr.graphs import product
-
-    k2 = complete_graph(2)
-    assert product("tensor", k2, k2) == tensor_product(k2, k2)
-    assert product("lexicographic", cycle_graph(5), k2) == lexicographic_product(
-        cycle_graph(5), k2
-    )
-    with pytest.raises(ParameterError):
-        product("cartesian", k2, k2)
 
 
 def test_tensor_unit_is_looped_vertex():
@@ -398,12 +390,13 @@ def test_up_to_iso_yields_the_first_members_one_order_up():
 
 @pytest.mark.parametrize("directed, loops", list(product((True, False), repeat=2)))
 def test_stream_index_is_the_position(directed, loops):
-    graphs = enumerate_graphs(3, directed, loops, all_orders=True)
+    graphs = enumerate_graphs(4 if directed else 5, directed, loops, all_orders=True)
     for position, g in enumerate(graphs):
         assert stream_index(g, directed, loops) == position
-        built = stream_graph(position, directed, loops)
-        assert built == g and type(built) is type(g)
-        assert built.in_masks == g.in_masks
+        if g.n <= 3:
+            built = stream_graph(position, directed, loops)
+            assert built == g and type(built) is type(g)
+            assert built.in_masks == g.in_masks
     with pytest.raises(ParameterError):
         stream_graph(-1, directed, loops)
 
