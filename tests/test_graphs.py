@@ -70,7 +70,7 @@ def test_in_rows_are_the_transpose(rng):
         for p in (0.2, 0.5, 0.9):
             d = random_digraph(rng, n, p)
             assert d.in_masks == _transpose(d)
-    # O(arcs): one in-row bit per arc of a long cycle
+    # a long cycle, whose in-row v holds only its predecessor
     cycle = directed_cycle(1000)
     assert cycle.in_masks == tuple(1 << (v - 1) % 1000 for v in range(1000))
 
