@@ -244,14 +244,19 @@ def circular_chromatic_number(g):
 # ---------------------------------------------------------------------------
 
 
-def _require_scannable(g):
-    """Refuse an exhaustive orientation scan over more than
-    ORIENTATION_SCAN_CAP edges."""
+def _avoiding_orientation_exists(g, paths):
+    """Whether some orientation of g admits no homomorphism from any path
+    of `paths`, (path, engine._forest_plan) pairs, by an exhaustive scan.
+    A scan over more than ORIENTATION_SCAN_CAP edges is refused."""
     if g.edge_count > ORIENTATION_SCAN_CAP:
         raise ParameterError(
             f"orientation scan over {g.edge_count} edges exceeds cap "
             f"{ORIENTATION_SCAN_CAP}"
         )
+    return any(
+        all(engine._forest_walk(p, plan, oriented) is None for p, plan in paths)
+        for oriented in orientations(g)
+    )
 
 
 def gallai_roy_orientation(g, k):
@@ -281,13 +286,11 @@ def gallai_roy_orientation(g, k):
             orientation=spec,
             family=((f"dP{k}", False),),
         )
-    _require_scannable(g)
-    for oriented in orientations(g):
-        if engine._forest_walk(path, plan, oriented) is None:
-            raise RuntimeError(
-                "found an orientation avoiding the path although the graph "
-                "is not k-colourable"
-            )
+    if _avoiding_orientation_exists(g, [(path, plan)]):
+        raise RuntimeError(
+            "found an orientation avoiding the path although the graph "
+            "is not k-colourable"
+        )
     return None
 
 
@@ -362,13 +365,11 @@ def circular_gallai_roy_check(g, n, m):
             orientation=spec,
             family=family,
         )
-    _require_scannable(g)
-    for oriented in orientations(g):
-        if all(engine._forest_walk(p, plan, oriented) is None for p, plan in paths):
-            raise RuntimeError(
-                "found an orientation avoiding the whole family although "
-                "the circular colouring does not exist"
-            )
+    if _avoiding_orientation_exists(g, paths):
+        raise RuntimeError(
+            "found an orientation avoiding the whole family although "
+            "the circular colouring does not exist"
+        )
     return None
 
 

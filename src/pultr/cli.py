@@ -24,11 +24,10 @@ from .adjoints import (
     root_size_estimate,
 )
 from .chromatic import (
-    chromatic_number,
+    _chromatic_colouring,
     circular_colouring,
     circular_gallai_roy_check,
     gallai_roy_orientation,
-    k_colourable,
 )
 from .duality import minimal_path_sproink_specs, shift_graph, verify_duality
 from .engine import HomWitness
@@ -120,10 +119,9 @@ def _need(value, flag):
 
 def cmd_chi(args):
     g = as_graph(_read_graph(args.input))
-    chi = chromatic_number(g)
+    chi, colours = _chromatic_colouring(g)
     print(f"chi {chi}")
     if args.witness:
-        colours = k_colourable(g, chi)
         with open(args.witness, "w") as fh:
             fh.write(serialize_witness(HomWitness(g.n, chi, tuple(colours))))
         _note(f"colouring witness written to {args.witness}")

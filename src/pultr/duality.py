@@ -10,9 +10,9 @@ stream position of their first member, and the looped digraphs.  A
 loop-free class is decided again after the job's family has widened.
 Until a family widens, the pass builds only the first member of each
 loop-free class (`enumerate_graphs` with up_to_iso=True) and the one
-looped digraph it checks; after a widening it builds a labelled member
-only when its class is still open.  `checked` still counts the whole
-labelled universe.  F -> G takes the forest walk `engine._forest_walk` when F is
+looped digraph it checks; after each widening it builds the next member
+of each loop-free class (`graphs.next_members`).  `checked` still counts
+the whole labelled universe.  F -> G takes the forest walk `engine._forest_walk` when F is
 an oriented forest, as in every family of the suite, and
 `engine.hom_exists` otherwise; equal family members are shared across
 jobs and decided once per graph.  G -> H is read off the homomorphism
@@ -33,13 +33,11 @@ from .errors import ParameterError
 from .functors import _find, _union
 from .graphs import (
     Digraph,
-    _orbit_marker,
-    _slots,
     complete_graph,
     enumerate_graphs,
     is_oriented_tree,
+    next_members,
     oriented_path,
-    stream_graph,
     stream_index,
     symmetrization,
 )
@@ -414,16 +412,14 @@ def verify_dualities(jobs, nmax):
     Until some family widens, every class is checked on its first member
     and never again, so the pass streams only the first members of the
     loop-free classes (enumerate_graphs with up_to_iso=True), keyed by
-    their positions (graphs.stream_index).  After the first widening it
-    goes on over the labelled loop-free digraphs just after the current
-    one.  Per order it marks the orbit of each class that every open job
-    has passed since the last widening of any family (`marks`), and
-    skips the marked counters with bytearray.find, as enumerate_graphs
-    does; any other graph it builds from its position
-    (graphs.stream_graph), keyed by the least counter of its orbit, the
-    position of the class's first member.  A report's `checked` is the
-    labelled position of its counterexample, computed from the rows
-    (_position); `checked` counts every labelled graph.
+    their positions (graphs.stream_index).  A widening opens every class
+    again to the widened job, so the pass goes on with the next member
+    of each other loop-free class after the current digraph
+    (graphs.next_members), keyed by the position of the class's first
+    member, and starts next_members again after the digraph of each
+    further widening.  A report's `checked` is the labelled position of
+    its counterexample, computed from the rows (_position); `checked`
+    counts every labelled graph.
 
     g -> h is read from the jobs' targets in their homomorphism order
     (_Targets), decided once per pass: with the suite's five targets a
@@ -467,35 +463,17 @@ def verify_dualities(jobs, nmax):
                 step(Digraph(1, [(0, 0)]), None)
             if widenings or not open_jobs:
                 break
-        if widenings and open_jobs:
-            # The looped class is settled by now.  marks holds the
-            # counters of the order whose class every open job has passed
-            # since the last widening, the current graph's among them.
-            k = g.n
-            # The edgeless digraph is the first of its order.
-            offset = stream_index(Digraph(k), **loop_free)
-            s = key - offset
-            mark = _orbit_marker(k, True, False)
-            marks = bytearray(1 << len(_slots(k, True, False)))
-            mark(marks, s, 1)
-            while True:
-                s = marks.find(0, s + 1)
-                if s < 0:
-                    if k == nmax:
-                        break
-                    offset += len(marks)
-                    k += 1
-                    mark = _orbit_marker(k, True, False)
-                    marks = bytearray(1 << len(_slots(k, True, False)))
-                    continue
-                key = offset + min(mark(marks, s, 1))
-                before = widenings
-                step(stream_graph(offset + s, **loop_free), key)
-                if not open_jobs:
+        # After a widening every class is open again to the widened job:
+        # go on over the next member of each class after the current
+        # graph, and start again after it at each further widening.  The
+        # looped class is settled by now.
+        while widenings and open_jobs:
+            widenings = 0
+            position = stream_index(g, **loop_free)
+            for g, key in next_members(position, nmax, **loop_free):
+                step(g, key)
+                if widenings or not open_jobs:
                     break
-                if widenings != before:
-                    marks = bytearray(len(marks))
-                    mark(marks, s, 1)
     checked = sum(1 << k * k for k in range(1, nmax + 1))
     for i in open_jobs:
         reports[i] = DualityReport(True, checked, None, None, states[i].lengths)

@@ -529,6 +529,15 @@ def _chunk_tables(images):
     return width, tables
 
 
+def _arc_tables(k, directed, loops):
+    """_chunk_tables over the slots of order k, each slot's image its
+    packed adjacency: bit u*k + v is the arc (u, v)."""
+    return _chunk_tables([
+        1 << u * k + v if directed else 1 << u * k + v | 1 << v * k + u
+        for u, v in _slots(k, directed, loops)
+    ])
+
+
 def enumerate_graphs(
     n,
     directed=False,
@@ -540,42 +549,29 @@ def enumerate_graphs(
     orders 1..n with all_orders=True), in slot order: order by order, and
     within an order by the counter s over _slots.  With up_to_iso=True,
     yield only the first member of each isomorphism class, the graphs
-    whose orbit_keys key is their own position (see stream_index).
+    whose orbit_keys key is their own position (see next_members).
     Orders above ENUM_CAP_DIRECTED / ENUM_CAP_UNDIRECTED are refused."""
     orders = _orders(n, directed, all_orders)
     cls = Digraph if directed else Graph
+    if up_to_iso and n:
+        # The first members of the orders asked for are the next members
+        # after the last graph of the order below them.  Order 0 has one
+        # graph, which the labelled stream yields.
+        start = 0 if all_orders else stream_index(cls(n), directed, loops)
+        for g, _ in next_members(start - 1, n, directed, loops):
+            yield g
+        return
     for k in orders:
-        # Bit u*k + v of the packed adjacency a is the arc (u, v).
-        images = [
-            1 << u * k + v if directed else 1 << u * k + v | 1 << v * k + u
-            for u, v in _slots(k, directed, loops)
-        ]
-        width, tables = _chunk_tables(images)
+        width, tables = _arc_tables(k, directed, loops)
         full = (1 << k) - 1
         shifts = [u * k for u in range(k)]
-        if up_to_iso:
-            # The first member of a class is the least counter that no
-            # earlier class's orbit has marked; bytearray.find skips the
-            # marked ones in C, so the loop runs once per class.
-            mark = _orbit_marker(k, directed, loops)
-            mask = (1 << width) - 1
-            orbit = bytearray(1 << len(images))
-            s = orbit.find(0)
-            while s >= 0:
-                mark(orbit, s, 1)
-                a = 0
-                for j, table in enumerate(tables):
-                    a |= table[s >> j * width & mask]
+        high = [0]
+        for table in tables[1:]:
+            high = [h | x for x in table for h in high]
+        for h in high:
+            for low in tables[0]:
+                a = h | low
                 yield cls._from_masks(k, [a >> shift & full for shift in shifts])
-                s = orbit.find(0, s + 1)
-        else:
-            high = [0]
-            for table in tables[1:]:
-                high = [h | x for x in table for h in high]
-            for h in high:
-                for low in tables[0]:
-                    a = h | low
-                    yield cls._from_masks(k, [a >> shift & full for shift in shifts])
 
 
 def stream_index(g, directed=False, loops=True):
@@ -600,36 +596,42 @@ def stream_index(g, directed=False, loops=True):
     return s + sum(1 << len(_slots(j, directed, loops)) for j in range(1, k))
 
 
-def stream_graph(position, directed=False, loops=True):
-    """The graph at 0-based `position` of enumerate_graphs(n, directed,
-    loops, all_orders=True), for any n at least its order: the inverse of
-    stream_index."""
-    if position < 0:
-        raise ParameterError(f"stream position {position} is negative")
-    k = 1
-    while position >> len(_slots(k, directed, loops)):
-        position -= 1 << len(_slots(k, directed, loops))
-        k += 1
-    slots = _slots(k, directed, loops)
-    rows = [0] * k
-    for i in iter_bits(position):
-        u, v = slots[i]
-        rows[u] |= 1 << v
-        if not directed:
-            rows[v] |= 1 << u
-    return (Digraph if directed else Graph)._from_masks(k, rows)
+def next_members(position, nmax, directed=False, loops=True):
+    """Yield (g, key) for the first graph after stream position `position`
+    of each isomorphism class but that of the graph at `position`, in the
+    order of enumerate_graphs(nmax, directed, loops, all_orders=True).
+    key is the class's orbit_keys key, the position of its first member.
+    From position -1 these are the first members of every class, each
+    keyed by its own position (stream_index)."""
+    if position < -1:
+        raise ParameterError(f"stream position {position} is below -1")
+    cls = Digraph if directed else Graph
+    offset = 0
+    for k in _orders(nmax, directed, True):
+        size = 1 << len(_slots(k, directed, loops))
+        if position < offset + size - 1:
+            width, tables = _arc_tables(k, directed, loops)
+            mask = (1 << width) - 1
+            full = (1 << k) - 1
+            shifts = [u * k for u in range(k)]
+            for s, orbit in _class_walk(k, directed, loops, position - offset):
+                a = 0
+                for j, table in enumerate(tables):
+                    a |= table[s >> j * width & mask]
+                g = cls._from_masks(k, [a >> shift & full for shift in shifts])
+                yield g, offset + min(orbit)
+        offset += size
 
 
 @cache
 def _orbit_marker(k, directed, loops):
-    """mark(orbit, s, value), which sets orbit[t] = value for every slot
-    counter t of order k in the orbit of s under relabelling, and returns
-    those counters, one per permutation.  The image of s under a
-    relabelling is the OR of per-permutation tables looked up on the
-    chunks of s, at least two and of at most 10 bits each.  The tables
-    take 4 bytes per entry, k! 2^width per chunk (0.9 MiB for loop-free
-    digraphs on five vertices), and are kept for the next scan of the
-    order."""
+    """mark(seen, s), which sets seen[t] = 1 for every slot counter t of
+    order k in the orbit of s under relabelling, and returns those
+    counters, one per permutation.  The image of s under a relabelling is
+    the OR of per-permutation tables looked up on the chunks of s, at
+    least two and of at most 10 bits each.  The tables take 4 bytes per
+    entry, k! 2^width per chunk (0.9 MiB for loop-free digraphs on five
+    vertices), and are kept for the next walk of the order."""
     slots = _slots(k, directed, loops)
     index = {slot: i for i, slot in enumerate(slots)}
     per_permutation = []
@@ -644,16 +646,38 @@ def _orbit_marker(k, directed, loops):
     low, *high = zip(*per_permutation)
     mask = (1 << width) - 1
 
-    def mark(orbit, s, value):
+    def mark(seen, s):
         images = [table[s & mask] for table in low]
         for j, column in enumerate(high, 1):
             part = s >> j * width & mask
             images = list(map(or_, images, [table[part] for table in column]))
         for image in images:
-            orbit[image] = value
+            seen[image] = 1
         return images
 
     return mark
+
+
+def _class_walk(k, directed, loops, start=-1):
+    """Yield (s, orbit) for each isomorphism class of order k with a slot
+    counter above start, but the class of start: s is its least counter
+    above start, and orbit its counters, one per permutation
+    (_orbit_marker).  A start below 0 skips no class.
+
+    Counters grow along the walk, so the first counter met in a class is
+    its least above start.  A bytearray marks the orbit of each class
+    met, and bytearray.find skips the marked counters in C, so the loop
+    runs once per class.  The bytearray takes a byte per labelled graph
+    of the order."""
+    mark = _orbit_marker(k, directed, loops)
+    seen = bytearray(1 << len(_slots(k, directed, loops)))
+    if start >= 0:
+        mark(seen, start)
+    # A negative start would make find count from the end.
+    s = seen.find(0, max(start + 1, 0))
+    while s >= 0:
+        yield s, mark(seen, s)
+        s = seen.find(0, s + 1)
 
 
 def orbit_keys(n, directed=False, loops=True, all_orders=False):
@@ -667,19 +691,14 @@ def orbit_keys(n, directed=False, loops=True, all_orders=False):
     isomorphic, and a graph's key is its own position exactly when it is
     the first member of its class in the stream.
 
-    s grows along the stream, so the first s met in an orbit is its
-    least.  It marks the whole orbit (_orbit_marker) in an array('I')
-    over the 2^slots counters of the order.  The array takes 4 bytes per
-    labelled graph of the order and is dropped when the order grows."""
+    The keys of an order are written orbit by orbit (_class_walk) into an
+    array('I') over the 2^slots counters of the order, which takes 4
+    bytes per labelled graph and is dropped when the order grows."""
     offset = 0
     for k in _orders(n, directed, all_orders):
-        bits = len(_slots(k, directed, loops))
-        mark = _orbit_marker(k, directed, loops)
-        orbit = array("I", bytes(4 << bits))  # 1 + least member, or 0
-        for s in range(1 << bits):
-            least = orbit[s]
-            if not least:
-                least = s + 1
-                mark(orbit, s, least)
-            yield offset + least - 1
-        offset += 1 << bits
+        keys = array("I", bytes(4 << len(_slots(k, directed, loops))))
+        for s, orbit in _class_walk(k, directed, loops):
+            for t in orbit:
+                keys[t] = offset + s
+        yield from keys
+        offset += len(keys)

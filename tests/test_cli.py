@@ -3,7 +3,14 @@ import os
 import pytest
 
 from pultr.cli import main
-from pultr.formats import parse_graph, parse_witness, serialize_graph, serialize_template
+from pultr.engine import HomWitness
+from pultr.formats import (
+    parse_graph,
+    parse_witness,
+    serialize_graph,
+    serialize_template,
+    serialize_witness,
+)
 from pultr.functors import builtin_template, gamma_functor
 from pultr.graphs import (
     complete_graph,
@@ -12,7 +19,7 @@ from pultr.graphs import (
     transitive_tournament,
 )
 from pultr.suites import NMAX_SUITES, run_suite
-from pultr import engine, limits
+from pultr import chromatic, cli, engine, limits
 from pultr.errors import BudgetExceededError, ParameterError
 
 
@@ -115,6 +122,26 @@ def test_chi_and_witness(files, capsys, tmp_path):
     assert out == "chi 3"
     witness = parse_witness(open(w).read())
     assert engine.verify_witness(cycle_graph(5), complete_graph(3), witness.mapping)
+
+
+def test_chi_witness_takes_one_colouring_scan(files, tmp_path, monkeypatch):
+    # C5 is tried with 2 colours, then coloured with 3; the witness is
+    # that colouring, the one k_colourable(C5, 3) gives.
+    calls = []
+    k_colourable = chromatic.k_colourable
+
+    def counting(g, k):
+        calls.append(k)
+        return k_colourable(g, k)
+
+    for module in (chromatic, cli):  # each binding the command could use
+        if vars(module).get("k_colourable") is k_colourable:
+            monkeypatch.setattr(module, "k_colourable", counting)
+    w = tmp_path / "w.hom"
+    assert main(["chi", "--input", files["c5"], "--witness", str(w)]) == 0
+    assert calls == [2, 3]
+    colours = k_colourable(cycle_graph(5), 3)
+    assert w.read_text() == serialize_witness(HomWitness(5, 3, tuple(colours)))
 
 
 def test_chi_c(files, capsys):

@@ -478,14 +478,15 @@ def test_verify_dualities_decides_each_class_once(monkeypatch):
         return failure(self, g)
 
     built = []
-    stream_graph = duality.stream_graph
+    members = duality.next_members
 
-    def building(position, **kwargs):
-        built.append(position)
-        return stream_graph(position, **kwargs)
+    def building(*args, **kwargs):
+        for g, key in members(*args, **kwargs):
+            built.append(stream_index(g, directed=True, loops=False))
+            yield g, key
 
     monkeypatch.setattr(duality._OpenJob, "failure", counting)
-    monkeypatch.setattr(duality, "stream_graph", building)
+    monkeypatch.setattr(duality, "next_members", building)
     jobs = [
         # one call per class: the 20 classes of loop-free digraphs on at
         # most three vertices, and the looped digraphs

@@ -21,13 +21,13 @@ from pultr.graphs import (
     is_oriented_tree,
     kneser_pairs,
     lexicographic_product,
+    next_members,
     odd_girth,
     orbit_keys,
     orient_edges,
     orientations,
     oriented_path,
     path_graph,
-    stream_graph,
     stream_index,
     symmetrization,
     tensor_product,
@@ -390,15 +390,38 @@ def test_up_to_iso_yields_the_first_members_one_order_up():
 
 @pytest.mark.parametrize("directed, loops", list(product((True, False), repeat=2)))
 def test_stream_index_is_the_position(directed, loops):
-    graphs = enumerate_graphs(4 if directed else 5, directed, loops, all_orders=True)
+    nmax = 4 if directed else 5
+    graphs = enumerate_graphs(nmax, directed, loops, all_orders=True)
     for position, g in enumerate(graphs):
         assert stream_index(g, directed, loops) == position
-        if g.n <= 3:
-            built = stream_graph(position, directed, loops)
-            assert built == g and type(built) is type(g)
-            assert built.in_masks == g.in_masks
+    # From -1, next_members yields each first member keyed by its position.
+    for g, key in next_members(-1, nmax, directed, loops):
+        assert type(g) is (Digraph if directed else Graph)
+        assert stream_index(g, directed, loops) == key
     with pytest.raises(ParameterError):
-        stream_graph(-1, directed, loops)
+        next(next_members(-2, nmax, directed, loops))
+
+
+@pytest.mark.parametrize("directed, loops", [(True, False), (False, True)])
+def test_next_members_restart_after_any_position(directed, loops):
+    """From -1 and from the first and last position of each order,
+    next_members yields the first member after the position of each
+    other class, in stream order, against orbit_keys over the labelled
+    stream.  A restart from a lower order walks the higher orders whole."""
+    nmax = 4
+    graphs = list(enumerate_graphs(nmax, directed, loops, all_orders=True))
+    keys = list(orbit_keys(nmax, directed, loops, all_orders=True))
+    first = [stream_index(Digraph(k), directed, loops) for k in range(1, nmax + 2)]
+    starts = [-1, *first[:-1], *(position - 1 for position in first[1:])]
+    for start in starts:
+        skip = {keys[start]} if start >= 0 else set()
+        expected = []
+        for g, key in zip(graphs[start + 1 :], keys[start + 1 :]):
+            if key not in skip:
+                skip.add(key)
+                expected.append((g, key))
+        assert list(next_members(start, nmax, directed, loops)) == expected
+    assert expected == []
 
 
 @pytest.mark.parametrize(
