@@ -50,7 +50,6 @@ from .graphs import (
     kneser_pairs,
     lexicographic_product,
     odd_girth,
-    orbit_keys,
     oriented_path,
     orientations,
     path_graph,

@@ -279,10 +279,9 @@ def gallai_roy_orientation(g, k):
         oriented = orient_edges(g, spec)
         if engine._forest_walk(path, plan, oriented) is not None:
             raise RuntimeError("colour-increasing orientation admits the path")
-        witness = engine.hom_exists(g, complete_graph(k))
         return ColouringCertificate(
             target_name=f"K{k}",
-            witness=witness,
+            witness=HomWitness(g.n, k, tuple(colours)),
             orientation=spec,
             family=((f"dP{k}", False),),
         )

@@ -39,6 +39,7 @@ from .graphs import (
     next_members,
     oriented_path,
     stream_index,
+    stream_size,
     symmetrization,
 )
 from .adjoints import arc_graph
@@ -474,7 +475,7 @@ def verify_dualities(jobs, nmax):
                 step(g, key)
                 if widenings or not open_jobs:
                     break
-    checked = sum(1 << k * k for k in range(1, nmax + 1))
+    checked = stream_size(nmax, directed=True, loops=True)
     for i in open_jobs:
         reports[i] = DualityReport(True, checked, None, None, states[i].lengths)
     return reports

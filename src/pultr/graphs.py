@@ -393,7 +393,12 @@ def orientations(g):
 
 def odd_girth(g):
     """Length of a shortest odd closed walk (= shortest odd cycle).
-    math.inf iff bipartite; a loop counts as a 1-cycle."""
+    math.inf iff bipartite; a loop counts as a 1-cycle.
+
+    From each s, the set of ends of walks of length d is the OR of the
+    rows over the set for d - 1; the least odd d whose set holds s is the
+    shortest odd closed walk through s.  A shortest odd cycle has at most
+    n vertices, so d stops at n, and at the best length found so far."""
     if not g.is_symmetric:
         raise ParameterError("odd girth is defined for undirected graphs")
     if g.loop_mask:
@@ -401,26 +406,15 @@ def odd_girth(g):
     best = math.inf
     rows = g.out_masks
     for s in range(g.n):
-        dist = {(s, 0): 0}
-        frontier = [(s, 0)]
-        found = None
-        while frontier and found is None:
-            nxt = []
-            for v, p in frontier:
-                dv = dist[(v, p)]
-                for w in iter_bits(rows[v]):
-                    key = (w, 1 - p)
-                    if key not in dist:
-                        dist[key] = dv + 1
-                        if key == (s, 1):
-                            found = dv + 1
-                            break
-                        nxt.append(key)
-                if found is not None:
-                    break
-            frontier = nxt
-        if found is not None:
-            best = min(best, found)
+        reach = 1 << s
+        for d in range(1, min(g.n + 1, best)):
+            nxt = 0
+            for v in iter_bits(reach):
+                nxt |= rows[v]
+            reach = nxt
+            if d & 1 and reach >> s & 1:
+                best = d
+                break
     return best
 
 
@@ -548,8 +542,8 @@ def enumerate_graphs(
     """Yield every labelled digraph/graph on exactly n vertices (or on all
     orders 1..n with all_orders=True), in slot order: order by order, and
     within an order by the counter s over _slots.  With up_to_iso=True,
-    yield only the first member of each isomorphism class, the graphs
-    whose orbit_keys key is their own position (see next_members).
+    yield only the first member of each isomorphism class (see
+    next_members).
     Orders above ENUM_CAP_DIRECTED / ENUM_CAP_UNDIRECTED are refused."""
     orders = _orders(n, directed, all_orders)
     cls = Digraph if directed else Graph
@@ -576,9 +570,8 @@ def enumerate_graphs(
 
 def stream_index(g, directed=False, loops=True):
     """g's 0-based position in enumerate_graphs(n, directed, loops,
-    all_orders=True), for any n >= g.n: the slot counters of every lower
-    order, plus g's own counter.  For a first member of its class this is
-    its orbit_keys key.
+    all_orders=True), for any n >= g.n: the labelled graphs of every
+    lower order (stream_size), plus g's own counter.
 
     The slots of vertex u are consecutive in _slots, so the counter is
     the rows laid end to end: row u whole (directed, with loops), with
@@ -593,14 +586,20 @@ def stream_index(g, directed=False, loops=True):
             row = row & (1 << u) - 1 | row >> u + 1 << u
         s |= row << shift
         shift += k - (0 if directed else u) - (0 if loops else 1)
-    return s + sum(1 << len(_slots(j, directed, loops)) for j in range(1, k))
+    return s + stream_size(k - 1, directed, loops)
+
+
+def stream_size(nmax, directed=False, loops=True):
+    """The number of labelled graphs that enumerate_graphs(nmax, directed,
+    loops, all_orders=True) yields, on 1..nmax vertices; no cap applies."""
+    return sum(1 << len(_slots(k, directed, loops)) for k in range(1, nmax + 1))
 
 
 def next_members(position, nmax, directed=False, loops=True):
     """Yield (g, key) for the first graph after stream position `position`
     of each isomorphism class but that of the graph at `position`, in the
     order of enumerate_graphs(nmax, directed, loops, all_orders=True).
-    key is the class's orbit_keys key, the position of its first member.
+    key is the position of the class's first member (stream_index).
     From position -1 these are the first members of every class, each
     keyed by its own position (stream_index)."""
     if position < -1:
@@ -678,27 +677,3 @@ def _class_walk(k, directed, loops, start=-1):
     while s >= 0:
         yield s, mark(seen, s)
         s = seen.find(0, s + 1)
-
-
-def orbit_keys(n, directed=False, loops=True, all_orders=False):
-    """Yield, for each labelled graph that enumerate_graphs(n, directed,
-    loops, all_orders) yields and in the same order, the integer key of
-    its isomorphism class; no graph is built.
-
-    The key is the stream position (from 0) of the first graph of the
-    order, plus the least counter s in the graph's orbit under
-    relabelling.  So two graphs share a key exactly when they are
-    isomorphic, and a graph's key is its own position exactly when it is
-    the first member of its class in the stream.
-
-    The keys of an order are written orbit by orbit (_class_walk) into an
-    array('I') over the 2^slots counters of the order, which takes 4
-    bytes per labelled graph and is dropped when the order grows."""
-    offset = 0
-    for k in _orders(n, directed, all_orders):
-        keys = array("I", bytes(4 << len(_slots(k, directed, loops))))
-        for s, orbit in _class_walk(k, directed, loops):
-            for t in orbit:
-                keys[t] = offset + s
-        yield from keys
-        offset += len(keys)

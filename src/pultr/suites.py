@@ -6,6 +6,7 @@ deterministic report whose verdict line is byte-identical across runs
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import permutations, product
 
 from . import engine
 from .adjoints import arc_graph, interleaved_adjoint, omega_odd_path, power_functor
@@ -27,6 +28,7 @@ from .engine import HomWitness
 from .errors import ParameterError
 from .functors import builtin_template, gamma_functor, lambda_functor, path_template
 from .graphs import (
+    Digraph,
     circular_complete,
     complete_graph,
     cycle_graph,
@@ -34,8 +36,8 @@ from .graphs import (
     enumerate_graphs,
     is_connected,
     odd_girth,
-    orbit_keys,
     stream_index,
+    stream_size,
     symmetrization,
     transitive_tournament,
 )
@@ -79,40 +81,69 @@ def _gshort(g):
     return f"{kind}{g.n}:" + ",".join(f"{a}-{b}" for a, b in g.arcs())
 
 
+def _labelled(items, directed, loops):
+    """The items of a class scan as the labelled loop meets them.  Each
+    item is a tuple whose graphs are first members of their isomorphism
+    classes.  It stands for one item per choice of a member of each
+    class, where the members are the distinct relabellings of the first
+    member.  The items come sorted as if each graph were its stream
+    position (graphs.stream_index), which is the labelled loop's order."""
+
+    def choices(x):
+        if not isinstance(x, Digraph):
+            return [(x, x)]
+        members = {}
+        for perm in permutations(range(x.n)):
+            h = x.relabel(perm)
+            members[stream_index(h, directed, loops)] = h
+        return members.items()
+
+    expanded = [combo for item in items for combo in product(*map(choices, item))]
+    expanded.sort(key=lambda combo: [key for key, _ in combo])
+    return [tuple(x for _, x in combo) for combo in expanded]
+
+
 ADJUNCTION_TEMPLATES = ("t3", "t5", "lex-k2", "tensor-c3", "arc-graph", "iota-2")
 
 
 def suite_adjunction(nmax=3):
     """Thin adjunction of the left and central functors, for the six
     reference templates, over every labelled (di)graph pair with up to
-    nmax vertices (loops allowed)."""
+    nmax vertices (loops allowed).
+
+    Both sides of Lambda_T(G) -> K iff G -> Gamma_T(K) are invariant under
+    relabelling G and under relabelling K, so the biconditional is
+    decided once per pair of isomorphism classes, on their first members,
+    with one Lambda_T per class of G and one Gamma_T per class of K.  A
+    failing pair is reported at each labelled pair, K outer and G inner
+    (_labelled), and `checked` counts the labelled pairs."""
     failures = []
     artifacts = []
     checked = 0
     notes = []
     for tname in ADJUNCTION_TEMPLATES:
         t = builtin_template(tname)
-        directed = t.symmetry is None
-        universe = list(
-            enumerate_graphs(
-                nmax, directed=directed, loops=True, all_orders=True
-            )
-        )
-        lams = [lambda_functor(t, g) for g in universe]
-        for k in universe:
+        kind = dict(directed=t.symmetry is None, loops=True)
+        classes = list(enumerate_graphs(nmax, all_orders=True, up_to_iso=True, **kind))
+        lams = [lambda_functor(t, g) for g in classes]
+        failed = []
+        for k in classes:
             gam = gamma_functor(t, k)
-            for g, lam in zip(universe, lams):
+            for g, lam in zip(classes, lams):
                 left = engine.hom_exists(lam, k) is not None
                 right = engine.hom_exists(g, gam) is not None
                 if left != right:
-                    failures.append(
-                        f"{tname}: lambda-side={left} gamma-side={right} "
-                        f"G=({_gshort(g)}) K=({_gshort(k)})"
-                    )
-                    artifacts.append((f"{tname}-G", g))
-                    artifacts.append((f"{tname}-K", k))
-        checked += len(universe) * len(universe)
-        notes.append(f"{tname}: {len(universe)}x{len(universe)} pairs")
+                    failed.append((k, g, left, right))
+        for k, g, left, right in _labelled(failed, **kind):
+            failures.append(
+                f"{tname}: lambda-side={left} gamma-side={right} "
+                f"G=({_gshort(g)}) K=({_gshort(k)})"
+            )
+            artifacts.append((f"{tname}-G", g))
+            artifacts.append((f"{tname}-K", k))
+        labelled = stream_size(nmax, **kind)
+        checked += labelled * labelled
+        notes.append(f"{tname}: {labelled}x{labelled} pairs")
     return SuiteReport(
         "adjunction",
         not failures,
@@ -133,10 +164,9 @@ def suite_omega(nmax=4):
     relabelling G, so for each m the adjunction is decided once per
     isomorphism class, on the class's first labelled member
     (enumerate_graphs with up_to_iso=True), with one Gamma_m(G) for all
-    three targets.  Only when some class fails are the results expanded
-    over the labelled graphs (zipped with graphs.orbit_keys) in (m, H, G)
-    order, so the failures and `checked` are those of the labelled
-    loop."""
+    three targets.  A failing class is reported at each of its labelled
+    members, in (m, H, G) order (_labelled), so the failures and
+    `checked` are those of the labelled loop."""
     failures = []
     checked = 0
     notes = []
@@ -145,41 +175,25 @@ def suite_omega(nmax=4):
         ("K3", complete_graph(3)),
         ("C5", cycle_graph(5)),
     ]
-    kind = dict(directed=False, loops=True, all_orders=True)
-    leaders = list(enumerate_graphs(nmax, up_to_iso=True, **kind))
-    # Labelled graphs with loops on 1..nmax vertices: k(k+1)/2 slots each.
-    labelled = sum(1 << k * (k + 1) // 2 for k in range(1, nmax + 1))
+    kind = dict(directed=False, loops=True)
+    classes = list(enumerate_graphs(nmax, all_orders=True, up_to_iso=True, **kind))
+    labelled = stream_size(nmax, **kind)
     ms = (3, 5)
     # Omega_m(H) per m and target, reused by the checks after the loop.
     omega = {}
-    # m -> class key -> one (left, right) pair per target.
-    sides = {}
+    failed = []
     for m in ms:
         tm = path_template(m)
         omegas = omega[m] = [omega_odd_path(m, h) for _hname, h in targets]
-        sides[m] = {}
-        for g in leaders:
+        for g in classes:
             gam = gamma_functor(tm, g)
-            sides[m][stream_index(g, directed=False, loops=True)] = [
-                (
-                    engine.hom_exists(gam, h) is not None,
-                    engine.hom_exists(g, om) is not None,
-                )
-                for (_hname, h), om in zip(targets, omegas)
-            ]
-    failed = any(
-        left != right for m in ms for pairs in sides[m].values() for left, right in pairs
-    )
-    if failed:
-        universe = list(zip(enumerate_graphs(nmax, **kind), orbit_keys(nmax, **kind)))
-        for m in ms:
-            for j, (hname, _h) in enumerate(targets):
-                for g, key in universe:
-                    left, right = sides[m][key][j]
-                    if left != right:
-                        failures.append(
-                            f"m={m} H={hname} G=({_gshort(g)}) {left}!={right}"
-                        )
+            for j, ((_hname, h), om) in enumerate(zip(targets, omegas)):
+                left = engine.hom_exists(gam, h) is not None
+                right = engine.hom_exists(g, om) is not None
+                if left != right:
+                    failed.append((m, j, g, left, right))
+    for m, j, g, left, right in _labelled(failed, **kind):
+        failures.append(f"m={m} H={targets[j][0]} G=({_gshort(g)}) {left}!={right}")
     checked += len(ms) * len(targets) * labelled
     notes.append(f"adjunction: {len(ms) * len(targets)} targets x {labelled} graphs")
 
@@ -315,28 +329,35 @@ def _power_grid_pairs():
 def suite_ordering(nmax=4):
     """Monotonicity of the power functors: s/r <= s'/r' gives a
     homomorphism P^s_r(G) -> P^{s'}_{r'}(G), for all connected G up to
-    order nmax."""
-    universe = [
+    order nmax.
+
+    The statement is invariant under relabelling G, so it is decided
+    once per isomorphism class, on its first member.  A failing class is
+    reported at each of its labelled members, G outer and grid pair
+    inner (_labelled), and `checked` counts the labelled graphs."""
+    kind = dict(directed=False, loops=False)
+    classes = [
         g
-        for g in enumerate_graphs(
-            nmax, directed=False, loops=False, all_orders=True
-        )
+        for g in enumerate_graphs(nmax, all_orders=True, up_to_iso=True, **kind)
         if is_connected(g)
     ]
     pairs = _power_grid_pairs()
-    failures = []
-    for g in universe:
+    failed = []
+    for g in classes:
         powers = {}
-        for (s, r), (s2, r2) in pairs:
+        for i, ((s, r), (s2, r2)) in enumerate(pairs):
             for key in ((s, r), (s2, r2)):
                 if key not in powers:
                     powers[key] = power_functor(key[0], key[1], g)
             if engine.hom_exists(powers[(s, r)], powers[(s2, r2)]) is None:
-                failures.append(
-                    f"P^{s}_{r} -/-> P^{s2}_{r2} on ({_gshort(g)})"
-                )
-    checked = len(universe) * len(pairs)
-    notes = (f"{len(universe)} connected graphs x {len(pairs)} grid pairs",)
+                failed.append((g, i))
+    failures = []
+    for g, i in _labelled(failed, **kind):
+        (s, r), (s2, r2) = pairs[i]
+        failures.append(f"P^{s}_{r} -/-> P^{s2}_{r2} on ({_gshort(g)})")
+    labelled = len(_labelled([(g,) for g in classes], **kind))
+    checked = labelled * len(pairs)
+    notes = (f"{labelled} connected graphs x {len(pairs)} grid pairs",)
     return SuiteReport(
         "ordering", not failures, checked, tuple(failures), notes
     )

@@ -2,7 +2,7 @@ import importlib
 import inspect
 import pkgutil
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -54,6 +54,18 @@ def interleaved_by_definition(m, h):
             if all(h.has_arc(u[i], v[i]) for i in range(m))
             and all(h.has_arc(v[i], u[i + 1]) for i in range(m - 1))
         ],
+    )
+
+
+def orbit_key(g, directed, loops):
+    """The least stream position (graphs.stream_index) over the
+    relabellings of g: the position of the first member of g's
+    isomorphism class in enumerate_graphs, found by relabelling alone."""
+    from pultr.graphs import stream_index
+
+    return min(
+        stream_index(g.relabel(perm), directed, loops)
+        for perm in permutations(range(g.n))
     )
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,7 +20,9 @@ from conftest import interleaved_by_definition, oriented_path_template, random_g
 from pultr.errors import ParameterError
 from pultr.functors import (
     arc_graph_template,
+    builtin_template,
     gamma_functor,
+    lambda_functor,
     path_template,
     verify_adjunction,
 )
@@ -31,6 +34,7 @@ from pultr.graphs import (
     directed_cycle,
     dominated_reduction,
     enumerate_graphs,
+    is_connected,
     oriented_path,
     symmetrization,
     transitive_tournament,
@@ -154,6 +158,157 @@ def test_suite_omega_builds_gamma_once_per_class(monkeypatch):
         "VERDICT omega PASS checked=6596"
     )
     assert len(calls) == 2 * 118 + 3
+
+
+def _labelled_adjunction(tname, nmax, lam, gam):
+    """suite_adjunction's labelled loop for one template, with the
+    functors passed in: its failures, artifacts and universe size."""
+    t = builtin_template(tname)
+    universe = list(
+        enumerate_graphs(
+            nmax, directed=t.symmetry is None, loops=True, all_orders=True
+        )
+    )
+    lams = [lam(t, g) for g in universe]
+    failures = []
+    artifacts = []
+    for k in universe:
+        gk = gam(t, k)
+        for g, lg in zip(universe, lams):
+            left = engine.hom_exists(lg, k) is not None
+            right = engine.hom_exists(g, gk) is not None
+            if left != right:
+                failures.append(
+                    f"{tname}: lambda-side={left} gamma-side={right} "
+                    f"G=({suites._gshort(g)}) K=({suites._gshort(k)})"
+                )
+                artifacts += [(f"{tname}-G", g), (f"{tname}-K", k)]
+    return failures, artifacts, len(universe)
+
+
+# Wrong functors that commute with relabelling: Lambda_T(G) = G or
+# Gamma_T(K) = K for one template.  A directed template's labelled loop
+# takes 280 900 pairs at nmax 3, about a second, so one directed mutant
+# runs there and the other at nmax 2.
+ADJUNCTION_MUTANTS = [
+    pytest.param("t3", "lambda_functor", 3, id="t3: Lambda(G) = G"),
+    pytest.param("arc-graph", "lambda_functor", 3, id="arc-graph: Lambda(G) = G"),
+    pytest.param("t5", "gamma_functor", 3, id="t5: Gamma(K) = K"),
+    pytest.param("iota-2", "gamma_functor", 2, id="iota-2: Gamma(K) = K"),
+]
+
+
+@pytest.mark.parametrize("tname, functor, nmax", ADJUNCTION_MUTANTS)
+def test_suite_adjunction_class_scan_matches_labelled_loop(
+    monkeypatch, tname, functor, nmax
+):
+    # With a wrong functor the suite must fail exactly as the labelled
+    # loop does: the same failures and artifacts, in the same order, the
+    # same note and the same verdict.
+    real = getattr(suites, functor)
+
+    def wrong(t, g):
+        return g if t.name == tname else real(t, g)
+
+    monkeypatch.setattr(suites, functor, wrong)
+    monkeypatch.setattr(suites, "ADJUNCTION_TEMPLATES", (tname,))
+    report = suites.run_suite("adjunction", nmax=nmax)
+    functors = {"lambda_functor": lambda_functor, "gamma_functor": gamma_functor}
+    functors[functor] = wrong
+    failures, artifacts, n = _labelled_adjunction(
+        tname, nmax, functors["lambda_functor"], functors["gamma_functor"]
+    )
+    assert failures
+    assert list(report.failures) == failures
+    assert [(label, type(g), g) for label, g in report.artifacts] == [
+        (label, type(g), g) for label, g in artifacts
+    ]
+    assert report.notes == (f"{tname}: {n}x{n} pairs",)
+    reference = suites.SuiteReport("adjunction", False, n * n, tuple(failures))
+    assert report.verdict_line() == reference.verdict_line()
+
+
+def test_suite_adjunction_builds_each_functor_once_per_class(monkeypatch):
+    # One Lambda_T per class of G and one Gamma_T per class of K: 28
+    # classes of graphs with loops on <= 3 vertices for each undirected
+    # template, 116 of digraphs with loops for each directed one.
+    built = {"lambda_functor": Counter(), "gamma_functor": Counter()}
+    for name, counter in built.items():
+        real = getattr(suites, name)
+
+        def counting(t, g, real=real, counter=counter):
+            counter[t.name] += 1
+            return real(t, g)
+
+        monkeypatch.setattr(suites, name, counting)
+    assert suites.run_suite("adjunction").verdict_line() == (
+        "VERDICT adjunction PASS checked=583704"
+    )
+    expected = {name: 28 for name in ("t3", "t5", "lex-k2", "tensor-c3")}
+    expected.update({"arc-graph": 116, "iota-2": 116})
+    assert built["lambda_functor"] == built["gamma_functor"] == expected
+
+
+def _labelled_ordering(power, nmax):
+    """suite_ordering's labelled loop, with the power functor passed in:
+    its failures and `checked`."""
+    universe = [
+        g
+        for g in enumerate_graphs(nmax, directed=False, loops=False, all_orders=True)
+        if is_connected(g)
+    ]
+    pairs = suites._power_grid_pairs()
+    failures = []
+    for g in universe:
+        powers = {}
+        for (s, r), (s2, r2) in pairs:
+            for key in ((s, r), (s2, r2)):
+                if key not in powers:
+                    powers[key] = power(*key, g)
+            if engine.hom_exists(powers[(s, r)], powers[(s2, r2)]) is None:
+                failures.append(f"P^{s}_{r} -/-> P^{s2}_{r2} on ({suites._gshort(g)})")
+    return failures, len(universe) * len(pairs)
+
+
+# Wrong power functors that commute with relabelling.
+ORDERING_MUTANTS = {
+    "P^5_3(G) = K_|G|": lambda s, r, g: (
+        complete_graph(g.n) if (s, r) == (5, 3) else power_functor(s, r, g)
+    ),
+    "P^1_3(G) = K_(|E| mod 4 + 1)": lambda s, r, g: (
+        complete_graph(g.edge_count % 4 + 1)
+        if (s, r) == (1, 3)
+        else power_functor(s, r, g)
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", ORDERING_MUTANTS)
+def test_suite_ordering_class_scan_matches_labelled_loop(monkeypatch, mutant):
+    power = ORDERING_MUTANTS[mutant]
+    monkeypatch.setattr(suites, "power_functor", power)
+    report = suites.run_suite("ordering", nmax=4)
+    failures, checked = _labelled_ordering(power, 4)
+    assert failures
+    assert list(report.failures) == failures
+    assert report.notes == ("44 connected graphs x 48 grid pairs",)
+    reference = suites.SuiteReport("ordering", False, checked, tuple(failures))
+    assert report.verdict_line() == reference.verdict_line()
+
+
+def test_suite_ordering_decides_each_class_once(monkeypatch):
+    # 10 classes of connected graphs on <= 4 vertices, 9 powers each.
+    built = []
+
+    def counting(s, r, g):
+        built.append(g)
+        return power_functor(s, r, g)
+
+    monkeypatch.setattr(suites, "power_functor", counting)
+    assert suites.run_suite("ordering").verdict_line() == (
+        "VERDICT ordering PASS checked=2112"
+    )
+    assert len(built) == 10 * 9 and len(set(built)) == 10
 
 
 def test_omega_cycles():

@@ -249,6 +249,26 @@ def test_gallai_roy_certificates():
     assert vac is not None and vac.orientation == ""
 
 
+@pytest.mark.parametrize("g", [cycle_graph(5), kneser_pairs(5)], ids=["C5", "K(5,2)"])
+def test_gallai_roy_witness_is_the_colouring(monkeypatch, g):
+    # The witness is the colouring the orientation follows, so no search
+    # into K3 is made for it.
+    calls = []
+    hom_exists = engine.hom_exists
+    monkeypatch.setattr(
+        engine, "hom_exists", lambda *args: calls.append(args) or hom_exists(*args)
+    )
+    cert = gallai_roy_orientation(g, 3)
+    assert calls == []
+    w = cert.witness
+    assert (w.source_order, w.target_order) == (g.n, 3)
+    assert engine.verify_witness(g, complete_graph(3), w.mapping)
+    edges = sorted(g.edges())
+    assert cert.orientation == "".join(
+        "1" if w.mapping[u] < w.mapping[v] else "0" for u, v in edges
+    )
+
+
 def test_orientation_scans_are_capped():
     # K_7 has 21 edges, above ORIENTATION_SCAN_CAP; a certificate needs no
     # scan, a refutation does.

@@ -1,5 +1,4 @@
 import math
-from array import array
 from itertools import combinations, permutations, product
 
 import pytest
@@ -23,7 +22,6 @@ from pultr.graphs import (
     lexicographic_product,
     next_members,
     odd_girth,
-    orbit_keys,
     orient_edges,
     orientations,
     oriented_path,
@@ -35,7 +33,7 @@ from pultr.graphs import (
 )
 from pultr import engine, limits
 
-from conftest import random_digraph, random_graph
+from conftest import orbit_key, random_digraph, random_graph
 
 
 def test_digraph_basics():
@@ -263,6 +261,20 @@ def test_odd_girth():
     assert odd_girth(path_graph(6)) == math.inf
 
 
+def test_odd_girth_is_the_least_odd_cycle_that_maps():
+    # C_c -> g for odd c exactly when g has an odd closed walk of length
+    # c, and a shortest odd cycle has at most n vertices.
+    for g in enumerate_graphs(5, directed=False, loops=True, all_orders=True):
+        if g.loop_mask:
+            assert odd_girth(g) == 1
+            continue
+        cycles = (
+            c for c in range(3, g.n + 1, 2)
+            if engine.hom_exists(cycle_graph(c), g) is not None
+        )
+        assert odd_girth(g) == next(cycles, math.inf), g
+
+
 def test_odd_girth_iff_bipartite_cross_module(rng):
     k2 = complete_graph(2)
     for g in enumerate_graphs(4, directed=False, loops=False, all_orders=True):
@@ -358,34 +370,83 @@ def test_enumerate_invariants():
             assert 0 <= u < g.n and 0 <= v < g.n
 
 
+def _labelled_keys(graphs, directed, loops):
+    """The orbit key of each graph of a labelled stream, in order,
+    relabelling once per class: every position of an orbit is keyed by
+    the least, when the stream first meets the orbit."""
+    keys = {}
+    for g in graphs:
+        position = stream_index(g, directed, loops)
+        if position not in keys:
+            orbit = {
+                stream_index(g.relabel(perm), directed, loops)
+                for perm in permutations(range(g.n))
+            }
+            keys.update(dict.fromkeys(orbit, min(orbit)))
+        yield keys[position]
+
+
+def _burnside(n, directed, loops):
+    """The isomorphism classes of order n by Burnside's lemma: the mean,
+    over the permutations p, of 2 to the number of cycles of p on the
+    slots (arcs, or edges {u, v} as pairs u <= v)."""
+    total = 0
+    for p in permutations(range(n)):
+        slots = {
+            (u, v)
+            for u in range(n)
+            for v in range(0 if directed else u, n)
+            if loops or u != v
+        }
+        cycles = 0
+        while slots:
+            cycles += 1
+            u, v = slots.pop()
+            while True:
+                u, v = p[u], p[v]
+                if not directed and u > v:
+                    u, v = v, u
+                if (u, v) not in slots:
+                    break
+                slots.remove((u, v))
+        total += 1 << cycles
+    return total // math.factorial(n)
+
+
 def test_orbit_keys_are_invariant_under_relabelling(rng):
-    # the 2^20 loop-free digraphs on five vertices fall into 9 608 classes
-    keys = array("I", orbit_keys(5, directed=True, loops=False))
-    assert len(keys) == 1 << 20
-    assert len(set(keys)) == 9608
+    """On a seeded sample of the 2^20 loop-free digraphs on five
+    vertices: a digraph and a relabelling of it share their orbit key,
+    the key is the position of one of the 9 608 first members that
+    up_to_iso yields, and that first member is isomorphic to both."""
+    kind = dict(directed=True, loops=False)
+    firsts = {
+        stream_index(g, **kind): g
+        for g in enumerate_graphs(5, up_to_iso=True, **kind)
+    }
+    assert len(firsts) == 9608
     slots = [(u, v) for u in range(5) for v in range(5) if u != v]
-
-    def key(d):
-        return keys[sum(1 << i for i, (u, v) in enumerate(slots) if d.has_arc(u, v))]
-
-    for _ in range(20):
+    for _ in range(40):
         d = Digraph(5, [slot for slot in slots if rng.random() < 0.3])
         perm = list(range(5))
         rng.shuffle(perm)
-        assert key(d) == key(d.relabel(perm))
+        key = orbit_key(d, **kind)
+        assert orbit_key(d.relabel(perm), **kind) == key
+        assert engine.isomorphic(firsts[key], d)
 
 
-def test_up_to_iso_yields_the_first_members_one_order_up():
-    # the 9 608 loop-free digraphs on five vertices whose key is their
-    # own position, found without walking the keys
-    keys = array("I", orbit_keys(5, directed=True, loops=False))
-    firsts = [s for s, key in enumerate(keys) if key == s]
+def test_up_to_iso_yields_the_first_members_one_order_up(rng):
+    """The 9 608 loop-free digraphs on five vertices that up_to_iso
+    yields come in stream order, from the edgeless one, and on a seeded
+    sample each is the first member of its class: its orbit key is its
+    own position."""
+    kind = dict(directed=True, loops=False)
+    firsts = list(enumerate_graphs(5, up_to_iso=True, **kind))
+    positions = [stream_index(g, **kind) for g in firsts]
     assert len(firsts) == 9608
-    offset = stream_index(Digraph(5), directed=True, loops=False)
-    leaders = enumerate_graphs(5, directed=True, loops=False, up_to_iso=True)
-    assert [
-        stream_index(g, directed=True, loops=False) - offset for g in leaders
-    ] == firsts
+    assert positions == sorted(set(positions))
+    assert positions[0] == stream_index(Digraph(5), **kind)
+    for i in rng.sample(range(len(firsts)), 300):
+        assert orbit_key(firsts[i], **kind) == positions[i]
 
 
 @pytest.mark.parametrize("directed, loops", list(product((True, False), repeat=2)))
@@ -406,11 +467,11 @@ def test_stream_index_is_the_position(directed, loops):
 def test_next_members_restart_after_any_position(directed, loops):
     """From -1 and from the first and last position of each order,
     next_members yields the first member after the position of each
-    other class, in stream order, against orbit_keys over the labelled
+    other class, in stream order, against the orbit keys of the labelled
     stream.  A restart from a lower order walks the higher orders whole."""
     nmax = 4
     graphs = list(enumerate_graphs(nmax, directed, loops, all_orders=True))
-    keys = list(orbit_keys(nmax, directed, loops, all_orders=True))
+    keys = list(_labelled_keys(graphs, directed, loops))
     first = [stream_index(Digraph(k), directed, loops) for k in range(1, nmax + 2)]
     starts = [-1, *first[:-1], *(position - 1 for position in first[1:])]
     for start in starts:
@@ -428,8 +489,15 @@ def test_next_members_restart_after_any_position(directed, loops):
     "n, directed, loops, classes",
     [(4, True, True, 3044), (6, False, False, 156), (5, False, True, 544)],
 )
-def test_orbit_keys_count_the_classes_one_order_up(n, directed, loops, classes):
-    assert len(set(orbit_keys(n, directed, loops))) == classes
+def test_orbit_keys_count_the_classes_one_order_up(
+    rng, n, directed, loops, classes
+):
+    """up_to_iso yields as many graphs as Burnside's lemma counts
+    classes, and on a seeded sample each is its own orbit key."""
+    firsts = list(enumerate_graphs(n, directed, loops, up_to_iso=True))
+    assert len(firsts) == _burnside(n, directed, loops) == classes
+    for g in rng.sample(firsts, 60):
+        assert orbit_key(g, directed, loops) == stream_index(g, directed, loops)
 
 
 # Isomorphism classes on 1, 2, ... vertices.
@@ -443,15 +511,14 @@ CLASS_COUNTS = [
 
 @pytest.mark.parametrize("directed, loops, counts", CLASS_COUNTS)
 def test_orbit_keys_are_a_complete_invariant(directed, loops, counts):
-    """One key per graph of enumerate_graphs, in its order.  A key is the
-    position of its class's first member, every member is isomorphic to
-    that first member, and the first members of one order are pairwise
-    non-isomorphic; engine.isomorphic, the oracle, does not use the keys.
+    """The orbit key of each graph of enumerate_graphs, in its order: a
+    key is the position of its class's first member, every member is
+    isomorphic to that first member, and the first members of one order
+    are pairwise non-isomorphic; engine.isomorphic checks the keys.
     up_to_iso=True yields exactly the first members."""
     nmax = len(counts)
     graphs = list(enumerate_graphs(nmax, directed, loops, all_orders=True))
-    keys = list(orbit_keys(nmax, directed, loops, all_orders=True))
-    assert len(keys) == len(graphs)
+    keys = list(_labelled_keys(graphs, directed, loops))
     first = {}
     for position, (g, key) in enumerate(zip(graphs, keys)):
         if key == position:
