@@ -2,23 +2,20 @@
 graph, sproink generation, minimal sproinks for directed paths, and
 exhaustive duality verification over small digraph universes.
 
-`verify_dualities` checks a batch of duality jobs in one streaming pass
-over the digraph universe; `verify_duality` is the one-job case.  Each
-job decides a class of digraphs once, on the first member it meets: the
-classes are the isomorphism classes of loop-free digraphs, keyed by the
-stream position of their first member, and the looped digraphs.  A
-loop-free class is decided again after the job's family has widened.
-Until a family widens, the pass builds only the first member of each
-loop-free class (`enumerate_graphs` with up_to_iso=True) and the one
-looped digraph it checks; after each widening it builds the next member
-of each loop-free class (`graphs.next_members`).  `checked` still counts
-the whole labelled universe.  F -> G takes the forest walk `engine._forest_walk` when F is
-an oriented forest, as in every family of the suite, and
-`engine.hom_exists` otherwise; equal family members are shared across
-jobs and decided once per graph.  G -> H is read off the homomorphism
-order of the jobs' distinct targets, which the pass decides once: a yes
-for G -> T settles every target above T, and a no every target below
-it.
+`verify_dualities` checks a batch of duality jobs, each a family and a
+target, in one streaming pass over the digraph universe;
+`verify_duality` is the one-job case.  Each job decides a class of
+digraphs once, on its first member: the classes are the isomorphism
+classes of loop-free digraphs, and the looped digraphs.  The pass builds
+only the first member of each loop-free class (`enumerate_graphs` with
+up_to_iso=True) and the one-vertex loop; `checked` still counts the
+whole labelled universe.  F -> G takes the forest walk
+`engine._forest_walk` when F is an oriented forest, as in every family
+of the suite, and `engine.hom_exists` otherwise; equal family members
+are shared across jobs and decided once per graph.  G -> H is read off
+the homomorphism order of the jobs' distinct targets, which the pass
+decides once: a yes for G -> T settles every target above T, and a no
+every target below it.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from .graphs import (
     complete_graph,
     enumerate_graphs,
     is_oriented_tree,
-    next_members,
     oriented_path,
     stream_index,
     stream_size,
@@ -228,9 +224,8 @@ class DualityReport(
             "checked",
             "counterexample",  # Digraph or None
             "direction",  # "missing-obstruction", "false-obstruction" or None
-            "truncation",  # lengths tried, when a family factory was used
         ),
-        defaults=(None, None, ()),
+        defaults=(None, None),
     )
 ):
     """The outcome of one duality check; true exactly when it passed."""
@@ -241,16 +236,8 @@ class DualityReport(
         return self.ok
 
 
-class DualityJob(
-    namedtuple(
-        "DualityJob",
-        "family h family_factory initial_len",
-        defaults=(None, None),
-    )
-):
-    """One duality to check: the obstruction family, the target h, and,
-    when the family truncates an infinite set, family_factory(length) and
-    the initial_len it was truncated at."""
+class DualityJob(namedtuple("DualityJob", "family h")):
+    """One duality to check: the obstruction family and the target h."""
 
     __slots__ = ()
 
@@ -336,26 +323,12 @@ class _OpenJob:
     hold F.  `h` is the index of the job's target in the pass's _Targets."""
 
     def __init__(self, job, members, targets):
-        self.members = members
         self.targets = targets
         self.h = targets.index[job.h]
-        self.family = self._intern(job.family)
-        self.lengths = (job.initial_len,) if job.initial_len is not None else ()
-        # Set while the job may still double its truncation once.
-        self.widen = (
-            job.family_factory
-            if job.family_factory is not None and job.initial_len is not None
-            else None
-        )
-        self.initial_len = job.initial_len
-        # Class key -> the family under which that class passed.
-        self.passed = {}
-
-    def _intern(self, family):
-        for f in family:
-            if f not in self.members:
-                self.members[f] = _Member(f)
-        return [self.members[f] for f in family]
+        for f in job.family:
+            if f not in members:
+                members[f] = _Member(f)
+        self.family = [members[f] for f in job.family]
 
     def failure(self, g):
         """The direction in which g refutes the duality, or None."""
@@ -364,13 +337,6 @@ class _OpenJob:
         if to_h and hit:
             return "false-obstruction"
         if not to_h and not hit:
-            if self.widen is not None:
-                wider = self._intern(self.widen(2 * self.initial_len))
-                self.widen = None
-                self.lengths = (self.initial_len, 2 * self.initial_len)
-                if any(m.maps_into(g) for m in wider):
-                    self.family = wider
-                    return None
             return "missing-obstruction"
         return None
 
@@ -391,36 +357,17 @@ def verify_dualities(jobs, nmax):
     counterexample, with the report it gives when checked alone, and the
     pass stops once every job is closed.
 
-    A job checks the members of a class until one passes, and again
-    after its family widens; the later members pass with it.  The classes
-    are the isomorphism classes of loop-free digraphs and the looped
-    digraphs, all homomorphically equivalent to the one-vertex loop.
-    This is exact: g -> h and F -> g are invariant under isomorphism of
-    g, and for looped g under homomorphic equivalence; a pass is
-    remembered under the family object, so a widened family re-checks
-    every loop-free class; and a class that fails is decided at its
-    first labelled member, which is the reported counterexample.
-
-    The looped class is checked once, on the one-vertex loop, labelled
-    graph 2, right after the one-vertex digraph, and not after a
-    widening.  That re-check could not fail: a job widens only on a
-    miss, so its h has no loop (every digraph maps into a looped one);
-    and only to a family with a member that maps into the graph of the
-    miss, so the family is not empty, and each of its members maps into
-    every looped digraph.  So a looped g maps into no such h and is
-    obstructed, which passes.
-
-    Until some family widens, every class is checked on its first member
-    and never again, so the pass streams only the first members of the
-    loop-free classes (enumerate_graphs with up_to_iso=True), keyed by
-    their positions (graphs.stream_index).  A widening opens every class
-    again to the widened job, so the pass goes on with the next member
-    of each other loop-free class after the current digraph
-    (graphs.next_members), keyed by the position of the class's first
-    member, and starts next_members again after the digraph of each
-    further widening.  A report's `checked` is the labelled position of
-    its counterexample, computed from the rows (_position); `checked`
-    counts every labelled graph.
+    A job decides each class once, on its first labelled member, and the
+    pass builds only those members.  The classes are the isomorphism
+    classes of loop-free digraphs, whose first members enumerate_graphs
+    yields with up_to_iso=True, and the looped digraphs, all
+    homomorphically equivalent to the one-vertex loop, labelled graph 2,
+    which is checked right after the one-vertex digraph.  This is exact:
+    g -> h and F -> g are invariant under isomorphism of g, and for
+    looped g under homomorphic equivalence.  So the first labelled
+    counterexample is the first member of its class; a report's
+    `checked` is its labelled position (_position), and a report that
+    passes counts every labelled graph.
 
     g -> h is read from the jobs' targets in their homomorphism order
     (_Targets), decided once per pass: with the suite's five targets a
@@ -436,68 +383,31 @@ def verify_dualities(jobs, nmax):
     reports = [None] * len(states)
     open_jobs = list(range(len(states)))
 
-    widenings = 0
-
-    def step(g, key):
-        nonlocal widenings
+    def step(g):
         for i in list(open_jobs):
-            state = states[i]
-            if state.passed.get(key) is not state.family:
-                family = state.family
-                direction = state.failure(g)
-                widenings += state.family is not family
-                if direction is None:
-                    state.passed[key] = state.family
-                else:
-                    reports[i] = DualityReport(
-                        False, _position(g), g, direction, state.lengths
-                    )
-                    open_jobs.remove(i)
+            direction = states[i].failure(g)
+            if direction is not None:
+                reports[i] = DualityReport(False, _position(g), g, direction)
+                open_jobs.remove(i)
 
     if open_jobs:
-        loop_free = dict(directed=True, loops=False)
-        for g in enumerate_graphs(nmax, up_to_iso=True, all_orders=True, **loop_free):
-            key = stream_index(g, **loop_free)
-            step(g, key)
-            if not key:
+        for g in enumerate_graphs(
+            nmax, directed=True, loops=False, all_orders=True, up_to_iso=True
+        ):
+            step(g)
+            if g.n == 1:
                 # The looped class, on the one-vertex loop.
-                step(Digraph(1, [(0, 0)]), None)
-            if widenings or not open_jobs:
+                step(Digraph(1, [(0, 0)]))
+            if not open_jobs:
                 break
-        # After a widening every class is open again to the widened job:
-        # go on over the next member of each class after the current
-        # graph, and start again after it at each further widening.  The
-        # looped class is settled by now.
-        while widenings and open_jobs:
-            widenings = 0
-            position = stream_index(g, **loop_free)
-            for g, key in next_members(position, nmax, **loop_free):
-                step(g, key)
-                if widenings or not open_jobs:
-                    break
     checked = stream_size(nmax, directed=True, loops=True)
     for i in open_jobs:
-        reports[i] = DualityReport(True, checked, None, None, states[i].lengths)
+        reports[i] = DualityReport(True, checked)
     return reports
 
 
-def verify_duality(
-    family,
-    h,
-    nmax,
-    family_factory=None,
-    initial_len=None,
-):
+def verify_duality(family, h, nmax):
     """Check over every digraph G on up to nmax vertices (loops allowed)
     that G admits no homomorphism to h exactly when some member of the
-    family maps into G.  This is verify_dualities with a single job.
-
-    When the family is a truncation of an infinite set, pass
-    family_factory(length) and initial_len: the first time the forward
-    direction fails (no obstruction maps although G -/-> h), the
-    truncation length is doubled and the wider family is kept from then
-    on; a miss that the wider family does not cover is reported as a
-    counterexample.
-    """
-    job = DualityJob(tuple(family), h, family_factory, initial_len)
-    return verify_dualities([job], nmax)[0]
+    family maps into G.  This is verify_dualities with a single job."""
+    return verify_dualities([DualityJob(tuple(family), h)], nmax)[0]

@@ -542,30 +542,30 @@ def enumerate_graphs(
     """Yield every labelled digraph/graph on exactly n vertices (or on all
     orders 1..n with all_orders=True), in slot order: order by order, and
     within an order by the counter s over _slots.  With up_to_iso=True,
-    yield only the first member of each isomorphism class (see
-    next_members).
+    yield only the first member of each isomorphism class, in the same
+    order (_class_walk).
     Orders above ENUM_CAP_DIRECTED / ENUM_CAP_UNDIRECTED are refused."""
     orders = _orders(n, directed, all_orders)
     cls = Digraph if directed else Graph
-    if up_to_iso and n:
-        # The first members of the orders asked for are the next members
-        # after the last graph of the order below them.  Order 0 has one
-        # graph, which the labelled stream yields.
-        start = 0 if all_orders else stream_index(cls(n), directed, loops)
-        for g, _ in next_members(start - 1, n, directed, loops):
-            yield g
-        return
     for k in orders:
         width, tables = _arc_tables(k, directed, loops)
         full = (1 << k) - 1
         shifts = [u * k for u in range(k)]
-        high = [0]
-        for table in tables[1:]:
-            high = [h | x for x in table for h in high]
-        for h in high:
-            for low in tables[0]:
-                a = h | low
+        if up_to_iso:
+            mask = (1 << width) - 1
+            for s in _class_walk(k, directed, loops):
+                a = 0
+                for j, table in enumerate(tables):
+                    a |= table[s >> j * width & mask]
                 yield cls._from_masks(k, [a >> shift & full for shift in shifts])
+        else:
+            high = [0]
+            for table in tables[1:]:
+                high = [h | x for x in table for h in high]
+            for h in high:
+                for low in tables[0]:
+                    a = h | low
+                    yield cls._from_masks(k, [a >> shift & full for shift in shifts])
 
 
 def stream_index(g, directed=False, loops=True):
@@ -595,42 +595,15 @@ def stream_size(nmax, directed=False, loops=True):
     return sum(1 << len(_slots(k, directed, loops)) for k in range(1, nmax + 1))
 
 
-def next_members(position, nmax, directed=False, loops=True):
-    """Yield (g, key) for the first graph after stream position `position`
-    of each isomorphism class but that of the graph at `position`, in the
-    order of enumerate_graphs(nmax, directed, loops, all_orders=True).
-    key is the position of the class's first member (stream_index).
-    From position -1 these are the first members of every class, each
-    keyed by its own position (stream_index)."""
-    if position < -1:
-        raise ParameterError(f"stream position {position} is below -1")
-    cls = Digraph if directed else Graph
-    offset = 0
-    for k in _orders(nmax, directed, True):
-        size = 1 << len(_slots(k, directed, loops))
-        if position < offset + size - 1:
-            width, tables = _arc_tables(k, directed, loops)
-            mask = (1 << width) - 1
-            full = (1 << k) - 1
-            shifts = [u * k for u in range(k)]
-            for s, orbit in _class_walk(k, directed, loops, position - offset):
-                a = 0
-                for j, table in enumerate(tables):
-                    a |= table[s >> j * width & mask]
-                g = cls._from_masks(k, [a >> shift & full for shift in shifts])
-                yield g, offset + min(orbit)
-        offset += size
-
-
 @cache
 def _orbit_marker(k, directed, loops):
     """mark(seen, s), which sets seen[t] = 1 for every slot counter t of
-    order k in the orbit of s under relabelling, and returns those
-    counters, one per permutation.  The image of s under a relabelling is
-    the OR of per-permutation tables looked up on the chunks of s, at
-    least two and of at most 10 bits each.  The tables take 4 bytes per
-    entry, k! 2^width per chunk (0.9 MiB for loop-free digraphs on five
-    vertices), and are kept for the next walk of the order."""
+    order k in the orbit of s under relabelling.  The image of s under a
+    relabelling is the OR of per-permutation tables looked up on the
+    chunks of s, at least two and of at most 10 bits each.  The tables
+    take 4 bytes per entry, k! 2^width per chunk (0.9 MiB for loop-free
+    digraphs on five vertices), and are kept for the next walk of the
+    order."""
     slots = _slots(k, directed, loops)
     index = {slot: i for i, slot in enumerate(slots)}
     per_permutation = []
@@ -652,28 +625,23 @@ def _orbit_marker(k, directed, loops):
             images = list(map(or_, images, [table[part] for table in column]))
         for image in images:
             seen[image] = 1
-        return images
 
     return mark
 
 
-def _class_walk(k, directed, loops, start=-1):
-    """Yield (s, orbit) for each isomorphism class of order k with a slot
-    counter above start, but the class of start: s is its least counter
-    above start, and orbit its counters, one per permutation
-    (_orbit_marker).  A start below 0 skips no class.
+def _class_walk(k, directed, loops):
+    """Yield the least slot counter of each isomorphism class of order k,
+    in increasing order.
 
     Counters grow along the walk, so the first counter met in a class is
-    its least above start.  A bytearray marks the orbit of each class
-    met, and bytearray.find skips the marked counters in C, so the loop
-    runs once per class.  The bytearray takes a byte per labelled graph
-    of the order."""
+    its least.  A bytearray marks the orbit of each class met
+    (_orbit_marker), and bytearray.find skips the marked counters in C,
+    so the loop runs once per class.  The bytearray takes a byte per
+    labelled graph of the order."""
     mark = _orbit_marker(k, directed, loops)
     seen = bytearray(1 << len(_slots(k, directed, loops)))
-    if start >= 0:
-        mark(seen, start)
-    # A negative start would make find count from the end.
-    s = seen.find(0, max(start + 1, 0))
+    s = seen.find(0)
     while s >= 0:
-        yield s, mark(seen, s)
+        mark(seen, s)
+        yield s
         s = seen.find(0, s + 1)

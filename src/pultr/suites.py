@@ -247,10 +247,7 @@ def suite_duality(nmax=4):
         labels.append(f"sproinks/delta(T{k})")
         jobs.append(
             DualityJob(
-                tuple(minimal_path_sproinks(k, 12)),
-                arc_graph(transitive_tournament(k)),
-                family_factory=lambda length, k=k: minimal_path_sproinks(k, length),
-                initial_len=12,
+                tuple(minimal_path_sproinks(k, 12)), arc_graph(transitive_tournament(k))
             )
         )
     for label, rep in zip(labels, verify_dualities(jobs, nmax)):

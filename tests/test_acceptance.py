@@ -162,10 +162,7 @@ def test_criterion_10_sproink_duality():
     ok = minimal_path_sproink_specs(3, 12) == ["11"]
     jobs = [
         DualityJob(
-            tuple(minimal_path_sproinks(k, 12)),
-            arc_graph(transitive_tournament(k)),
-            family_factory=lambda length, k=k: minimal_path_sproinks(k, length),
-            initial_len=12,
+            tuple(minimal_path_sproinks(k, 12)), arc_graph(transitive_tournament(k))
         )
         for k in (3, 4)
     ]

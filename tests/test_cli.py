@@ -18,7 +18,7 @@ from pultr.graphs import (
     directed_path,
     transitive_tournament,
 )
-from pultr.suites import NMAX_SUITES, run_suite
+from pultr.suites import NMAX_SUITES, SUITE_NAMES, run_suite
 from pultr import chromatic, cli, engine, limits
 from pultr.errors import BudgetExceededError, ParameterError
 
@@ -163,10 +163,59 @@ def test_circular_gr(files, capsys):
     assert main(["circular-gr", "--input", files["c5"], "-n", "7", "-m", "3"]) == 1
 
 
-def test_verify_suite(files, capsys):
-    assert main(["verify", "--suite", "yeh-zhu"]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "VERDICT yeh-zhu PASS checked=2"
+# What `pultr verify --suite X` prints at the default nmax: the verdict
+# line on stdout and the notes on stderr.
+VERIFY_OUTPUT = {
+    "adjunction": (
+        "VERDICT adjunction PASS checked=583704",
+        [
+            "t3: 74x74 pairs",
+            "t5: 74x74 pairs",
+            "lex-k2: 74x74 pairs",
+            "tensor-c3: 74x74 pairs",
+            "arc-graph: 530x530 pairs",
+            "iota-2: 530x530 pairs",
+        ],
+    ),
+    "omega": (
+        "VERDICT omega PASS checked=6596",
+        [
+            "adjunction: 6 targets x 1098 graphs",
+            "chromatic identity n=2..4",
+            "cycle equivalences",
+            "circular-clique images of the cubic power",
+        ],
+    ),
+    "duality": (
+        "VERDICT duality PASS checked=330331",
+        [
+            "paths/T2: 66066 digraphs",
+            "paths/T3: 66066 digraphs",
+            "paths/T4: 66066 digraphs",
+            "sproinks/delta(T3): 66066 digraphs",
+            "sproinks/delta(T4): 66066 digraphs",
+        ],
+    ),
+    "shift": (
+        "VERDICT shift PASS checked=5",
+        ["chi(delta(K8)) = 5; lift uses <= 2^5 colours"],
+    ),
+    "yeh-zhu": ("VERDICT yeh-zhu PASS checked=2", []),
+    "ordering": (
+        "VERDICT ordering PASS checked=2112",
+        ["44 connected graphs x 48 grid pairs"],
+    ),
+    "powers-chi-c": ("VERDICT powers-chi-c PASS checked=2", []),
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_verify_suite(suite, capsys):
+    verdict, notes = VERIFY_OUTPUT[suite]
+    assert main(["verify", "--suite", suite]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == verdict + "\n"
+    assert captured.err.splitlines() == notes
 
 
 def test_verify_deterministic_verdict(files, capsys):

@@ -186,53 +186,24 @@ def test_verify_duality_missing_obstruction():
     assert not rep.ok and rep.direction == "missing-obstruction"
 
 
-def test_verify_duality_escalates_truncation():
-    # truncating the sproink family too hard loses long obstructions; the
-    # factory doubling must recover them
+def test_verify_duality_reports_a_short_family():
+    # Cut at length 3, the sproinks of delta(T4) are the 3-arc path alone,
+    # which misses T3: T3 has no homomorphism to delta(T4), and nothing in
+    # the family maps into it.  Cut at length 6 the family is complete on
+    # three vertices.
     k = 4
     target = arc_graph(transitive_tournament(k))
-    short = minimal_path_sproinks(k, 3)  # only the 3-arc path
-    rep = verify_duality(
-        short,
-        target,
-        3,
-        family_factory=lambda length: minimal_path_sproinks(k, length),
-        initial_len=3,
+    rep = verify_duality(minimal_path_sproinks(k, 3), target, 3)
+    assert rep == DualityReport(
+        False, 57, transitive_tournament(3), "missing-obstruction"
     )
-    assert rep.ok
-    assert rep.truncation == (3, 6)
+    rep = verify_duality(minimal_path_sproinks(k, 6), target, 3)
+    assert rep == DualityReport(True, 530)
 
 
-def test_verify_duality_escalates_at_most_once():
-    # The doubled family (a loop) covers the first miss, the looped
-    # vertex, but not the later 2-cycle.  The widened family is kept, so
-    # the factory runs once and the 2-cycle is reported at once.
-    h = transitive_tournament(2)
-    calls = []
-
-    def factory(length):
-        calls.append(length)
-        return [Digraph(1, [(0, 0)])]
-
-    rep = verify_duality([], h, 3, family_factory=factory, initial_len=1)
-    assert calls == [2]
-    first = next(
-        (i, g)
-        for i, g in enumerate(
-            enumerate_graphs(3, directed=True, loops=True, all_orders=True), 1
-        )
-        if not g.loop_mask and engine.hom_exists(g, h) is None
-    )
-    assert first == (9, Digraph(2, [(0, 1), (1, 0)]))
-    assert rep == DualityReport(False, 9, first[1], "missing-obstruction", (1, 2))
-
-
-def _sproink_job(k, initial_len):
+def _sproink_job(k, length):
     return DualityJob(
-        tuple(minimal_path_sproinks(k, initial_len)),
-        arc_graph(transitive_tournament(k)),
-        family_factory=lambda length: minimal_path_sproinks(k, length),
-        initial_len=initial_len,
+        tuple(minimal_path_sproinks(k, length)), arc_graph(transitive_tournament(k))
     )
 
 
@@ -242,24 +213,24 @@ def test_verify_dualities_equals_one_call_per_job():
         DualityJob((directed_path(2),), transitive_tournament(3)),
         DualityJob((), transitive_tournament(2)),
         _sproink_job(4, 3),
-        # k = 3 escalates from the empty family to the 2-arc path; a
-        # factory that saw k = 4 would find nothing and fail
+        _sproink_job(4, 6),
+        # k = 3 with the empty family and with the 2-arc path
         _sproink_job(3, 1),
+        _sproink_job(3, 2),
     ]
     batch = verify_dualities(jobs, 3)
-    singles = [
-        verify_duality(j.family, j.h, 3, j.family_factory, j.initial_len)
-        for j in jobs
-    ]
+    singles = [verify_duality(j.family, j.h, 3) for j in jobs]
     assert batch == singles
-    assert [(r.ok, r.direction, r.truncation) for r in batch] == [
-        (True, None, ()),
-        (False, "false-obstruction", ()),
-        (False, "missing-obstruction", ()),
-        (True, None, (3, 6)),
-        (True, None, (1, 2)),
+    assert [(r.ok, r.direction) for r in batch] == [
+        (True, None),
+        (False, "false-obstruction"),
+        (False, "missing-obstruction"),
+        (False, "missing-obstruction"),
+        (True, None),
+        (False, "missing-obstruction"),
+        (True, None),
     ]
-    assert [r.checked for r in batch] == [530, 31, 2, 530, 530]
+    assert [r.checked for r in batch] == [530, 31, 2, 57, 530, 2, 530]
     assert batch[1].counterexample == Digraph(3, [(0, 2), (1, 0)])
     assert batch[2].counterexample == Digraph(1, [(0, 0)])
     assert verify_dualities([], 3) == []
@@ -280,9 +251,9 @@ def test_verify_dualities_stops_when_every_job_is_closed(monkeypatch):
     ]
     reports = verify_dualities(jobs, 3)
     assert [r.checked for r in reports] == [31, 2]
-    # no family widens, so only the first members of the loop-free
-    # classes are pulled, and none after the last job closes at the 9th
-    # of them, the 12th loop-free digraph and labelled graph 31
+    # only the first members of the loop-free classes are pulled, and
+    # none after the last job closes at the 9th of them, the 12th
+    # loop-free digraph and labelled graph 31
     assert len(yielded) == 9
     assert yielded[-1] == reports[0].counterexample
     assert stream_index(yielded[-1], directed=True, loops=False) == 11
@@ -297,13 +268,6 @@ class _LabelledJob:
     def __init__(self, job):
         self.h = job.h
         self.family = list(job.family)
-        self.lengths = (job.initial_len,) if job.initial_len is not None else ()
-        self.widen = (
-            job.family_factory
-            if job.family_factory is not None and job.initial_len is not None
-            else None
-        )
-        self.initial_len = job.initial_len
 
     def failure(self, g):
         to_h = engine.hom_exists(g, self.h) is not None
@@ -311,13 +275,6 @@ class _LabelledJob:
         if to_h and hit:
             return "false-obstruction"
         if not to_h and not hit:
-            if self.widen is not None:
-                wider = list(self.widen(2 * self.initial_len))
-                self.widen = None
-                self.lengths = (self.initial_len, 2 * self.initial_len)
-                if any(engine.hom_exists(f, g) is not None for f in wider):
-                    self.family = wider
-                    return None
             return "missing-obstruction"
         return None
 
@@ -337,14 +294,12 @@ def _labelled_reference(jobs, nmax):
             if direction is None:
                 still_open.append(i)
             else:
-                reports[i] = DualityReport(
-                    False, checked, g, direction, states[i].lengths
-                )
+                reports[i] = DualityReport(False, checked, g, direction)
         open_jobs = still_open
         if not open_jobs:
             break
     for i in open_jobs:
-        reports[i] = DualityReport(True, checked, None, None, states[i].lengths)
+        reports[i] = DualityReport(True, checked)
     return reports
 
 
@@ -361,22 +316,25 @@ def _random_digraph(rng, loops):
     )
 
 
-def _random_job(rng):
+def _random_jobs(rng):
+    """One random job, or two with the same target where the second
+    family extends the first."""
     family = tuple(
         _random_digraph(rng, rng.random() < 0.3) for _ in range(rng.randint(0, 2))
     )
     h = _random_digraph(rng, rng.random() < 0.3)
     if rng.random() < 0.5:
-        return DualityJob(family, h)
+        return [DualityJob(family, h)]
     wider = family + tuple(
         _random_digraph(rng, rng.random() < 0.3) for _ in range(rng.randint(1, 2))
     )
-    return DualityJob(family, h, lambda length, w=wider: list(w), 1)
+    return [DualityJob(family, h), DualityJob(wider, h)]
 
 
 def test_verify_dualities_matches_labelled_reference():
     loop = Digraph(1, [(0, 0)])
     two_cycle = Digraph(2, [(0, 1), (1, 0)])
+    p2 = directed_path(2)
     t2 = transitive_tournament(2)
     t3 = transitive_tournament(3)
     c3 = directed_cycle(3)
@@ -386,67 +344,66 @@ def test_verify_dualities_matches_labelled_reference():
         DualityJob((directed_path(3),), transitive_tournament(3)),
         # a looped h: false-obstruction at the first looped graph
         DualityJob((directed_path(1),), Digraph(2, [(0, 1), (1, 1)])),
-        # an empty family that widens on the first looped graph
-        DualityJob((), t2, lambda length: [loop, directed_path(2)], 1),
-        # widens on a loop-free graph, the 2-arc path, after a looped
-        # graph has passed
-        DualityJob((two_cycle,), t2, lambda length: [two_cycle, directed_path(2)], 1),
+        # an empty family misses the first looped graph
+        DualityJob((), t2),
+        # misses a loop-free graph, the 2-arc path, after a looped graph
+        # has passed
+        DualityJob((two_cycle,), t2),
+        DualityJob((two_cycle, p2), t2),
         # a family member with a loop
-        DualityJob((loop, directed_path(2)), t2),
+        DualityJob((loop, p2), t2),
         DualityJob((loop,), transitive_tournament(3)),
         _sproink_job(4, 3),
+        _sproink_job(4, 6),
         _sproink_job(3, 1),
-        # Fail at a loop-free graph with an isomorphic copy of smaller rows:
-        # the first member of its class, and, after the family widens on
-        # the directed 3-cycle, later relabellings of shapes that passed
-        # under the narrower family (T3, then the 2-cycle with an arc in).
-        DualityJob((directed_path(2),), t3),
-        DualityJob((two_cycle,), t3, lambda length: [two_cycle, c3, directed_path(2)], 1),
-        DualityJob((two_cycle,), t3, lambda length: [c3], 1),
-        # Widens on the 2-cycle, a loop-free first member, so the pass
-        # re-checks the looped class and goes on over the labelled graphs;
-        # then fails at a class met after the widening, the 2-arc path.
-        DualityJob((loop,), t2, lambda length: [loop, two_cycle], 1),
+        _sproink_job(3, 2),
+        # Fails at the first member of a loop-free class in the stream,
+        # which has an isomorphic copy of smaller rows.
+        DualityJob((p2,), t3),
+        # narrower and wider families against one target
+        DualityJob((two_cycle,), t3),
+        DualityJob((two_cycle, c3, p2), t3),
+        DualityJob((c3,), t3),
+        DualityJob((loop,), t2),
+        DualityJob((loop, two_cycle), t2),
     ]
     rng = random.Random(20130409)
-    jobs += [_random_job(rng) for _ in range(40)]
+    jobs += [job for _ in range(40) for job in _random_jobs(rng)]
     batch = verify_dualities(jobs, 3)
     assert batch == _labelled_reference(jobs, 3)
-    assert [(r.ok, r.checked, r.direction, r.truncation) for r in batch[:12]] == [
-        (True, 530, None, ()),
-        (False, 2, "false-obstruction", ()),
-        (True, 530, None, (1, 2)),
-        (True, 530, None, (1, 2)),
-        (True, 530, None, ()),
-        (False, 9, "missing-obstruction", ()),
-        (True, 530, None, (3, 6)),
-        (True, 530, None, (1, 2)),
-        (False, 31, "false-obstruction", ()),
-        (False, 123, "false-obstruction", (1, 2)),
-        (False, 119, "missing-obstruction", (1, 2)),
-        (False, 31, "missing-obstruction", (1, 2)),
+    assert [(r.ok, r.checked, r.direction) for r in batch[:17]] == [
+        (True, 530, None),
+        (False, 2, "false-obstruction"),
+        (False, 2, "missing-obstruction"),
+        (False, 31, "missing-obstruction"),
+        (True, 530, None),
+        (True, 530, None),
+        (False, 9, "missing-obstruction"),
+        (False, 57, "missing-obstruction"),
+        (True, 530, None),
+        (False, 2, "missing-obstruction"),
+        (True, 530, None),
+        (False, 31, "false-obstruction"),
+        (False, 117, "missing-obstruction"),
+        (False, 31, "false-obstruction"),
+        (False, 9, "missing-obstruction"),
+        (False, 9, "missing-obstruction"),
+        (False, 31, "missing-obstruction"),
     ]
-    assert [r.counterexample.out_masks for r in batch[8:12]] == [
+    assert [r.counterexample.out_masks for r in batch[11:17]] == [
         (4, 1, 0),
-        (0, 5, 1),
-        (4, 4, 1),
+        (2, 4, 1),
+        (4, 1, 0),
+        (2, 1),
+        (2, 1),
         (4, 1, 0),
     ]
-    universe = list(
-        islice(enumerate_graphs(3, directed=True, loops=True, all_orders=True), 122)
-    )
     order_3 = list(enumerate_graphs(3, directed=True, loops=True))
-    for r in batch[8:11]:
-        assert any(
-            engine.isomorphic(g, r.counterexample)
-            and g.out_masks < r.counterexample.out_masks
-            for g in order_3
-        )
-    for r in batch[9:11]:
-        assert any(
-            engine.isomorphic(g, r.counterexample)
-            for g in universe[: r.checked - 1]
-        )
+    assert any(
+        engine.isomorphic(g, batch[11].counterexample)
+        and g.out_masks < batch[11].counterexample.out_masks
+        for g in order_3
+    )
     looped_counterexamples = [
         r for r in batch if r.counterexample is not None and r.counterexample.loop_mask
     ]
@@ -470,6 +427,8 @@ def test_verify_dualities_matches_labelled_reference_on_the_suite(monkeypatch):
 
 
 def test_verify_dualities_decides_each_class_once(monkeypatch):
+    # one failure call per class and job: the loop-free classes, as
+    # enumerate_graphs yields their first members, and the looped class
     calls = {}
     failure = duality._OpenJob.failure
 
@@ -477,56 +436,30 @@ def test_verify_dualities_decides_each_class_once(monkeypatch):
         calls[id(self)] = calls.get(id(self), 0) + 1
         return failure(self, g)
 
-    built = []
-    members = duality.next_members
+    yielded = []
 
-    def building(*args, **kwargs):
-        for g, key in members(*args, **kwargs):
-            built.append(stream_index(g, directed=True, loops=False))
-            yield g, key
+    def counting_enumerate(*args, **kwargs):
+        for g in enumerate_graphs(*args, **kwargs):
+            yielded.append(g)
+            yield g
 
     monkeypatch.setattr(duality._OpenJob, "failure", counting)
-    monkeypatch.setattr(duality, "next_members", building)
+    monkeypatch.setattr(duality, "enumerate_graphs", counting_enumerate)
     jobs = [
-        # one call per class: the 20 classes of loop-free digraphs on at
-        # most three vertices, and the looped digraphs
         DualityJob((directed_path(3),), transitive_tournament(3)),
-        # the family widens once, on a loop-free graph, so the loop-free
-        # classes met after it are checked once more; the looped class is
-        # not, since a widened family passes every looped digraph
-        _sproink_job(4, 3),
+        _sproink_job(4, 6),
     ]
     assert [r.ok for r in verify_dualities(jobs, 3)] == [True, True]
-    assert list(calls.values()) == [21, 27]
-    # The widening comes at loop-free digraph 16 of 70.  Of the 53 after
-    # it, the pass builds only the 14 whose class some job has not passed
-    # since, each once and in stream order.
-    assert len(built) == 14 and built == sorted(set(built)) and built[0] > 16
-
-    # A second family widens in the labelled tail, on the directed
-    # 3-cycle; the pass builds no later member of that class.
-    two_cycle = Digraph(2, [(0, 1), (1, 0)])
-    wider = [two_cycle, directed_cycle(3), directed_path(2)]
-    jobs = [
-        _sproink_job(4, 3),
-        DualityJob((two_cycle,), transitive_tournament(3), lambda length: wider, 1),
-    ]
-    built.clear()
-    reports = verify_dualities(jobs, 3)
-    assert [(r.ok, r.checked, r.truncation) for r in reports] == [
-        (True, 530, (3, 6)),
-        (False, 123, (1, 2)),
-    ]
-    assert len(built) == 24 and built == sorted(set(built))
+    assert len(yielded) == 20
+    assert list(calls.values()) == [21, 21]
 
 
 def test_duality_obstructions_leave_the_kernel(monkeypatch):
     # Every member of the suite's families is an oriented path, so each
     # F -> G is a forest walk; the kernel sees only the G -> H side.
-    # No family of the suite widens at nmax 4, so the pass builds only the
-    # 238 first members of the loop-free classes.  P2 is in paths/T2 and
-    # sproinks/delta(T3), and P3 in paths/T3 and sproinks/delta(T4); each
-    # is walked once per graph.
+    # The pass builds only the 238 first members of the loop-free classes
+    # at nmax 4.  P2 is in paths/T2 and sproinks/delta(T3), and P3 in
+    # paths/T3 and sproinks/delta(T4); each is walked once per graph.
     counts = dict.fromkeys(("solve", "decisions", "walks", "hits", "yielded"), 0)
     solve = engine._kernel.solve
     walk = engine._forest_walk

@@ -20,7 +20,6 @@ from pultr.graphs import (
     is_oriented_tree,
     kneser_pairs,
     lexicographic_product,
-    next_members,
     odd_girth,
     orient_edges,
     orientations,
@@ -313,6 +312,7 @@ def test_enumerate_graphs_counts():
     with pytest.raises(ParameterError, match="order -1 is negative$"):
         next(enumerate_graphs(-1, directed=True))
     assert list(enumerate_graphs(0, directed=True)) == [Digraph(0, [])]
+    assert list(enumerate_graphs(0, directed=True, up_to_iso=True)) == [Digraph(0, [])]
 
 
 def test_enumerate_graphs_follows_the_slot_order():
@@ -455,34 +455,6 @@ def test_stream_index_is_the_position(directed, loops):
     graphs = enumerate_graphs(nmax, directed, loops, all_orders=True)
     for position, g in enumerate(graphs):
         assert stream_index(g, directed, loops) == position
-    # From -1, next_members yields each first member keyed by its position.
-    for g, key in next_members(-1, nmax, directed, loops):
-        assert type(g) is (Digraph if directed else Graph)
-        assert stream_index(g, directed, loops) == key
-    with pytest.raises(ParameterError):
-        next(next_members(-2, nmax, directed, loops))
-
-
-@pytest.mark.parametrize("directed, loops", [(True, False), (False, True)])
-def test_next_members_restart_after_any_position(directed, loops):
-    """From -1 and from the first and last position of each order,
-    next_members yields the first member after the position of each
-    other class, in stream order, against the orbit keys of the labelled
-    stream.  A restart from a lower order walks the higher orders whole."""
-    nmax = 4
-    graphs = list(enumerate_graphs(nmax, directed, loops, all_orders=True))
-    keys = list(_labelled_keys(graphs, directed, loops))
-    first = [stream_index(Digraph(k), directed, loops) for k in range(1, nmax + 2)]
-    starts = [-1, *first[:-1], *(position - 1 for position in first[1:])]
-    for start in starts:
-        skip = {keys[start]} if start >= 0 else set()
-        expected = []
-        for g, key in zip(graphs[start + 1 :], keys[start + 1 :]):
-            if key not in skip:
-                skip.add(key)
-                expected.append((g, key))
-        assert list(next_members(start, nmax, directed, loops)) == expected
-    assert expected == []
 
 
 @pytest.mark.parametrize(
@@ -531,9 +503,11 @@ def test_orbit_keys_are_a_complete_invariant(directed, loops, counts):
     for members in by_order.values():
         for a, b in combinations(members, 2):
             assert not engine.isomorphic(a, b)
-    assert list(
+    firsts = list(
         enumerate_graphs(nmax, directed, loops, all_orders=True, up_to_iso=True)
-    ) == list(first.values())
+    )
+    assert firsts == list(first.values())
+    assert {type(g) for g in firsts} == {Digraph if directed else Graph}
 
 
 def test_connectivity_and_trees():
