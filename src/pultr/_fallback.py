@@ -12,8 +12,9 @@ the map tuple.
 
 tests/test_kernel_golden.py pins the witnesses, counts, enumeration
 orders and decision counts of all three modes.  engine.hom_exists
-settles an oriented forest source without this module, by semijoin
-passes that reproduce its witness and its decision count.
+sends every query that its loop rules leave open here; the semijoin
+passes of engine._forest_walk and functors.gamma_functor decide forests
+without this module.
 
 Unary constraints (loops of G, pinned vertices) must already be applied
 to the initial domains; `arcs` must be loop-free.
@@ -31,10 +32,10 @@ class _BudgetHit(Exception):
     pass
 
 
-def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget, limit=-1):
+def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget):
     """Returns (status, payload, decisions).  payload: mapping tuple or None
     for MODE_EXISTS, int for MODE_COUNT, list of mapping tuples for
-    MODE_ENUM (capped at `limit` when limit >= 0)."""
+    MODE_ENUM."""
     decisions = 0
     # The support of a domain mask along an arc, the OR of its rows, is
     # memoised per call: out_sup for the out-rows, in_sup for the in-rows.
@@ -132,9 +133,8 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget, limit=-1):
             fwd[v].append((u, 1))
 
     # Counting and enumeration share one DFS; only enumeration records
-    # the maps and stops after `limit` of them.
+    # the maps.
     record = mode == MODE_ENUM
-    cap = limit if record else -1
     assign = [0] * n_g
     results = []
     found = 0
@@ -142,15 +142,15 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget, limit=-1):
     doms = list(doms0)
 
     def dfs(i):
-        """False once `cap` maps have been found.  The forward checks
-        narrow `doms` in place; each value undoes its own narrowings from
-        a trail, in reverse, since fwd[i] may list one j twice."""
+        """The forward checks narrow `doms` in place; each value undoes
+        its own narrowings from a trail, in reverse, since fwd[i] may
+        list one j twice."""
         nonlocal decisions, found
         if i == n_g:
             found += 1
             if record:
                 results.append(tuple(assign))
-            return cap < 0 or found < cap
+            return
         lst = fwd[i]
         m = doms[i]
         while m:
@@ -171,16 +171,12 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget, limit=-1):
                     trail.append((j, dj))
                     doms[j] = nj
             else:
-                if not dfs(i + 1):
-                    return False
+                dfs(i + 1)
             for j, dj in reversed(trail):
                 doms[j] = dj
-        return True
 
     try:
-        # A cap of 0 asks for no maps: the DFS would record one before it
-        # checks the cap, so it does not start.
-        if all(doms0) and cap != 0:
+        if all(doms0):
             dfs(0)
     except _BudgetHit:
         return STATUS_BUDGET, None, decisions

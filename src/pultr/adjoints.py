@@ -171,7 +171,13 @@ def omega_oriented_path(q, h):
 
 def arc_graph(h):
     """The arc graph: vertices are the arcs of H in lexicographic order,
-    with (u,v) -> (x,y) iff v = x."""
+    with (u,v) -> (x,y) iff v = x.  Its size, |A(H)| plus in(v) out(v)
+    arcs through each v, is checked before it is built."""
+    through = zip(h.in_masks, h.out_masks)
+    limits.check_size(
+        h.arc_count + sum(i.bit_count() * o.bit_count() for i, o in through),
+        "arc graph",
+    )
     arcs_h = list(h.arc_list)
     index = {a: i for i, a in enumerate(arcs_h)}
     by_tail = {}

@@ -9,10 +9,12 @@ lookup rather than a scan of all vertices.  Its contract is exactly
 "least n such that a homomorphism to K_n exists", and the test suite
 cross-checks it against raw hom searches on all small graphs.
 
-The Gallai-Roy checks ask whether an oriented path maps into an
-orientation.  A path is a tree, so `engine._forest_walk` answers with one
-semijoin pass and a walk back, without search, and its map is
-re-checked.
+A Gallai-Roy certificate is the pullback of an oriented target along a
+homomorphism: T_k for a k-colouring, and an orientation of K_{n/m} taken
+from the interleaved adjoint iota_m(T_n) for a circular colouring.  It
+asks whether an oriented path maps into an orientation.  A path is a
+tree, so `engine._forest_walk` answers with one semijoin pass and a walk
+back, without search, and its map is re-checked.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .bitset import iter_bits
 from .engine import HomWitness
 from .errors import BudgetExceededError, ParameterError
 from .graphs import (
+    Digraph,
     as_graph,
     circular_complete,
     complete_graph,
@@ -35,7 +38,6 @@ from .graphs import (
     oriented_path,
     orientations,
     orient_edges,
-    sorted_edges,
     symmetrization,
     transitive_tournament,
 )
@@ -244,53 +246,51 @@ def circular_chromatic_number(g):
 # ---------------------------------------------------------------------------
 
 
-def _avoiding_orientation_exists(g, paths):
-    """Whether some orientation of g admits no homomorphism from any path
-    of `paths`, (path, engine._forest_plan) pairs, by an exhaustive scan.
-    A scan over more than ORIENTATION_SCAN_CAP edges is refused."""
+def _orientation_certificate(g, name, witness, target, paths):
+    """The certificate that the pullback of the oriented graph `target`
+    along `witness`, g -> sym(target), admits no path of `paths`, (label,
+    oriented path) pairs: an edge u < v goes u -> v iff target has the
+    arc w(u) -> w(v).  With no witness, None, once a scan of every
+    orientation has found a path in each."""
+    plans = [(label, p, engine._forest_plan(p, p.n - 1)) for label, p in paths]
+
+    def hits(oriented):
+        for _, p, plan in plans:
+            yield engine._forest_walk(p, plan, oriented) is not None
+
+    if witness is not None:
+        w = witness.mapping
+        spec = "".join(
+            "1" if target.has_arc(w[u], w[v]) else "0" for u, v in g.edges()
+        )
+        family = tuple(zip([label for label, _ in paths], hits(orient_edges(g, spec))))
+        if any(hit for _, hit in family):
+            raise RuntimeError("certificate orientation admits a family path")
+        return ColouringCertificate(name, witness, spec, family)
     if g.edge_count > ORIENTATION_SCAN_CAP:
         raise ParameterError(
             f"orientation scan over {g.edge_count} edges exceeds cap "
             f"{ORIENTATION_SCAN_CAP}"
         )
-    return any(
-        all(engine._forest_walk(p, plan, oriented) is None for p, plan in paths)
-        for oriented in orientations(g)
-    )
+    if not all(any(hits(oriented)) for oriented in orientations(g)):
+        raise RuntimeError("an orientation avoids the family, but no colouring exists")
+    return None
 
 
 def gallai_roy_orientation(g, k):
-    """If g is k-colourable: the orientation along increasing colours,
-    certified to admit no homomorphism from the directed path with k arcs.
-    Otherwise None, after exhaustively confirming that every orientation
-    admits one."""
+    """If g is k-colourable, the orientation along increasing colours (the
+    pullback of T_k), certified to admit no homomorphism from the k-arc
+    directed path; otherwise None, after confirming that every
+    orientation admits one."""
     g = as_graph(g)
     if g.has_loop():
         raise ParameterError("needs a loop-free graph")
     if k < 1:
         raise ParameterError("needs k >= 1")
-    path = directed_path(k)
-    plan = engine._forest_plan(path, k)
     colours = k_colourable(g, k)
-    if colours is not None:
-        spec = "".join(
-            "1" if colours[u] < colours[v] else "0" for u, v in sorted_edges(g)
-        )
-        oriented = orient_edges(g, spec)
-        if engine._forest_walk(path, plan, oriented) is not None:
-            raise RuntimeError("colour-increasing orientation admits the path")
-        return ColouringCertificate(
-            target_name=f"K{k}",
-            witness=HomWitness(g.n, k, tuple(colours)),
-            orientation=spec,
-            family=((f"dP{k}", False),),
-        )
-    if _avoiding_orientation_exists(g, [(path, plan)]):
-        raise RuntimeError(
-            "found an orientation avoiding the path although the graph "
-            "is not k-colourable"
-        )
-    return None
+    witness = None if colours is None else HomWitness(g.n, k, tuple(colours))
+    path = [(f"dP{k}", directed_path(k))]
+    return _orientation_certificate(g, f"K{k}", witness, transitive_tournament(k), path)
 
 
 def reversal_path_specs(n, r):
@@ -312,64 +312,41 @@ def reversal_paths(n, r):
 
 
 @lru_cache(maxsize=None)
-def _interleaved_tournament(m, n):
-    return interleaved_adjoint(m, transitive_tournament(n))
-
-
-@lru_cache(maxsize=None)
-def _clique_to_interleaved(n, m):
-    """A fixed homomorphism K_{n/m} -> sym(iota_m(T_n)) (exists both ways)."""
-    target = symmetrization(_interleaved_tournament(m, n))
-    w = engine.hom_exists(circular_complete(n, m), target)
+def _circular_orientation(n, m):
+    """An orientation of K_{n/m}: the pullback of iota_m(T_n) along a fixed
+    homomorphism K_{n/m} -> sym(iota_m(T_n)) (Goddyn, Tarsi & Zhang,
+    J. Graph Theory 1998).  iota_m(T_n) has no loop and no antiparallel
+    pair, so every edge takes one direction."""
+    clique = circular_complete(n, m)
+    iota = interleaved_adjoint(m, transitive_tournament(n))
+    w = engine.hom_exists(clique, symmetrization(iota))
     if w is None:
         raise RuntimeError(f"no homomorphism K{n}/{m} -> B({n},{m})")
-    return w
+    arcs = []
+    for a, b in clique.edges():
+        if iota.has_arc(w(a), w(b)):
+            arcs.append((a, b))
+        elif iota.has_arc(w(b), w(a)):
+            arcs.append((b, a))
+        else:
+            raise RuntimeError(f"K{n}/{m} -> B({n},{m}) is not a homomorphism")
+    return Digraph(n, arcs)
 
 
 def circular_gallai_roy_check(g, n, m):
-    """Certificate that chi_c(g) <= n/m via an orientation admitting no
-    homomorphism from any n-arc path with < m reversals, or None (after
-    exhaustively confirming every orientation admits one)."""
+    """Certificate that chi_c(g) <= n/m via an orientation (the pullback
+    of _circular_orientation) admitting no homomorphism from any n-arc
+    path with < m reversals, or None after confirming that every
+    orientation admits one."""
     g = as_graph(g)
     if g.has_loop():
         raise ParameterError("needs a loop-free graph")
     if math.gcd(n, m) != 1 or 2 * m > n:
         raise ParameterError(f"{n}/{m} is not a reduced circular fraction >= 2")
-    target = circular_complete(n, m)
-    w = engine.hom_exists(g, target)
-    specs = list(reversal_path_specs(n, m - 1))
-    paths = [(p, engine._forest_plan(p, n)) for p in map(oriented_path, specs)]
-    if w is not None:
-        iota = _interleaved_tournament(m, n)
-        lift = engine.compose(w, _clique_to_interleaved(n, m))
-        bits = []
-        for u, v in sorted_edges(g):
-            if iota.has_arc(lift.mapping[u], lift.mapping[v]):
-                bits.append("1")
-            elif iota.has_arc(lift.mapping[v], lift.mapping[u]):
-                bits.append("0")
-            else:
-                raise RuntimeError("lifted map is not a homomorphism")
-        spec = "".join(bits)
-        oriented = orient_edges(g, spec)
-        family = tuple(
-            (s, engine._forest_walk(p, plan, oriented) is not None)
-            for s, (p, plan) in zip(specs, paths)
-        )
-        if any(hit for _, hit in family):
-            raise RuntimeError("certificate orientation admits a family path")
-        return ColouringCertificate(
-            target_name=f"K{n}/{m}",
-            witness=w,
-            orientation=spec,
-            family=family,
-        )
-    if _avoiding_orientation_exists(g, paths):
-        raise RuntimeError(
-            "found an orientation avoiding the whole family although "
-            "the circular colouring does not exist"
-        )
-    return None
+    w = engine.hom_exists(g, circular_complete(n, m))
+    target = None if w is None else _circular_orientation(n, m)
+    paths = [(s, oriented_path(s)) for s in reversal_path_specs(n, m - 1)]
+    return _orientation_certificate(g, f"K{n}/{m}", w, target, paths)
 
 
 # ---------------------------------------------------------------------------

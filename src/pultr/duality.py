@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations
 
 from . import engine, limits
 from .engine import HomWitness
 from .errors import ParameterError
-from .functors import _find, _union
+from .functors import _glue
 from .graphs import (
     Digraph,
     complete_graph,
@@ -153,57 +153,54 @@ def validate_recipe(recipe):
 
 
 def sproink(recipe):
-    """Glue the pieces along the base tree: for each base arc e = (u, u'),
-    identify the attachment vertex of u for e with that of u'.  The result
-    is asserted to be an oriented tree."""
+    """Glue the pieces along the base tree (functors._glue): for each
+    base arc e = (u, u'), identify the attachment vertex of u for e with
+    that of u'.  The result must be an oriented tree."""
     bad = validate_recipe(recipe)
     if bad:
         raise ParameterError("invalid sproink recipe: " + "; ".join(bad))
-    t = recipe.base
-    offsets = []
-    total = 0
-    for piece, _levels in recipe.pieces:
-        offsets.append(total)
-        total += piece.n
-    parent = list(range(total))
-    for ei, (u, v) in enumerate(t.arc_list):
-        _union(
-            parent,
-            offsets[u] + recipe.attachments[u][ei],
-            offsets[v] + recipe.attachments[v][ei],
-        )
-    arcs = set()
-    for u, (piece, _levels) in enumerate(recipe.pieces):
-        for a, b in piece.arcs():
-            arcs.add((_find(parent, offsets[u] + a), _find(parent, offsets[u] + b)))
-    roots = sorted({_find(parent, x) for x in range(total)})
-    index = {r: i for i, r in enumerate(roots)}
-    out = Digraph(len(roots), ((index[a], index[b]) for a, b in arcs))
+    pieces = [piece for piece, _levels in recipe.pieces]
+    offsets = list(accumulate((piece.n for piece in pieces), initial=0))
+    pairs = [
+        (offsets[u] + recipe.attachments[u][ei], offsets[v] + recipe.attachments[v][ei])
+        for ei, (u, v) in enumerate(recipe.base.arc_list)
+    ]
+    out = _glue(pieces, pairs)[0]
     if not is_oriented_tree(out):
         raise ParameterError("recipe does not produce a tree")
     return out
+
+
+def _compositions(total, parts):
+    """The tuples of `parts` natural numbers with sum `total`, in
+    descending lexicographic order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
 
 
 def minimal_path_sproink_specs(k, max_len):
     """Orientation strings of the minimal sproinks of the k-arc directed
     path, k >= 3: an up arc, then k-3 groups "up (down up)*", then an up
     arc; all strings of total length <= max_len, ordered by length then
-    lexicographically."""
+    lexicographically.  A string with a_i repeats in group i has length
+    k - 1 + 2 sum(a_i), and within one length a larger a_i puts a 0 where
+    a smaller one has a 1, so the order is by sum, then descending."""
     if k < 3:
         raise ParameterError("minimal path sproinks need k >= 3")
-    groups = k - 3
-    base_len = k - 1
-    if base_len > max_len:
-        return []
-    budget = (max_len - base_len) // 2
-    specs = []
-    for reps in product(range(budget + 1), repeat=groups):
-        if sum(reps) > budget:
-            continue
-        s = "1" + "".join("1" + "01" * a for a in reps) + "1"
-        specs.append(s)
-    specs.sort(key=lambda s: (len(s), s))
-    return specs
+    budget = (max_len - (k - 1)) // 2
+    return [
+        "1" + "".join("1" + "01" * a for a in reps) + "1"
+        for total in range(budget + 1)
+        for reps in _compositions(total, k - 3)
+    ]
 
 
 def minimal_path_sproinks(k, max_len):

@@ -124,7 +124,7 @@ def domains(g, h, pins=None):
     return doms
 
 
-def kernel_args(g, h, mode, pins=None, limit=-1):
+def kernel_args(g, h, mode, pins=None):
     """The positional arguments of the kernels' `solve` for a search
     g -> h: the `domains`, the loop-free arcs of g as the binary
     constraints, and the budget of the enclosing `limits.scope`.  The
@@ -139,16 +139,15 @@ def kernel_args(g, h, mode, pins=None, limit=-1):
         h.in_masks,
         mode,
         limits.default_budget(),
-        limit,
     )
 
 
-def _solve(g, h, mode, pins=None, limit=-1):
+def _solve(g, h, mode, pins=None):
     need = g.n * 3 + 200
     if sys.getrecursionlimit() < need:
         sys.setrecursionlimit(need)
     status, payload, decisions = _kernel.solve(
-        *kernel_args(g, h, mode, pins, limit)
+        *kernel_args(g, h, mode, pins)
     )
     if status != 0:
         raise BudgetExceededError(decisions)
@@ -272,13 +271,10 @@ def hom_count(g, h):
     return _solve(g, h, MODE_COUNT)
 
 
-def hom_enumerate(g, h, limit=None):
+def hom_enumerate(g, h):
     """All homomorphisms g -> h as witnesses, lexicographic in the map
-    tuple.  `limit` caps the list; None means exhaustive."""
-    if limit is not None and limit < 0:
-        raise ParameterError(f"enumeration limit must be >= 0, got {limit}")
-    maps = _solve(g, h, MODE_ENUM, limit=-1 if limit is None else limit)
-    return [_checked(g, h, m) for m in maps]
+    tuple."""
+    return [_checked(g, h, m) for m in _solve(g, h, MODE_ENUM)]
 
 
 def hom_equivalent(g, h):

@@ -114,70 +114,58 @@ def _is_undirected(t, g):
     return t.symmetry is not None and g.is_symmetric
 
 
-def _find(parent, x):
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
+def _glue(pieces, pairs):
+    """The quotient of the disjoint union of the digraphs `pieces`, whose
+    vertices are numbered piece by piece, by the pairs (x, y), and the
+    class of each vertex.  Classes are numbered in the order of their
+    least vertices."""
+    parent = list(range(sum(d.n for d in pieces)))
 
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-def _union(parent, a, b):
-    """Join the classes of a and b under the smaller root, so every root
-    is the minimum of its class."""
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra == rb:
-        return
-    root = min(ra, rb)
-    parent[ra] = parent[rb] = root
+    for x, y in pairs:
+        parent[find(x)] = find(y)
+    # A class is numbered when its least vertex is met.
+    index = {}
+    classes = [index.setdefault(find(x), len(index)) for x in range(len(parent))]
+    rows = [0] * len(index)
+    offset = 0
+    for d in pieces:
+        for a, b in d.arc_list:
+            rows[classes[offset + a]] |= 1 << classes[offset + b]
+        offset += d.n
+    return Digraph._from_masks(len(index), rows), classes
 
 
 def lambda_functor(t, g):
-    """Left Pultr functor: one copy of P per vertex, one copy of Q per
-    edge (undirected mode) or arc, glued along eps1 / eps2 by union-find
-    with the smallest composite label as class representative, then
-    renumbered canonically.  The mode is undirected exactly when t has a
-    symmetry and g is symmetric; the result is then a Graph."""
+    """Left Pultr functor: one copy of P per vertex and one copy of Q per
+    edge (undirected mode) or arc, glued along eps1 and eps2 (_glue).
+    The mode is undirected exactly when t has a symmetry and g is
+    symmetric; the result is then a Graph."""
     return _lambda_with_labels(t, g)[0]
 
 
 def _lambda_with_labels(t, g):
-    """lambda_functor plus the map from composite labels to vertices:
-    (0, u, p) is vertex p of the P-copy at u; (1, e, w) is vertex w of the
-    Q-copy at edge/arc number e."""
+    """lambda_functor, the class of each vertex of the disjoint union (the
+    P-copy at u holds vertices u*|P| + p, and the Q-copy at edge or arc
+    number e follows all P-copies, at e*|Q| + w), and the edges."""
     undirected = _is_undirected(t, g)
-    if undirected:
-        edges = list(as_graph(g).edges())
-    else:
-        edges = list(g.arc_list)
+    edges = list(as_graph(g).edges()) if undirected else list(g.arc_list)
+    p, q = t.p, t.q
     limits.check_size(
-        g.n * (t.p.n + t.p.arc_count) + len(edges) * (t.q.n + t.q.arc_count),
+        g.n * (p.n + p.arc_count) + len(edges) * (q.n + q.arc_count),
         "lambda functor",
     )
-    parent = {}
-    for u in range(g.n):
-        for a in range(t.p.n):
-            parent[(0, u, a)] = (0, u, a)
-    for ei in range(len(edges)):
-        for w in range(t.q.n):
-            parent[(1, ei, w)] = (1, ei, w)
+    pairs = []
     for ei, (u, v) in enumerate(edges):
-        for a in range(t.p.n):
-            _union(parent, (1, ei, t.eps1[a]), (0, u, a))
-            _union(parent, (1, ei, t.eps2[a]), (0, v, a))
-    arcs = set()
-    for u in range(g.n):
-        for a, b in t.p.arcs():
-            arcs.add((_find(parent, (0, u, a)), _find(parent, (0, u, b))))
-    for ei in range(len(edges)):
-        for a, b in t.q.arcs():
-            arcs.add((_find(parent, (1, ei, a)), _find(parent, (1, ei, b))))
-    roots = sorted({_find(parent, x) for x in parent})
-    index = {r: i for i, r in enumerate(roots)}
-    out = Digraph(len(roots), ((index[a], index[b]) for a, b in arcs))
-    labels = {lab: index[_find(parent, lab)] for lab in parent}
-    return (as_graph(out) if undirected else out), labels, edges
+        e = g.n * p.n + ei * q.n
+        for a in range(p.n):
+            pairs += ((e + t.eps1[a], u * p.n + a), (e + t.eps2[a], v * p.n + a))
+    out, classes = _glue([p] * g.n + [q] * len(edges), pairs)
+    return (as_graph(out) if undirected else out), classes, edges
 
 
 def _pins(qvs, vals):

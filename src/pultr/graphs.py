@@ -241,6 +241,7 @@ def transitive_tournament(n):
 def circular_complete(n, m):
     """Circular complete graph on Z_n: u ~ v iff (u-v) mod n in {m..n-m}."""
     _check_fraction(n, m)
+    limits.check_size(n + n * (n - 2 * m + 1), "circular complete graph")
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
@@ -275,19 +276,14 @@ def kneser_pairs(n):
 def oriented_path(spec):
     """Oriented path from an orientation string: character i is '1' for the
     forward arc i -> i+1 and '0' for the reversed arc i+1 -> i."""
-    bits = _parse_orientation(spec)
-    arcs = [(i, i + 1) if b else (i + 1, i) for i, b in enumerate(bits)]
-    return Digraph(len(bits) + 1, arcs)
+    _check_orientation(spec)
+    arcs = [(i, i + 1) if b == "1" else (i + 1, i) for i, b in enumerate(spec)]
+    return Digraph(len(spec) + 1, arcs)
 
 
-def _parse_orientation(spec):
-    if isinstance(spec, str):
-        trans = {"1": 1, "0": 0, "f": 1, "r": 0}
-        try:
-            return [trans[c] for c in spec]
-        except KeyError as e:
-            raise ParameterError(f"bad orientation character {e.args[0]!r}")
-    return [1 if b else 0 for b in spec]
+def _check_orientation(spec):
+    if not isinstance(spec, str) or spec.strip("01"):
+        raise ParameterError(f"orientation {spec!r} is not a string of 0s and 1s")
 
 
 # ---------------------------------------------------------------------------
@@ -352,34 +348,30 @@ def symmetrization(d):
     return Graph._from_masks(d.n, rows)
 
 
-def sorted_edges(g):
-    """The canonical edge order used by orientation bit strings."""
-    return sorted(g.edges())
-
-
 def orient_edges(g, spec):
-    """Orient a loop-free graph by an orientation string over sorted_edges:
-    bit i = '1' orients edge i from its smaller to its larger endpoint."""
+    """Orient a loop-free graph by an orientation string over its edges in
+    sorted order (Graph.edges): bit i = '1' orients edge i from its
+    smaller to its larger endpoint."""
     if g.has_loop():
         raise ParameterError("cannot orient a graph with loops")
-    bits = _parse_orientation(spec)
-    edges = sorted_edges(g)
-    if len(bits) != len(edges):
+    _check_orientation(spec)
+    edges = list(g.edges())
+    if len(spec) != len(edges):
         raise ParameterError(
-            f"orientation length {len(bits)} != edge count {len(edges)}"
+            f"orientation length {len(spec)} != edge count {len(edges)}"
         )
     arcs = [
-        (u, v) if b else (v, u) for (u, v), b in zip(edges, bits)
+        (u, v) if b == "1" else (v, u) for (u, v), b in zip(edges, spec)
     ]
     return Digraph._from_masks(g.n, _mask_rows(g.n, arcs))
 
 
 def orientations(g):
     """Stream all 2^|E| orientations of a loop-free graph, in orientation
-    string order (integer counter, bit i = edge i of sorted_edges)."""
+    string order (integer counter, bit i = edge i of Graph.edges)."""
     if g.has_loop():
         raise ParameterError("cannot orient a graph with loops")
-    edges = sorted_edges(g)
+    edges = list(g.edges())
     e = len(edges)
     for s in range(1 << e):
         arcs = []
@@ -571,22 +563,12 @@ def enumerate_graphs(
 def stream_index(g, directed=False, loops=True):
     """g's 0-based position in enumerate_graphs(n, directed, loops,
     all_orders=True), for any n >= g.n: the labelled graphs of every
-    lower order (stream_size), plus g's own counter.
-
-    The slots of vertex u are consecutive in _slots, so the counter is
-    the rows laid end to end: row u whole (directed, with loops), with
-    its bit u squeezed out (directed, loop-free), or from bit u or u + 1
-    on (graphs, with or without loops)."""
-    k = g.n
-    s = shift = 0
-    for u, row in enumerate(g.out_masks):
-        if not directed:
-            row >>= u if loops else u + 1
-        elif not loops:
-            row = row & (1 << u) - 1 | row >> u + 1 << u
-        s |= row << shift
-        shift += k - (0 if directed else u) - (0 if loops else 1)
-    return s + stream_size(k - 1, directed, loops)
+    lower order (stream_size), plus g's counter over _slots."""
+    rows = g.out_masks
+    s = 0
+    for i, (u, v) in enumerate(_slots(g.n, directed, loops)):
+        s |= (rows[u] >> v & 1) << i
+    return s + stream_size(g.n - 1, directed, loops)
 
 
 def stream_size(nmax, directed=False, loops=True):

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from pultr import engine, suites
+from pultr import engine, limits, suites
 from pultr.adjoints import (
     arc_graph,
     arc_graph_left,
@@ -17,7 +17,7 @@ from pultr.adjoints import (
     root_size_estimate,
 )
 from conftest import interleaved_by_definition, oriented_path_template, random_graph
-from pultr.errors import ParameterError
+from pultr.errors import ParameterError, SizeGuardError
 from pultr.functors import (
     arc_graph_template,
     builtin_template,
@@ -325,6 +325,18 @@ def test_arc_graph_examples():
     # loops give loops: the arc (u,u) follows itself
     looped = Digraph(1, [(0, 0)])
     assert arc_graph(looped).has_loop()
+
+
+def test_arc_graph_size_is_checked_before_the_build():
+    # |A(H)| vertices and sum over v of in(v) out(v) arcs, loops included.
+    universe = list(enumerate_graphs(3, directed=True, loops=True, all_orders=True))
+    for h in universe[::23]:
+        d = arc_graph(h)
+        size = d.n + d.arc_count
+        with limits.scope(size_guard=size):
+            assert arc_graph(h) == d
+        with limits.scope(size_guard=size - 1), pytest.raises(SizeGuardError):
+            arc_graph(h)
 
 
 def test_arc_graph_left():

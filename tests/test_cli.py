@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -16,6 +17,7 @@ from pultr.graphs import (
     complete_graph,
     cycle_graph,
     directed_path,
+    kneser_pairs,
     transitive_tournament,
 )
 from pultr.suites import NMAX_SUITES, SUITE_NAMES, run_suite
@@ -163,6 +165,61 @@ def test_circular_gr(files, capsys):
     assert main(["circular-gr", "--input", files["c5"], "-n", "7", "-m", "3"]) == 1
 
 
+# Exit code, first stdout line, the first 16 hex digits of the sha256 of
+# the whole stdout (the line, then the certified orientation as an edge
+# list), and the number of stderr lines (one per family path).
+CERTIFICATE_OUTPUT = {
+    ("c5", "gallai-roy -k 3"): (0, "gallai-roy k=3 certificate orientation=11011", "384431a30bff6b04", 1),
+    ("c5", "circular-gr -n 5 -m 2"): (0, "circular-gr 5/2 certificate orientation=11101", "30b40c4c72828eb3", 6),
+    ("c5", "circular-gr -n 7 -m 3"): (1, "circular-gr 7/3 none", "c20ea1b54f65ab5c", 0),
+    ("c5", "circular-gr -n 3 -m 1"): (0, "circular-gr 3/1 certificate orientation=11011", "dee455539b953eb5", 1),
+    ("c5", "circular-gr -n 4 -m 1"): (0, "circular-gr 4/1 certificate orientation=11011", "32e6d7bc65932bda", 1),
+    ("c7", "gallai-roy -k 3"): (0, "gallai-roy k=3 certificate orientation=1101011", "1ebf9fd45965ab48", 1),
+    ("c7", "circular-gr -n 5 -m 2"): (0, "circular-gr 5/2 certificate orientation=1101101", "82dc9e6554345255", 6),
+    ("c7", "circular-gr -n 7 -m 3"): (0, "circular-gr 7/3 certificate orientation=1110101", "f5993ba0b5564a85", 29),
+    ("c7", "circular-gr -n 3 -m 1"): (0, "circular-gr 3/1 certificate orientation=1101011", "dd509c0324ee741d", 1),
+    ("c7", "circular-gr -n 4 -m 1"): (0, "circular-gr 4/1 certificate orientation=1101011", "1a694b2c3a2a5c43", 1),
+    ("k52", "gallai-roy -k 3"): (0, "gallai-roy k=3 certificate orientation=111111111111110", "dcf862bad84c3555", 1),
+    ("k52", "circular-gr -n 5 -m 2"): (1, "circular-gr 5/2 none", "405bf9f8f35e766c", 0),
+    ("k52", "circular-gr -n 7 -m 3"): (1, "circular-gr 7/3 none", "c20ea1b54f65ab5c", 0),
+    ("k52", "circular-gr -n 3 -m 1"): (0, "circular-gr 3/1 certificate orientation=111111111111110", "def335e5493a856f", 1),
+    ("k52", "circular-gr -n 4 -m 1"): (0, "circular-gr 4/1 certificate orientation=111111111111110", "86329f4d899b5b10", 1),
+    ("k4", "gallai-roy -k 3"): (1, "gallai-roy k=3 none", "9c08f6acebb873eb", 0),
+    ("k4", "circular-gr -n 5 -m 2"): (1, "circular-gr 5/2 none", "405bf9f8f35e766c", 0),
+    ("k4", "circular-gr -n 7 -m 3"): (1, "circular-gr 7/3 none", "c20ea1b54f65ab5c", 0),
+    ("k4", "circular-gr -n 3 -m 1"): (1, "circular-gr 3/1 none", "f75d0fcb5982bc09", 0),
+    ("k4", "circular-gr -n 4 -m 1"): (0, "circular-gr 4/1 certificate orientation=111111", "2b873f2c7259ebff", 1),
+}
+
+
+def test_certificate_output(tmp_path, capsys):
+    for name, g in (
+        ("c5", cycle_graph(5)),
+        ("c7", cycle_graph(7)),
+        ("k52", kneser_pairs(5)),
+        ("k4", complete_graph(4)),
+    ):
+        (tmp_path / f"{name}.g").write_text(serialize_graph(g))
+    for (name, command), (code, line, digest, notes) in CERTIFICATE_OUTPUT.items():
+        argv = command.split() + ["--input", str(tmp_path / f"{name}.g")]
+        assert main(argv) == code, (name, command)
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == line
+        assert hashlib.sha256(captured.out.encode()).hexdigest()[:16] == digest
+        err = captured.err.splitlines()
+        assert len(err) == notes and all(e.endswith(": no hom") for e in err)
+
+
+def test_orientation_grammar_exit_code(files, capsys):
+    # Orientation strings hold only 0 and 1; f and r are not accepted.
+    argv = ["apply", "--functor", "omega-path", "--input", files["k3"], "--path"]
+    assert main([*argv, "frf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: orientation 'frf' is not a string of 0s and 1s\n"
+    assert main([*argv, "101"]) == 0
+
+
 # What `pultr verify --suite X` prints at the default nmax: the verdict
 # line on stdout and the notes on stderr.
 VERIFY_OUTPUT = {
@@ -208,14 +265,36 @@ VERIFY_OUTPUT = {
     "powers-chi-c": ("VERDICT powers-chi-c PASS checked=2", []),
 }
 
+# The kernel calls and decisions of each suite at its default nmax.
+KERNEL_COUNTS = {
+    "adjunction": (17947, 4974),
+    "omega": (196, 848),
+    "duality": (353, 257),
+    "shift": (0, 0),
+    "yeh-zhu": (4, 364),
+    "ordering": (412, 3667),
+    "powers-chi-c": (4, 8),
+}
+
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
-def test_verify_suite(suite, capsys):
+def test_verify_suite(suite, capsys, monkeypatch):
     verdict, notes = VERIFY_OUTPUT[suite]
+    counts = [0, 0]
+    solve = engine._kernel.solve
+
+    def counting(*args):
+        result = solve(*args)
+        counts[0] += 1
+        counts[1] += result[2]
+        return result
+
+    monkeypatch.setattr(engine._kernel, "solve", counting)
     assert main(["verify", "--suite", suite]) == 0
     captured = capsys.readouterr()
     assert captured.out == verdict + "\n"
     assert captured.err.splitlines() == notes
+    assert tuple(counts) == KERNEL_COUNTS[suite]
 
 
 def test_verify_deterministic_verdict(files, capsys):
@@ -340,6 +419,20 @@ def test_size_guard_exit_code(files, capsys):
     with limits.scope(size_guard=5):
         assert main(["apply", "--functor", "omega", "--m", "5", "--input", files["c5"]]) == 2
     assert "size guard" in capsys.readouterr().err
+
+
+def test_size_guard_before_the_build(files, capsys):
+    # The arc graph of K3 has 6 vertices and 6 arcs, and K_{5/2} has 5
+    # vertices and 10 arcs; each is refused before it is built.
+    with limits.scope(size_guard=11):
+        assert main(["apply", "--functor", "delta", "--input", files["k3"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "size guard" in captured.err and "arc graph" in captured.err
+        assert main(["circular-gr", "-n", "5", "-m", "2", "--input", files["c5"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "size guard" in captured.err and "circular complete graph" in captured.err
 
 
 def test_budget_flag(files, capsys):

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -89,6 +89,25 @@ def test_minimal_path_sproinks_expansions():
     assert minimal_path_sproink_specs(4, 2) == []
     with pytest.raises(ParameterError):
         minimal_path_sproink_specs(2, 10)
+
+
+def test_minimal_path_sproink_specs_match_the_box_walk():
+    # The oracle walks every tuple of group repeats in the box
+    # [0, budget]^(k-3), keeps those with sum <= budget, and sorts.
+    def box_walk(k, max_len):
+        budget = (max_len - (k - 1)) // 2
+        if budget < 0:
+            return []
+        specs = [
+            "1" + "".join("1" + "01" * a for a in reps) + "1"
+            for reps in product(range(budget + 1), repeat=k - 3)
+            if sum(reps) <= budget
+        ]
+        return sorted(specs, key=lambda s: (len(s), s))
+
+    for k in range(3, 9):
+        for max_len in range(19):
+            assert minimal_path_sproink_specs(k, max_len) == box_walk(k, max_len)
 
 
 def _minimal_recipe_for_path(k):

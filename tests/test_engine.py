@@ -92,7 +92,7 @@ def test_invalid_witness_is_rejected(monkeypatch):
     with pytest.raises(RuntimeError):
         engine.hom_exists_pinned(c5, k3, {0: 0})
     with pytest.raises(RuntimeError):
-        engine.hom_enumerate(c5, k3, limit=3)
+        engine.hom_enumerate(c5, k3)
     assert len(corrupted) == 3
     assert not any(verify_witness(c5, k3, m) for m in corrupted)
 
@@ -329,13 +329,12 @@ def test_count_and_enumeration_decision_counts():
     # counts are part of the behaviour contract, pinned here.
     k2, k4 = complete_graph(2), complete_graph(4)
     cases = [
-        (path_graph(3), complete_graph(3), engine.MODE_COUNT, -1, 24, 45),
-        (cycle_graph(7), cycle_graph(5), engine.MODE_COUNT, -1, 70, 385),
+        (path_graph(3), complete_graph(3), engine.MODE_COUNT, 24, 45),
+        (cycle_graph(7), cycle_graph(5), engine.MODE_COUNT, 70, 385),
         (
             transitive_tournament(3),
             transitive_tournament(4),
             engine.MODE_COUNT,
-            -1,
             4,
             14,
         ),
@@ -343,15 +342,19 @@ def test_count_and_enumeration_decision_counts():
             cycle_graph(6),
             k2,
             engine.MODE_ENUM,
-            -1,
             [(0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0)],
             12,
         ),
-        (k2, k4, engine.MODE_ENUM, 5, [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2)], 7),
-        (k2, k4, engine.MODE_ENUM, 0, [], 0),
+        (
+            k2,
+            k4,
+            engine.MODE_ENUM,
+            [(u, v) for u in range(4) for v in range(4) if u != v],
+            16,
+        ),
     ]
-    for g, h, mode, limit, payload, decisions in cases:
-        args = engine.kernel_args(g, h, mode, limit=limit)
+    for g, h, mode, payload, decisions in cases:
+        args = engine.kernel_args(g, h, mode)
         assert _fallback.solve(*args) == (0, payload, decisions)
 
 
@@ -382,15 +385,6 @@ def test_enumerate_is_lexicographic_and_complete():
     maps = [w.mapping for w in ws]
     assert maps == sorted(maps)
     assert len(maps) == 6
-    assert engine.hom_enumerate(g, h, limit=2)[:2] == ws[:2]
-
-
-def test_enumerate_limit_caps_the_list():
-    g, h = complete_graph(2), complete_graph(4)
-    assert engine.hom_enumerate(g, h, limit=0) == []
-    assert engine.hom_enumerate(g, h, limit=1) == engine.hom_enumerate(g, h)[:1]
-    with pytest.raises(ParameterError, match="limit"):
-        engine.hom_enumerate(g, h, limit=-5)
 
 
 def test_witness_composition(rng):

@@ -288,16 +288,19 @@ def test_lambda_functoriality(rng):
             f = engine.hom_exists(g, g2)
             if f is None:
                 continue
-            lam, labels, edges = _lambda_with_labels(t, g)
-            lam2, labels2, edges2 = _lambda_with_labels(t, g2)
+            lam, classes, edges = _lambda_with_labels(t, g)
+            lam2, classes2, edges2 = _lambda_with_labels(t, g2)
             eindex2 = {e: i for i, e in enumerate(edges2)}
+            # The P-copy at u holds vertices u*|P| + p of the disjoint
+            # union, and the Q-copy at edge e follows all P-copies.
+            pn, qn = t.p.n, t.q.n
             mapping = [None] * lam.n
-            for lab, vertex in labels.items():
-                if lab[0] == 0:
-                    _, u, p = lab
-                    target = labels2[(0, f.mapping[u], p)]
+            for x, vertex in enumerate(classes):
+                if x < g.n * pn:
+                    u, p = divmod(x, pn)
+                    target = classes2[f.mapping[u] * pn + p]
                 else:
-                    _, ei, w = lab
+                    ei, w = divmod(x - g.n * pn, qn)
                     u, v = edges[ei]
                     fu, fv = f.mapping[u], f.mapping[v]
                     if directed:
@@ -307,7 +310,7 @@ def test_lambda_functoriality(rng):
                         if (fu, fv) != edges2[e2] and fu != fv:
                             # edge got flipped: compose with the symmetry
                             w = t.symmetry[w]
-                    target = labels2[(1, e2, w)]
+                    target = classes2[g2.n * pn + e2 * qn + w]
                 assert mapping[vertex] in (None, target)
                 mapping[vertex] = target
             assert engine.verify_witness(lam, lam2, mapping)

@@ -252,6 +252,17 @@ def test_orient_edges_spec_length():
         orient_edges(g, "1")
 
 
+def test_orientation_strings_hold_only_0_and_1():
+    assert oriented_path("") == Digraph(1)
+    assert oriented_path("10") == Digraph(3, [(0, 1), (2, 1)])
+    assert orient_edges(path_graph(2), "10") == Digraph(3, [(0, 1), (2, 1)])
+    for bad in ("f", "r", "fr", "1f", "1 0", [1, 0], (True, False), b"10", 10):
+        with pytest.raises(ParameterError, match="string of 0s and 1s"):
+            oriented_path(bad)
+        with pytest.raises(ParameterError, match="string of 0s and 1s"):
+            orient_edges(path_graph(2), bad)
+
+
 def test_odd_girth():
     assert odd_girth(cycle_graph(5)) == 5
     assert odd_girth(kneser_pairs(4)) == math.inf
@@ -534,5 +545,14 @@ def test_size_guard():
     with limits.scope(size_guard=10):
         with pytest.raises(SizeGuardError):
             exponential_graph(complete_graph(3), complete_graph(3))
+    # K_{n/m} has n vertices and n(n - 2m + 1) arcs, checked before the build.
+    for n, m in ((4, 1), (5, 2), (7, 2), (7, 3), (9, 4)):
+        size = n + n * (n - 2 * m + 1)
+        g = circular_complete(n, m)
+        assert g.n + g.arc_count == size
+        with limits.scope(size_guard=size):
+            assert circular_complete(n, m) == g
+        with limits.scope(size_guard=size - 1), pytest.raises(SizeGuardError):
+            circular_complete(n, m)
     # guard restored afterwards
     assert limits.size_guard() == limits.DEFAULT_SIZE_GUARD
