@@ -214,13 +214,13 @@ def interleaved_adjoint(m, h):
 
 def power_functor(s, r, g):
     """P^s_r: the s-th walk power of the r-subdivision (odd s, r)."""
+    g = as_graph(g)
     _require_odd(s, "s")
     _require_odd(r, "r")
-    g = as_graph(g)
     x = g if r == 1 else lambda_functor(path_template(r), g)
     if s == 1:
         return x
-    return as_graph(gamma_functor(path_template(s), x))
+    return gamma_functor(path_template(s), x)
 
 
 def root_functor(r, s, h):
@@ -232,7 +232,7 @@ def root_functor(r, s, h):
     x = h if s == 1 else omega_odd_path(s, h)
     if r == 1:
         return x
-    return as_graph(gamma_functor(path_template(r), x))
+    return gamma_functor(path_template(r), x)
 
 
 def root_size_estimate(r, s, h):

@@ -31,10 +31,10 @@ from .engine import HomWitness
 from .errors import BudgetExceededError, ParameterError
 from .graphs import (
     Digraph,
-    as_graph,
     circular_complete,
     complete_graph,
     directed_path,
+    loop_free_graph,
     oriented_path,
     orientations,
     orient_edges,
@@ -80,9 +80,9 @@ def greedy_clique(g):
 
 
 def k_colourable(g, k):
-    """A proper k-colouring of the loop-free graph g (list of colours), or
-    None.  Deterministic; counts decisions against the budget of the
-    enclosing `limits.scope`.  A colouring is re-checked as a
+    """A proper k-colouring (list of colours) of g, which must pass
+    `loop_free_graph`, or None.  Deterministic; counts decisions against the
+    budget of the enclosing `limits.scope`.  A colouring is re-checked as a
     homomorphism into K_k by `engine.verify_witness` before it is
     returned.
 
@@ -91,9 +91,7 @@ def k_colourable(g, k):
     over the ranks by (degree descending, index), the uncoloured
     vertices with s colours around them, so a pick is the lowest bit of
     the highest non-empty level and a decision costs O(k + deg)."""
-    g = as_graph(g)
-    if g.has_loop():
-        raise ParameterError("colouring is undefined for graphs with loops")
+    g = loop_free_graph(g)
     if k < 0:
         raise ParameterError("colour count must be non-negative")
     n = g.n
@@ -170,7 +168,7 @@ def k_colourable(g, k):
         uncoloured |= 1 << v
         return False
 
-    if not dfs(len(clique), len(clique) - 1):
+    if not limits.recursion_room(3 * n + 200, dfs, len(clique), len(clique) - 1):
         return None
     if not engine.verify_witness(g, complete_graph(k), colours):
         raise RuntimeError(
@@ -182,14 +180,11 @@ def k_colourable(g, k):
 
 def _chromatic_colouring(g):
     """(chromatic number, a proper colouring with that many colours) of
-    g, from one scan of k_colourable.  Errors on loops."""
-    g = as_graph(g)
-    if g.has_loop():
-        raise ParameterError("chromatic number is undefined for graphs with loops")
+    g, from one scan of k_colourable; g must pass `loop_free_graph`."""
+    g = loop_free_graph(g)
     if g.arc_count == 0:
         return min(g.n, 1), [0] * g.n
-    lb = len(greedy_clique(g))
-    for k in range(max(lb, 2), g.n + 1):
+    for k in range(2, g.n + 1):
         colours = k_colourable(g, k)
         if colours is not None:
             return k, colours
@@ -197,7 +192,7 @@ def _chromatic_colouring(g):
 
 
 def chromatic_number(g):
-    """Least n with a homomorphism to K_n.  Errors on loops."""
+    """Least n with a homomorphism to K_n; g must pass `loop_free_graph`."""
     return _chromatic_colouring(g)[0]
 
 
@@ -219,13 +214,11 @@ def circular_colouring(g):
 
     Ordered Farey scan over reduced n/m with 2m <= n <= |V(G)|; since
     K_{a/b} -> K_{c/d} holds exactly when a/b <= c/d, the first success is
-    the minimum.  An edgeless graph has circular chromatic number 1.
-    """
+    the minimum.  An edgeless graph has circular chromatic number 1.  g
+    must be non-empty and pass `loop_free_graph`."""
     from fractions import Fraction
 
-    g = as_graph(g)
-    if g.has_loop():
-        raise ParameterError("circular chromatic number is undefined with loops")
+    g = loop_free_graph(g)
     if g.n == 0:
         raise ParameterError("circular chromatic number needs a nonempty graph")
     if g.arc_count == 0:
@@ -281,10 +274,8 @@ def gallai_roy_orientation(g, k):
     """If g is k-colourable, the orientation along increasing colours (the
     pullback of T_k), certified to admit no homomorphism from the k-arc
     directed path; otherwise None, after confirming that every
-    orientation admits one."""
-    g = as_graph(g)
-    if g.has_loop():
-        raise ParameterError("needs a loop-free graph")
+    orientation admits one.  g must pass `loop_free_graph`."""
+    g = loop_free_graph(g)
     if k < 1:
         raise ParameterError("needs k >= 1")
     colours = k_colourable(g, k)
@@ -337,14 +328,15 @@ def circular_gallai_roy_check(g, n, m):
     """Certificate that chi_c(g) <= n/m via an orientation (the pullback
     of _circular_orientation) admitting no homomorphism from any n-arc
     path with < m reversals, or None after confirming that every
-    orientation admits one."""
-    g = as_graph(g)
-    if g.has_loop():
-        raise ParameterError("needs a loop-free graph")
+    orientation admits one.  g must pass `loop_free_graph`, and the path
+    family must pass the size guard before it is built."""
+    g = loop_free_graph(g)
     if math.gcd(n, m) != 1 or 2 * m > n:
         raise ParameterError(f"{n}/{m} is not a reduced circular fraction >= 2")
     w = engine.hom_exists(g, circular_complete(n, m))
     target = None if w is None else _circular_orientation(n, m)
+    count = sum(math.comb(n, i) for i in range(m))
+    limits.check_size(count * (2 * n + 1), "reversal path family")
     paths = [(s, oriented_path(s)) for s in reversal_path_specs(n, m - 1)]
     return _orientation_certificate(g, f"K{n}/{m}", w, target, paths)
 
@@ -379,7 +371,6 @@ def circular_bound_via_powers(g, i_max, j_max):
     """
     from fractions import Fraction
 
-    g = as_graph(g)
     best = None
     best_at = None
     successes = []

@@ -83,7 +83,7 @@ def cmd_apply(args):
         else:
             out = gamma_functor(t, g)
     elif functor == "omega":
-        out = omega_odd_path(_need(args.m, "--m"), as_graph(g))
+        out = omega_odd_path(_need(args.m, "--m"), g)
     elif functor == "omega-path":
         if not args.path:
             raise ParameterError("--functor omega-path needs --path BITS")
@@ -95,13 +95,13 @@ def cmd_apply(args):
     elif functor == "iota":
         out = interleaved_adjoint(_need(args.m, "--m"), g)
     elif functor == "power":
-        out = power_functor(_need(args.s, "--s"), _need(args.r, "--r"), as_graph(g))
+        out = power_functor(_need(args.s, "--s"), _need(args.r, "--r"), g)
     elif functor == "root":
         estimate = root_size_estimate(_need(args.r, "--r"), _need(args.s, "--s"), as_graph(g))
         _note(f"root functor intermediate size estimate: {estimate}")
         if estimate > limits.size_guard():
             raise SizeGuardError(estimate, limits.size_guard(), "root functor")
-        out = root_functor(args.r, args.s, as_graph(g))
+        out = root_functor(args.r, args.s, g)
     else:
         raise ParameterError(f"unknown functor {functor!r}")
     glues = functor in ("lambda", "delta-left") or (functor == "power" and args.r > 1)
@@ -118,7 +118,7 @@ def _need(value, flag):
 
 
 def cmd_chi(args):
-    g = as_graph(_read_graph(args.input))
+    g = _read_graph(args.input)
     chi, colours = _chromatic_colouring(g)
     print(f"chi {chi}")
     if args.witness:
@@ -129,7 +129,7 @@ def cmd_chi(args):
 
 
 def cmd_chi_c(args):
-    g = as_graph(_read_graph(args.input))
+    g = _read_graph(args.input)
     frac, witness = circular_colouring(g)
     print(f"chi-c {frac.numerator}/{frac.denominator}")
     if args.witness:
@@ -157,13 +157,13 @@ def _emit_certificate(cert, g, args, label):
 
 
 def cmd_gallai_roy(args):
-    g = as_graph(_read_graph(args.input))
+    g = _read_graph(args.input)
     cert = gallai_roy_orientation(g, args.k)
     return _emit_certificate(cert, g, args, f"gallai-roy k={args.k}")
 
 
 def cmd_circular_gr(args):
-    g = as_graph(_read_graph(args.input))
+    g = _read_graph(args.input)
     cert = circular_gallai_roy_check(g, args.n, args.m)
     return _emit_certificate(cert, g, args, f"circular-gr {args.n}/{args.m}")
 

@@ -173,17 +173,22 @@ def sproink(recipe):
 
 def _compositions(total, parts):
     """The tuples of `parts` natural numbers with sum `total`, in
-    descending lexicographic order."""
+    descending lexicographic order: each step moves one unit from the last
+    non-zero part i before the final part, and the final part, to part i + 1."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
+    a = [total] + [0] * (parts - 1)
+    while True:
+        yield tuple(a)
+        i = parts - 2
+        while i >= 0 and not a[i]:
+            i -= 1
+        if i < 0:
+            return
+        a[i] -= 1
+        a[i + 1 :] = [a[-1] + 1] + [0] * (parts - i - 2)
 
 
 def minimal_path_sproink_specs(k, max_len):

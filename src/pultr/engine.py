@@ -145,7 +145,7 @@ def kernel_args(g, h, mode, pins=None):
 def _solve(g, h, mode, pins=None):
     need = g.n * 3 + 200
     if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
+        return limits.recursion_room(need, _solve, g, h, mode, pins)
     status, payload, decisions = _kernel.solve(
         *kernel_args(g, h, mode, pins)
     )
@@ -286,51 +286,21 @@ def hom_equivalent(g, h):
 # ---------------------------------------------------------------------------
 
 
-def _joint_refinement(g, h):
-    """Iterated neighbourhood refinement (1-WL) over the disjoint union of
-    g and h with a shared colour palette, so the resulting colour ids are
-    directly comparable between the two graphs."""
-    graphs = ((g, 0), (h, g.n))
-    base = []
-    for d, _off in graphs:
-        for u in range(d.n):
-            base.append(
-                (
-                    d.out_masks[u].bit_count(),
-                    d.in_masks[u].bit_count(),
-                    d.out_masks[u] >> u & 1,
-                )
-            )
-    palette = {}
-    cols = [palette.setdefault(k, len(palette)) for k in base]
-    while True:
-        sigs = []
-        for d, off in graphs:
-            for u in range(d.n):
-                outs = tuple(
-                    sorted(cols[off + v] for v in iter_bits(d.out_masks[u]))
-                )
-                ins = tuple(
-                    sorted(cols[off + v] for v in iter_bits(d.in_masks[u]))
-                )
-                sigs.append((cols[off + u], outs, ins))
-        palette = {}
-        new = [palette.setdefault(s, len(palette)) for s in sigs]
-        if new == cols:
-            return cols[: g.n], cols[g.n :]
-        cols = new
-
-
 def isomorphic(g, h):
-    """Exact isomorphism test via backtracking, after degree-sequence and
-    neighbourhood-refinement pruning."""
+    """Exact isomorphism test by backtracking: each vertex of g maps onto
+    the vertices of h with its (out-degree, in-degree, loop) triple, the
+    vertex with the fewest candidates first."""
     if g.n != h.n or g.arc_count != h.arc_count:
         return False
-    if g.n == 0:
-        return True
     if g.n > ISO_CAP:
         raise ParameterError(f"isomorphism order {g.n} exceeds cap {ISO_CAP}")
-    kg, kh = _joint_refinement(g, h)
+    kg, kh = (
+        [
+            (d.out_masks[u].bit_count(), d.in_masks[u].bit_count(), d.out_masks[u] >> u & 1)
+            for u in range(d.n)
+        ]
+        for d in (g, h)
+    )
     if sorted(kg) != sorted(kh):
         return False
     cands = [
@@ -348,19 +318,16 @@ def isomorphic(g, h):
         for v in cands[u]:
             if used[v]:
                 continue
-            ok = True
             for w in order[:i]:
                 x = image[w]
                 if g.has_arc(u, w) != h.has_arc(v, x) or g.has_arc(w, u) != h.has_arc(x, v):
-                    ok = False
                     break
-            if ok:
+            else:
                 image[u] = v
                 used[v] = True
                 if extend(i + 1):
                     return True
                 used[v] = False
-                image[u] = -1
         return False
 
     return extend(0)

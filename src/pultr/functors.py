@@ -320,16 +320,14 @@ def lexicographic_template():
 def tensor_template(h, name=None):
     """P = H x K_1 (an independent set), Q = H x K_2, eps the two natural
     injections, symmetry swapping the two layers.  Lambda is G x H."""
-    if not isinstance(h, Graph):
-        raise ParameterError("tensor template needs an undirected graph")
-    q = tensor_product(h, complete_graph(2))
+    h = as_graph(h)
     sym = []
     for v in range(h.n):
         sym.extend((2 * v + 1, 2 * v))
     return PultrTemplate(
         name=name or f"tensor-{h.n}",
         p=Graph(h.n),
-        q=as_graph(q),
+        q=tensor_product(h, complete_graph(2)),
         eps1=tuple(2 * v for v in range(h.n)),
         eps2=tuple(2 * v + 1 for v in range(h.n)),
         symmetry=tuple(sym),

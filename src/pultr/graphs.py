@@ -195,6 +195,14 @@ def as_graph(d):
     return Graph._from_masks(d.n, d.out_masks)
 
 
+def loop_free_graph(d):
+    """as_graph(d), with a ParameterError if d has a loop."""
+    g = as_graph(d)
+    if g.loop_mask:
+        raise ParameterError("a loop-free graph is needed, and this one has a loop")
+    return g
+
+
 # ---------------------------------------------------------------------------
 # standard families
 # ---------------------------------------------------------------------------
@@ -306,9 +314,8 @@ def tensor_product(g, h):
 
 def lexicographic_product(g, h):
     """Lexicographic product G[H]: (u,x) ~ (v,y) iff uv is an edge of G, or
-    u = v and xy an edge of H.  Undirected inputs only."""
-    if not (isinstance(g, Graph) and isinstance(h, Graph)):
-        raise ParameterError("lexicographic product needs undirected inputs")
+    u = v and xy an edge of H.  Undirected inputs only (as_graph)."""
+    g, h = as_graph(g), as_graph(h)
     limits.check_size(
         g.n * h.n + g.arc_count * h.n * h.n + g.n * h.arc_count,
         "lexicographic product",
@@ -327,8 +334,7 @@ def lexicographic_product(g, h):
 def exponential_graph(k, h):
     """Exponential graph K^H: vertices are all vertex maps V(H) -> V(K);
     f ~ g iff for every edge [x,y] of H, [f(x), g(y)] is an edge of K."""
-    if not (isinstance(k, Graph) and isinstance(h, Graph)):
-        raise ParameterError("exponential graph needs undirected inputs")
+    k, h = as_graph(k), as_graph(h)
     order = k.n**h.n if h.n else 1
     limits.check_size(order, "exponential graph")
     maps = list(itertools.product(range(k.n), repeat=h.n))
@@ -349,11 +355,10 @@ def symmetrization(d):
 
 
 def orient_edges(g, spec):
-    """Orient a loop-free graph by an orientation string over its edges in
-    sorted order (Graph.edges): bit i = '1' orients edge i from its
-    smaller to its larger endpoint."""
-    if g.has_loop():
-        raise ParameterError("cannot orient a graph with loops")
+    """Orient g, which must pass loop_free_graph, by an orientation string
+    over its edges in sorted order (Graph.edges): bit i = '1' orients
+    edge i from its smaller to its larger endpoint."""
+    g = loop_free_graph(g)
     _check_orientation(spec)
     edges = list(g.edges())
     if len(spec) != len(edges):
@@ -367,10 +372,9 @@ def orient_edges(g, spec):
 
 
 def orientations(g):
-    """Stream all 2^|E| orientations of a loop-free graph, in orientation
+    """Stream all 2^|E| orientations of g (loop_free_graph), in orientation
     string order (integer counter, bit i = edge i of Graph.edges)."""
-    if g.has_loop():
-        raise ParameterError("cannot orient a graph with loops")
+    g = loop_free_graph(g)
     edges = list(g.edges())
     e = len(edges)
     for s in range(1 << e):

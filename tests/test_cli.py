@@ -18,6 +18,7 @@ from pultr.graphs import (
     cycle_graph,
     directed_path,
     kneser_pairs,
+    path_graph,
     transitive_tournament,
 )
 from pultr.suites import NMAX_SUITES, SUITE_NAMES, run_suite
@@ -461,3 +462,44 @@ def test_unsafe_size_flag_is_scoped(files, capsys):
         assert main(["--unsafe-size", "apply", "--functor", "omega", "--m", "3", "--input", files["k3"]]) == 0
         assert limits.size_guard() == 5
     assert limits.size_guard() == limits.DEFAULT_SIZE_GUARD
+
+
+# Cheap extreme or malformed inputs, at least one per subcommand: the
+# exit code and the start of the output (stdout, then stderr).  P1500 is
+# the path on 1 500 vertices, deeper than Python's default recursion
+# limit; the family of 25/12 has 11 576 916 paths.
+EXTREME_INPUTS = [
+    ("apply --functor lambda --template BAD --input K3", 2, "error: line 1: "),
+    ("chi --input P1500", 0, "chi 2\n"),
+    ("chi --input LOOP", 2, "error: a loop-free graph is needed"),
+    ("chi-c --input ARC", 2, "error: digraph is not symmetric"),
+    ("gallai-roy -k 2 --input P1500", 0, "gallai-roy k=2 certificate"),
+    ("circular-gr -n 25 -m 12 --input K3", 2, "size guard: reversal path family"),
+    ("verify --suite omega --nmax 9", 2, "error: "),
+    ("verify-duality --target ARC --family LOOP --nmax 9", 2, "error: "),
+    ("shift -n 2000 -k 2", 2, "size guard: shift graph"),
+    ("sproinks -k 1200 --max-len 1200", 0, "ok sproinks k=1200 max-len=1200 count=1\n"),
+]
+
+
+@pytest.fixture(scope="module")
+def extreme_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("extreme")
+    texts = {
+        "P1500": serialize_graph(path_graph(1499)),
+        "K3": serialize_graph(complete_graph(3)),
+        "LOOP": "u 2\n0 0\n0 1\n",
+        "ARC": "d 2\n0 1\n",
+        "BAD": "not a template\n",
+    }
+    for name, text in texts.items():
+        (d / name).write_text(text)
+    return {name: str(d / name) for name in texts}
+
+
+@pytest.mark.parametrize("command, code, start", EXTREME_INPUTS, ids=[c for c, _, _ in EXTREME_INPUTS])
+def test_no_exception_escapes_main(command, code, start, extreme_files, capsys):
+    argv = [extreme_files.get(word, word) for word in command.split()]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out + captured.err).startswith(start)

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations_with_replacement
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pultr import _fallback, engine, limits
+from pultr.chromatic import chromatic_number
 from pultr.engine import compose, verify_witness
 from pultr.errors import BudgetExceededError, ParameterError
 from pultr.graphs import (
@@ -453,6 +455,52 @@ def test_isomorphic_detects_non_iso():
     a = Digraph(3, [(0, 1), (0, 2)])
     b = Digraph(3, [(0, 1), (1, 2)])
     assert not engine.isomorphic(a, b)
+
+
+def test_isomorphic_separates_the_classes_of_order_4(rng):
+    # The class leaders of loop-free digraphs on 4 vertices are pairwise
+    # non-isomorphic.  Within each group with the same degree pairs, a
+    # relabelled leader is isomorphic to its own leader only.
+    groups = {}
+    for d in enumerate_graphs(4, directed=True, loops=False, up_to_iso=True):
+        key = sorted((d.out_masks[u].bit_count(), d.in_masks[u].bit_count()) for u in range(4))
+        groups.setdefault(tuple(key), []).append(d)
+    assert sum(map(len, groups.values())) == 218
+    for group in groups.values():
+        for a in group:
+            moved = a.relabel(rng.sample(range(4), 4))
+            assert [engine.isomorphic(moved, b) for b in group] == [b is a for b in group]
+
+
+def test_oriented_tree_counts():
+    # Attach an out-leaf or an in-leaf to every vertex of every tree one
+    # order lower, and keep one tree per isomorphism class, deduplicated
+    # within buckets of equal degree pairs: OEIS A000238.
+    level = [Digraph(1)]
+    counts = [1]
+    for n in range(2, 8):
+        buckets = {}
+        for t in level:
+            for v in range(t.n):
+                for arc in ((v, t.n), (t.n, v)):
+                    c = Digraph(n, [*t.arcs(), arc])
+                    key = tuple(sorted(zip(map(int.bit_count, c.out_masks), map(int.bit_count, c.in_masks))))
+                    bucket = buckets.setdefault(key, [])
+                    if not any(engine.isomorphic(c, d) for d in bucket):
+                        bucket.append(c)
+        level = [t for bucket in buckets.values() for t in bucket]
+        counts.append(len(level))
+    assert counts == [1, 1, 3, 8, 27, 91, 350]
+
+
+def test_deep_searches_restore_the_recursion_limit():
+    # Each search recurses once per vertex and raises the limit for
+    # itself only.
+    limit = sys.getrecursionlimit()
+    assert engine.hom_count(path_graph(8000), complete_graph(2)) == 2
+    assert sys.getrecursionlimit() == limit
+    assert chromatic_number(path_graph(1499)) == 2
+    assert sys.getrecursionlimit() == limit
 
 
 def test_multiplicativity_trivial_target():

@@ -31,6 +31,7 @@ from pultr.graphs import (
     transitive_tournament,
 )
 from pultr import engine, limits
+from pultr.functors import tensor_template
 
 from conftest import orbit_key, random_digraph, random_graph
 
@@ -242,6 +243,23 @@ def test_orientations_count_and_streaming():
     assert len(list(orientations(complete_graph(1)))) == 1
     with pytest.raises(ParameterError):
         next(orientations(Graph(1, [(0, 0)])))
+
+
+def test_undirected_inputs_may_be_symmetric_digraphs():
+    # as_graph views a symmetric Digraph as a Graph; loop_free_graph also
+    # refuses a loop.
+    sym = Digraph(2, [(0, 1), (1, 0)])
+    k2 = complete_graph(2)
+    assert orient_edges(sym, "1") == Digraph(2, [(0, 1)])
+    assert list(orientations(sym)) == [Digraph(2, [(1, 0)]), Digraph(2, [(0, 1)])]
+    for bad in (directed_path(1), Digraph(2, [(0, 1), (1, 0), (1, 1)])):
+        with pytest.raises(ParameterError):
+            orient_edges(bad, "1")
+        with pytest.raises(ParameterError):
+            next(orientations(bad))
+    assert lexicographic_product(sym, k2) == lexicographic_product(k2, k2)
+    assert exponential_graph(sym, sym) == exponential_graph(k2, k2)
+    assert tensor_template(sym) == tensor_template(k2)
 
 
 def test_orient_edges_spec_length():
