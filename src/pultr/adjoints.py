@@ -8,9 +8,10 @@ but it is built directly: Gamma takes quadratic time on a sparse digraph.
 
 Vertex subsets inside the tuple constructions are bitmasks over V(H);
 output vertices are ordered lexicographically on (u, U_1, ..., U_k) with
-sets compared as mask integers.  Empty sets are legal tuple entries (the
-definitions do not exclude them); the resulting vertices are typically
-isolated and harmless.
+sets compared as mask integers.  Empty sets are legal tuple entries; the
+resulting vertices are typically isolated.  Both tuple constructions are
+built by rows (graphs.by_rows): each coordinate of an out-neighbour lies
+between two sets read off the vertex, so the cost follows the arcs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .functors import (
     lambda_functor,
     path_template,
 )
-from .graphs import Digraph, Graph, as_graph
+from .bitset import iter_bits
+from .graphs import Digraph, Graph, as_graph, by_rows
 
 
 def _require_odd(value, name):
@@ -34,21 +36,20 @@ def _require_odd(value, name):
         raise ParameterError(f"{name} must be a positive odd integer, got {value}")
 
 
-def _common_neighbours(adj, full, mask):
-    """Vertices adjacent to every member of `mask` (full mask if empty)."""
-    c = full
-    while mask:
-        low = mask & -mask
-        c &= adj[low.bit_length() - 1]
-        mask ^= low
-    return c
+def _tuple_count(k, n):
+    """n 2^(kn) tuples (u, U_1, ..., U_k): the vertex estimate of each build."""
+    return n << k * n
 
 
-def _submasks_ascending(mask):
+def _between(lo, hi):
+    """The sets S with lo <= S <= hi, ascending."""
+    if lo & ~hi:
+        return
+    free = hi & ~lo
     s = 0
     while True:
-        yield s
-        s = (s - mask) & mask
+        yield lo | s
+        s = (s - free) & free
         if s == 0:
             return
 
@@ -60,50 +61,43 @@ def omega_odd_path(m, h):
     N(u), and U_i completely joined to U_{i-1} for i >= 2.  Tuples
     (u, U...) and (v, V...) are adjacent iff u in V_1, v in U_1,
     U_{i-1} within V_i and V_{i-1} within U_i for i = 2..k, and U_k
-    completely joined to V_k.
+    completely joined to V_k.  So the row of (u, U...) lists the (v, V...)
+    with v in U_1 and each V_i between its entry of ({u}, U_1, ...,
+    U_{k-1}) and of (U_2, ..., U_k, CN(U_k)), CN(S) being the vertices
+    adjacent to all of S.
     """
-    if m % 2 == 0:
-        raise ParameterError(f"the subset-tuple right adjoint exists for odd m only, got {m}")
-    if m < 3:
+    _require_odd(m, "m")
+    if m == 1:
         raise ParameterError("use the identity functor for m = 1")
     h = as_graph(h)
     k = (m - 1) // 2
     n = h.n
-    limits.check_size(n * (1 << (k * n)) if n else 0, "omega construction")
+    limits.check_size(_tuple_count(k, n), "omega construction")
     adj = h.out_masks
-    full = (1 << n) - 1
+    # cn[S]: the common neighbourhood of S, all of V(H) for S empty
+    cn = [(1 << n) - 1]
+    for row in adj:
+        cn += [c & row for c in cn]
 
-    verts = []
-    coms = []  # common neighbourhood of the last set, per vertex
+    def tuples(vs, lows, highs):
+        """The vertices (v, V...) with v in vs and lows[i] <= V_i <= highs[i],
+        in order: V_1 grows within N(v), then V_i within CN(V_{i-1})."""
+        ends = [(v, ()) for v in vs]
+        for lo, hi in zip(lows, highs):
+            ends = [
+                (v, p + (s,))
+                for v, p in ends
+                for s in _between(lo, hi & (cn[p[-1]] if p else adj[v]))
+            ]
+        return ends
 
-    def extend(u, prefix, allowed):
-        depth = len(prefix)
-        if depth == k:
-            verts.append((u, tuple(prefix)))
-            coms.append(allowed if k else adj[u])
-            return
-        for s in _submasks_ascending(allowed):
-            extend(u, prefix + [s], _common_neighbours(adj, full, s))
+    verts = tuples(range(n), [0] * k, [cn[0]] * k)
 
-    for u in range(n):
-        extend(u, [], adj[u])
+    def row(x):
+        u, us = x
+        return tuples(iter_bits(us[0]), (1 << u,) + us[:-1], us[1:] + (cn[us[-1]],))
 
-    edges = []
-    for a, (u, ua) in enumerate(verts):
-        com_a = coms[a]
-        for b in range(a, len(verts)):
-            v, vb = verts[b]
-            if not (vb[0] >> u & 1 and ua[0] >> v & 1):
-                continue
-            ok = True
-            for t in range(1, k):
-                if ua[t - 1] & ~vb[t] or vb[t - 1] & ~ua[t]:
-                    ok = False
-                    break
-            if ok and not vb[k - 1] & ~com_a:
-                edges.append((a, b))
-        limits.check_size(len(verts) + 2 * len(edges), "omega construction")
-    return Graph(len(verts), edges)
+    return Graph._from_masks(len(verts), by_rows(verts, row, "omega construction"))
 
 
 def _oriented_path_shape(q):
@@ -111,15 +105,9 @@ def _oriented_path_shape(q):
     m = q.n - 1
     if m < 1:
         raise ParameterError("oriented path template needs at least one arc")
-    if q.arc_count != m:
+    flags = [q.has_arc(i, i + 1) for i in range(m)]
+    if q.arc_count != m or any(q.has_arc(i + 1, i) == f for i, f in enumerate(flags)):
         raise ParameterError("not an orientation of a path")
-    flags = []
-    for i in range(m):
-        fwd = q.has_arc(i, i + 1)
-        bwd = q.has_arc(i + 1, i)
-        if fwd == bwd:
-            raise ParameterError("not an orientation of a path")
-        flags.append(fwd)
     return flags
 
 
@@ -130,43 +118,34 @@ def omega_oriented_path(q, h):
     subsets of H with an arc from u to every element of U_m.  There is an
     arc from (u, U...) to (v, V...) iff u in V_1 when 0->1 in Q, v in U_1
     when 1->0, and for each i: U_i within V_{i+1} when i->i+1, V_i within
-    U_{i+1} when i+1->i.
+    U_{i+1} when i+1->i.  So the row of (u, U...) lists each V_i between
+    U_{i-1} (or {u}) when i-1->i and U_{i+1} when i+1->i, V_m in N+(v).
     """
     flags = _oriented_path_shape(q)
     m = len(flags)
     n = h.n
-    limits.check_size(n * (1 << (m * n)) if n else 0, "omega construction")
+    limits.check_size(_tuple_count(m, n), "omega construction")
     full = (1 << n) - 1
     out = h.out_masks
 
-    verts = [
-        (u, free + (last,))
-        for u in range(n)
-        for free in product(range(full + 1), repeat=m - 1)
-        for last in _submasks_ascending(out[u])
-    ]
+    def tuples(vs, lows, highs):
+        """The vertices (v, V...) with v in vs, lows[i] <= V_i <= highs[i]
+        for i < m and V_m within N+(v), in order."""
+        return [
+            (v, t) for v in vs for t in product(*map(_between, lows, [*highs, out[v]]))
+        ]
 
-    arcs = []
-    for a, (u, ua) in enumerate(verts):
-        for b, (v, vb) in enumerate(verts):
-            if flags[0]:
-                if not vb[0] >> u & 1:
-                    continue
-            elif not ua[0] >> v & 1:
-                continue
-            ok = True
-            for i in range(1, m):
-                if flags[i]:
-                    if ua[i - 1] & ~vb[i]:
-                        ok = False
-                        break
-                elif vb[i - 1] & ~ua[i]:
-                    ok = False
-                    break
-            if ok:
-                arcs.append((a, b))
-        limits.check_size(len(verts) + len(arcs), "omega construction")
-    return Digraph(len(verts), arcs)
+    verts = tuples(range(n), [0] * m, [full] * (m - 1))
+
+    def row(x):
+        u, us = x
+        return tuples(
+            range(n) if flags[0] else iter_bits(us[0]),
+            [w if f else 0 for w, f in zip((1 << u,) + us, flags)],
+            [full if f else w for w, f in zip(us[1:], flags[1:])],
+        )
+
+    return Digraph._from_masks(len(verts), by_rows(verts, row, "omega construction"))
 
 
 def arc_graph(h):
@@ -237,7 +216,6 @@ def root_functor(r, s, h):
 
 def root_size_estimate(r, s, h):
     """Upper estimate of the intermediate vertex count of root_functor."""
-    if s == 1:
-        return h.n
-    k = (s - 1) // 2
-    return h.n * (1 << (k * h.n)) if h.n else 0
+    _require_odd(r, "r")
+    _require_odd(s, "s")
+    return _tuple_count((s - 1) // 2, h.n)

@@ -197,16 +197,19 @@ def chromatic_number(g):
 
 
 def _fraction_scan(g):
-    """All reduced n/m with 2m <= n <= |V(G)|, ascending by value."""
+    """All reduced n/m with 2m <= n <= |V(G)|, ascending, one at a time: m/n
+    walks the Farey sequence of order |V(G)| down from 1/2.  After a/b and
+    c/d comes (jc - a)/(jd - b), with j = (|V(G)| + b) // d."""
     from fractions import Fraction
 
-    fracs = []
-    for n in range(2, g.n + 1):
-        for m in range(1, n // 2 + 1):
-            if math.gcd(n, m) == 1:
-                fracs.append((Fraction(n, m), n, m))
-    fracs.sort(key=lambda t: t[0])
-    return fracs
+    top = g.n
+    # 1/2 and the next term below it, (d // 2)/d for the largest odd d <= top
+    a, b, d = 1, 2, top - 1 | 1
+    c = d // 2
+    while a and b <= top:
+        yield Fraction(b, a), b, a
+        j = (top + b) // d
+        a, b, c, d = c, d, j * c - a, j * d - b
 
 
 def circular_colouring(g):

@@ -331,22 +331,39 @@ def lexicographic_product(g, h):
     return Graph._from_masks(g.n * h.n, _mask_rows(g.n * h.n, arcs))
 
 
+def by_rows(verts, row, what):
+    """Out-rows of the digraph on `verts`, in list order, where row(x)
+    yields x's out-neighbours; vertices + arcs are guarded after each row."""
+    index = {x: i for i, x in enumerate(verts)}
+    rows = []
+    size = len(verts)
+    for x in verts:
+        r = 0
+        for y in row(x):
+            r |= 1 << index[y]
+        rows.append(r)
+        size += r.bit_count()
+        limits.check_size(size, what)
+    return rows
+
+
 def exponential_graph(k, h):
-    """Exponential graph K^H: vertices are all vertex maps V(H) -> V(K);
-    f ~ g iff for every edge [x,y] of H, [f(x), g(y)] is an edge of K."""
+    """Exponential graph K^H: vertices are all vertex maps V(H) -> V(K),
+    in lexicographic order; f ~ g iff for every edge [x,y] of H,
+    [f(x), g(y)] is an edge of K.  So g(y) ranges over the intersection
+    of N_K(f(x)) over x in N_H(y)."""
     k, h = as_graph(k), as_graph(h)
-    order = k.n**h.n if h.n else 1
-    limits.check_size(order, "exponential graph")
+    limits.check_size(k.n**h.n, "exponential graph")
     maps = list(itertools.product(range(k.n), repeat=h.n))
-    h_arcs = h.arc_list
-    edges = []
-    for i, f in enumerate(maps):
-        for j in range(i, len(maps)):
-            gmap = maps[j]
-            if all(k.has_arc(f[x], gmap[y]) for x, y in h_arcs):
-                edges.append((i, j))
-    limits.check_size(order + 2 * len(edges), "exponential graph")
-    return Graph(len(maps), edges)
+    full = (1 << k.n) - 1
+
+    def row(f):
+        allow = [full] * h.n
+        for x, y in h.arc_list:
+            allow[y] &= k.out_masks[f[x]]
+        return itertools.product(*map(iter_bits, allow))
+
+    return Graph._from_masks(len(maps), by_rows(maps, row, "exponential graph"))
 
 
 def symmetrization(d):

@@ -34,6 +34,7 @@ from pultr.graphs import (
     directed_cycle,
     dominated_reduction,
     enumerate_graphs,
+    exponential_graph,
     is_connected,
     oriented_path,
     symmetrization,
@@ -68,10 +69,14 @@ def test_omega3_matches_definition_oracle():
 
 
 def test_omega_rejects_even_and_unit():
-    with pytest.raises(ParameterError):
-        omega_odd_path(4, complete_graph(2))
-    with pytest.raises(ParameterError):
-        omega_odd_path(1, complete_graph(2))
+    k2 = complete_graph(2)
+    for m in (4, 0, -1):
+        with pytest.raises(ParameterError, match="m must be a positive odd"):
+            omega_odd_path(m, k2)
+        with pytest.raises(ParameterError, match="s must be a positive odd"):
+            root_size_estimate(1, m, k2)
+    with pytest.raises(ParameterError, match="identity functor"):
+        omega_odd_path(1, k2)
 
 
 def test_omega_adjunction_small():
@@ -337,6 +342,40 @@ def test_arc_graph_size_is_checked_before_the_build():
             assert arc_graph(h) == d
         with limits.scope(size_guard=size - 1), pytest.raises(SizeGuardError):
             arc_graph(h)
+
+
+def test_row_builders_guard_vertices_and_arcs():
+    # Each arc counts once, a loop too, and the pre-check on the vertex
+    # estimate stays below n + arcs here, so the rows' guard is the one hit.
+    loop = Digraph(1, [(0, 0)])
+    builds = [
+        lambda: omega_odd_path(3, complete_graph(3)),  # estimate 24, 12 + 18
+        lambda: omega_odd_path(3, loop),  # estimate 2, 2 + 1
+        lambda: omega_oriented_path(oriented_path("10"), loop),  # 4, 4 + 4
+        lambda: exponential_graph(complete_graph(3), complete_graph(2)),  # 9, 9 + 36
+        lambda: exponential_graph(loop, complete_graph(2)),  # 1, 1 + 1
+    ]
+    for build in builds:
+        d = build()
+        size = d.n + d.arc_count
+        with limits.scope(size_guard=size):
+            assert build() == d
+        with limits.scope(size_guard=size - 1), pytest.raises(SizeGuardError):
+            build()
+
+
+def test_k3_is_multiplicative_on_five_vertices():
+    # G x H -> K3 iff H -> K3^G, so K3 is multiplicative iff K3^G -> K3
+    # whenever G does not map to K3 (true: El-Zahar & Sauer 1985).
+    k3 = complete_graph(3)
+    unsettled = 0
+    for g in enumerate_graphs(5, loops=False, all_orders=True, up_to_iso=True):
+        if engine.hom_exists(g, k3) is None:
+            unsettled += 1
+            power = exponential_graph(k3, g)
+            assert not power.has_loop()
+            assert engine.hom_exists(power, k3) is not None, g
+    assert unsettled == 6
 
 
 def test_arc_graph_left():

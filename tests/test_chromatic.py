@@ -208,6 +208,19 @@ def test_circular_chromatic_edge_cases():
     assert engine.verify_witness(cycle_graph(9), circular_complete(9, 4), witness.mapping)
 
 
+def test_fraction_scan_walks_every_reduced_fraction_in_order():
+    # The Farey walk against the sorted list of all reduced n/m with
+    # 2m <= n <= |V|.
+    for order in range(60):
+        fracs = sorted(
+            (Fraction(n, m), n, m)
+            for n in range(2, order + 1)
+            for m in range(1, n // 2 + 1)
+            if math.gcd(n, m) == 1
+        )
+        assert list(chromatic._fraction_scan(Graph(order))) == fracs, order
+
+
 def test_chi_c_between_chi_minus_one_and_chi():
     for g in iso_classes(6, connected_only=True):
         chi = chromatic_number(g)

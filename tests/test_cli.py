@@ -470,9 +470,12 @@ def test_unsafe_size_flag_is_scoped(files, capsys):
 # limit; the family of 25/12 has 11 576 916 paths.
 EXTREME_INPUTS = [
     ("apply --functor lambda --template BAD --input K3", 2, "error: line 1: "),
+    ("apply --functor root --r 1 --s 0 --input K3", 2, "error: s must be"),
+    ("apply --functor root --r 1 --s -1 --input K3", 2, "error: s must be"),
     ("chi --input P1500", 0, "chi 2\n"),
     ("chi --input LOOP", 2, "error: a loop-free graph is needed"),
     ("chi-c --input ARC", 2, "error: digraph is not symmetric"),
+    ("chi-c --input P1500", 0, "chi-c 2/1\n"),
     ("gallai-roy -k 2 --input P1500", 0, "gallai-roy k=2 certificate"),
     ("circular-gr -n 25 -m 12 --input K3", 2, "size guard: reversal path family"),
     ("verify --suite omega --nmax 9", 2, "error: "),
