@@ -31,6 +31,7 @@ from .engine import HomWitness
 from .errors import BudgetExceededError, ParameterError
 from .graphs import (
     Digraph,
+    _check_fraction,
     circular_complete,
     complete_graph,
     directed_path,
@@ -334,8 +335,7 @@ def circular_gallai_roy_check(g, n, m):
     orientation admits one.  g must pass `loop_free_graph`, and the path
     family must pass the size guard before it is built."""
     g = loop_free_graph(g)
-    if math.gcd(n, m) != 1 or 2 * m > n:
-        raise ParameterError(f"{n}/{m} is not a reduced circular fraction >= 2")
+    _check_fraction(n, m)
     w = engine.hom_exists(g, circular_complete(n, m))
     target = None if w is None else _circular_orientation(n, m)
     count = sum(math.comb(n, i) for i in range(m))

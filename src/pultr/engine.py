@@ -15,13 +15,14 @@ one there is no homomorphism.
 
 A source that is a forest needs no search either (Hell, Nesetril & Zhu,
 Trans. AMS 1996; Feder & Vardi, SIAM J. Comput. 1998): a leaf-to-root
-semijoin pass over bitmask domains decides it, and a root-to-leaf pass
-leaves each vertex exactly the values it takes under some homomorphism.
-`gamma_functor` builds its arcs from these passes (`_forest_plan`,
-`_semijoin`); `_forest_walk` adds a walk back from the roots, which
-decides the oriented paths of `chromatic`'s Gallai-Roy checks and the
-oriented-forest obstructions of `duality`.  `hom_exists` itself has one
-searcher, the kernel, behind its two loop rules.
+semijoin pass over bitmask domains decides it, and leaves at the root
+exactly the values the root takes under some homomorphism.
+`gamma_functor` builds the rows of a template with P = K_1 from these
+passes (`_forest_plan`, `_semijoin`); `_forest_walk` adds a walk back
+from the roots, which decides the oriented paths of `chromatic`'s
+Gallai-Roy checks and the oriented-forest obstructions of `duality`.
+`hom_exists` itself has one searcher, the kernel, behind its two loop
+rules.
 
 Every witness handed out is checked by code that does not depend on the
 searcher.  A searched witness is re-checked against the raw adjacency
@@ -187,11 +188,7 @@ def _semijoin(plan, doms, rows):
     value of its child supports, rows[kind] being the support row of a
     child value.  On a forest, Q -> K has a homomorphism inside the
     domains iff no domain ends empty, and a root keeps exactly the
-    values it takes under one.  Given the edges reversed and flipped,
-    (parent, child, kind) in root-to-leaf order, with the support rows
-    of a parent value, the same pass runs top-down; after both passes
-    every domain holds exactly the values its vertex takes under some
-    homomorphism inside the domains."""
+    values it takes under one."""
     for c, p, kind in plan:
         row = rows[kind]
         sup = 0
@@ -258,7 +255,10 @@ def hom_exists(g, h):
 def hom_exists_pinned(g, h, pins):
     """hom_exists with some vertices of g pinned to fixed images.
     No loop shortcut: pins must be honoured, and with no pins this is
-    the plain search."""
+    the plain search.  No library function calls it.  It is kept as the
+    search that tests/test_gamma_oracle.py builds Gamma from, one pinned
+    search per pair, and as an engine entry point that perfbench's
+    tracer wraps by name."""
     mapping = _solve(g, h, MODE_EXISTS, pins=pins)
     if mapping is None:
         return None

@@ -12,11 +12,12 @@ The left functor glues one copy of P per vertex and one copy of Q per
 edge/arc of the argument, identifying the eps images with the endpoint
 copies of P.  The central functor's vertices are the homomorphisms
 P -> K, with an arc (g1, g2) whenever some h: Q -> K restricts to g1 and
-g2 along eps1 and eps2.  Its arc set is thus a projection of hom(Q, K).
-When Q is a forest, leaf-to-root semijoin passes over bitmask domains
-compute that projection exactly, without search (Yannakakis, VLDB 1981;
-Hell, Nesetril & Zhu, Trans. AMS 1996); any other Q takes one pinned
-existence search per pair (g1, g2).
+g2 along eps1 and eps2.  Its arc set is thus the image of hom(Q, K)
+under h -> (h . eps1, h . eps2), and it is built as that image: hom(Q, K)
+is listed once and each map adds its one arc.  When P = K_1 and Q is a
+forest, leaf-to-root semijoin passes over bitmask domains compute the
+same rows without search (Yannakakis, VLDB 1981; Hell, Nesetril & Zhu,
+Trans. AMS 1996), one pass per vertex of K.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from . import engine, limits
-from .bitset import iter_bits
 from .engine import _forest_plan, _semijoin
 from .errors import ParameterError
 from .graphs import (
@@ -168,59 +169,46 @@ def _lambda_with_labels(t, g):
     return (as_graph(out) if undirected else out), classes, edges
 
 
-def _pins(qvs, vals):
-    """The pins {q: val} for the pairs of qvs and vals, or None when two
-    pairs pin one vertex of Q to different values."""
-    pins = {}
-    for qv, val in zip(qvs, vals):
-        if pins.setdefault(qv, val) != val:
-            return None
-    return pins
-
-
-def _pinned_rows(t, k, gens):
-    """The rows of Gamma_T(K) by one pinned existence search per pair."""
-    for g1 in gens:
-        row = 0
-        for j, g2 in enumerate(gens):
-            pins = _pins(t.eps1 + t.eps2, g1 + g2)
-            if pins is not None and engine.hom_exists_pinned(t.q, k, pins) is not None:
-                row |= 1 << j
-        yield row
-
-
-def _forest_rows(t, k, gens, plan):
-    """The rows of Gamma_T(K) by semijoin passes, when Q is a forest and
-    `plan` is rooted at eps2[0]."""
+def _forest_rows(t, k, plan):
+    """The rows of Gamma_T(K) by semijoin passes, when P = K_1, Q is a
+    forest and `plan` is rooted at eps2[0]: the pass with eps1 pinned to
+    a leaves at the root exactly the row of a.  The size is checked
+    after each row."""
     both = tuple(o & i for o, i in zip(k.out_masks, k.in_masks))
     up = (None, k.out_masks, k.in_masks, both)
-    if t.p.n == 1 and not t.p.arc_count:
-        for (a,) in gens:
-            doms = engine.domains(t.q, k, {t.eps1[0]: a})
-            yield doms[t.eps2[0]] if _semijoin(plan, doms, up) else 0
-        return
-    down = (None, k.in_masks, k.out_masks, both)
-    spread = tuple((p, c, kind) for c, p, kind in reversed(plan))
+    rows = []
+    size = k.n
+    for a in range(k.n):
+        doms = engine.domains(t.q, k, {t.eps1[0]: a})
+        rows.append(doms[t.eps2[0]] if _semijoin(plan, doms, up) else 0)
+        size += rows[-1].bit_count()
+        limits.check_size(size, "gamma functor")
+    return rows
+
+
+def _projected_rows(t, k):
+    """The rows of Gamma_T(K) as the image of hom(Q, K) under
+    h -> (h . eps1, h . eps2), a map whose image is not a vertex adding
+    no arc.  |hom(P, K)| + |hom(Q, K)| is checked before the maps of Q
+    are listed."""
+    if t.p.arc_count:
+        gens = [w.mapping for w in engine.hom_enumerate(t.p, k)]
+    else:
+        gens = list(product(range(k.n), repeat=t.p.n))
+    limits.check_size(len(gens) + engine.hom_count(t.q, k), "gamma functor")
     index = {g: j for j, g in enumerate(gens)}
-    for g1 in gens:
-        pins = _pins(t.eps1, g1)
-        if pins is None:
-            yield 0
-            continue
-        doms = engine.domains(t.q, k, pins)
-        if not _semijoin(plan, doms, up):
-            yield 0
-            continue
-        _semijoin(spread, doms, down)
-        row = 0
-        for g2 in product(*(iter_bits(doms[v]) for v in t.eps2)):
-            j = index.get(g2)
-            if j is None:
-                continue
-            pins = _pins(t.eps1 + t.eps2, g1 + g2)
-            if pins is not None and _semijoin(plan, engine.domains(t.q, k, pins), up):
-                row |= 1 << j
-        yield row
+    rows = [0] * len(gens)
+    m = len(t.eps1)
+    # One itemgetter call per map costs a third of two tuple builds; it
+    # needs an index, and returns a tuple only from two on.
+    pick = itemgetter(*t.eps1, *t.eps2) if m else lambda h: ()
+    for w in engine.hom_enumerate(t.q, k):
+        h = pick(w.mapping)
+        i = index.get(h[:m])
+        j = index.get(h[m:])
+        if i is not None and j is not None:
+            rows[i] |= 1 << j
+    return rows
 
 
 def gamma_functor(t, k):
@@ -229,33 +217,20 @@ def gamma_functor(t, k):
     h . eps1 = g1 and h . eps2 = g2.  The mode is undirected exactly when
     t has a symmetry and k is symmetric; the result is then a Graph.
 
-    When Q is a forest (`_forest_plan`) the arcs are a projection of
-    hom(Q, K) that semijoin passes compute without search.  For each g1,
-    the pass rooted at eps2 with eps1 pinned to g1 leaves at the root
-    exactly the values it takes under such an h: for P = K_1 that is the
-    row of g1.  For any other P a top-down pass then leaves each eps2
-    vertex its exact value set, and only the g2 inside the product of
-    those sets take a pass of their own, with both ends pinned.  Any
-    other Q takes one pinned existence search per pair (g1, g2)."""
+    The arcs are the image of hom(Q, K) under h -> (h . eps1, h . eps2),
+    and `_projected_rows` lists hom(Q, K) once to build them.  When
+    P = K_1 and Q is a forest (`_forest_plan`), `_forest_rows` computes
+    the same rows without search, one semijoin pass per vertex of K."""
     undirected = _is_undirected(t, k)
     limits.check_size(k.n ** t.p.n if t.p.n else 1, "gamma functor")
-    if t.p.arc_count:
-        gens = [w.mapping for w in engine.hom_enumerate(t.p, k)]
-    else:
-        gens = list(product(range(k.n), repeat=t.p.n))
-    n = len(gens)
-    plan = _forest_plan(t.q, t.eps2[0] if t.p.n else 0)
+    plan = None
+    if t.p.n == 1 and not t.p.arc_count:
+        plan = _forest_plan(t.q, t.eps2[0])
     if plan is None:
-        rows = _pinned_rows(t, k, gens)
+        rows = _projected_rows(t, k)
     else:
-        rows = _forest_rows(t, k, gens, plan)
-    out = []
-    size = n
-    for row in rows:
-        out.append(row)
-        size += row.bit_count()
-        limits.check_size(size, "gamma functor")
-    out = Digraph._from_masks(n, out)
+        rows = _forest_rows(t, k, plan)
+    out = Digraph._from_masks(len(rows), rows)
     if undirected:
         if not out.is_symmetric:
             raise RuntimeError(

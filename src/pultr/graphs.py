@@ -268,9 +268,13 @@ def _check_fraction(n, m):
 
 
 def kneser_pairs(n):
-    """Kneser graph K(n,2): 2-subsets of {0..n-1}, adjacent iff disjoint."""
+    """Kneser graph K(n,2): 2-subsets of {0..n-1}, adjacent iff disjoint.
+    Its C(n,2) vertices and C(n,2) C(n-2,2) arcs are checked before the
+    build."""
     if n < 2:
         raise ParameterError("K(n,2) needs n >= 2")
+    size = math.comb(n, 2)
+    limits.check_size(size + size * math.comb(n - 2, 2), "Kneser graph")
     pairs = list(combinations(range(n), 2))
     edges = [
         (i, j)

@@ -368,6 +368,16 @@ def test_circular_gallai_roy_examples():
         circular_gallai_roy_check(cycle_graph(5), 6, 2)
 
 
+@pytest.mark.parametrize("n, m", [(6, 2), (5, 3), (1, 0), (0, 1)])
+def test_circular_gallai_roy_rejects_what_circular_complete_rejects(n, m):
+    # Not reduced, below 2, and not positive: one guard, one message.
+    with pytest.raises(ParameterError) as want:
+        circular_complete(n, m)
+    with pytest.raises(ParameterError) as got:
+        circular_gallai_roy_check(cycle_graph(5), n, m)
+    assert str(got.value) == str(want.value)
+
+
 def test_circular_gallai_roy_iff_hom_small():
     # module-level slice of the exhaustive acceptance check
     for g in iso_classes(4):

@@ -1,19 +1,27 @@
 """Gamma_T(K) against the construction it replaced, kept here as the
 oracle: one pinned existence search for Q -> K per ordered pair of maps
-P -> K.  A forest Q is settled by semijoin passes, which call no kernel
-beyond the enumeration of hom(P, K) when P has arcs; any other Q still
-searches."""
+P -> K.  P = K_1 with a forest Q is settled by semijoin passes, which
+call no kernel; any other template lists hom(Q, K) once, after counting
+it, and never asks the kernel whether a map exists."""
 
 import pytest
 
-from pultr import engine
+from pultr import engine, limits
+from pultr.errors import SizeGuardError
 from pultr.functors import (
+    PultrTemplate,
     builtin_template,
     gamma_functor,
     path_template,
     shift_template,
 )
-from pultr.graphs import Digraph, as_graph, enumerate_graphs
+from pultr.graphs import (
+    Digraph,
+    as_graph,
+    cycle_graph,
+    directed_path,
+    enumerate_graphs,
+)
 
 from conftest import oriented_path_template
 
@@ -32,6 +40,7 @@ FOREST = [
     (oriented_path_template("1101"), ORDER_3),
     (oriented_path_template("0110"), ORDER_3),
     (builtin_template("iota-3"), ORDER_2),
+    (PultrTemplate("empty-p", Digraph(0), directed_path(1), (), ()), ORDER_3),
 ]
 NOT_FOREST = [
     (builtin_template("lex-k2"), ORDER_2),
@@ -79,16 +88,24 @@ def _assert_matches_oracle(t, universe, got):
         assert (out.n, out.out_masks) == (want.n, want.out_masks), (t.name, k)
 
 
+def _k1(t):
+    return t.p.n == 1 and not t.p.arc_count
+
+
+def _counts_or_lists(mode):
+    return mode in (engine.MODE_COUNT, engine.MODE_ENUM)
+
+
 @pytest.mark.parametrize(
     "t, universe", FOREST, ids=[t.name for t, _ in FOREST]
 )
 def test_forest_gamma_matches_pinned_search(monkeypatch, t, universe):
-    # Only hom(P, K) may reach the kernel, and only when P has arcs.
+    # P = K_1 reaches no kernel; any other P only counts and lists maps.
     got, _ = _gammas_counting_kernel_calls(
         monkeypatch,
         t,
         universe,
-        lambda mode: t.p.arc_count and mode == engine.MODE_ENUM,
+        lambda mode: not _k1(t) and _counts_or_lists(mode),
     )
     _assert_matches_oracle(t, universe, got)
 
@@ -98,7 +115,28 @@ def test_forest_gamma_matches_pinned_search(monkeypatch, t, universe):
 )
 def test_other_gamma_matches_pinned_search(monkeypatch, t, universe):
     got, calls = _gammas_counting_kernel_calls(
-        monkeypatch, t, universe, lambda mode: True
+        monkeypatch, t, universe, _counts_or_lists
     )
-    assert engine.MODE_EXISTS in calls
+    assert engine.MODE_ENUM in calls
     _assert_matches_oracle(t, universe, got)
+
+
+def test_projection_makes_two_kernel_calls(monkeypatch):
+    # P has no arcs, so one count and one listing of hom(Q, K) build Gamma;
+    # one pinned search per ordered pair of the 343 maps took 117 649.
+    t, c7 = builtin_template("tensor-c3"), cycle_graph(7)
+    got, calls = _gammas_counting_kernel_calls(monkeypatch, t, [c7], _counts_or_lists)
+    assert calls == [engine.MODE_COUNT, engine.MODE_ENUM]
+    _assert_matches_oracle(t, [c7], got)
+
+
+def test_projection_checks_its_size_before_listing_maps(monkeypatch):
+    t, c7 = builtin_template("tensor-c3"), cycle_graph(7)
+    bound = c7.n ** t.p.n + engine.hom_count(t.q, c7)
+    with limits.scope(size_guard=bound):
+        assert gamma_functor(t, c7).n == c7.n ** t.p.n
+    listed = []
+    monkeypatch.setattr(engine, "hom_enumerate", lambda *a: listed.append(a))
+    with limits.scope(size_guard=bound - 1), pytest.raises(SizeGuardError):
+        gamma_functor(t, c7)
+    assert listed == []

@@ -572,5 +572,15 @@ def test_size_guard():
             assert circular_complete(n, m) == g
         with limits.scope(size_guard=size - 1), pytest.raises(SizeGuardError):
             circular_complete(n, m)
+    # K(n,2) has C(n,2) vertices and C(n,2) C(n-2,2) arcs, checked before
+    # the build.
+    for n in (2, 3, 4, 5, 7):
+        size = math.comb(n, 2) * (1 + math.comb(n - 2, 2))
+        g = kneser_pairs(n)
+        assert g.n + g.arc_count == size
+        with limits.scope(size_guard=size):
+            assert kneser_pairs(n) == g
+        with limits.scope(size_guard=size - 1), pytest.raises(SizeGuardError):
+            kneser_pairs(n)
     # guard restored afterwards
     assert limits.size_guard() == limits.DEFAULT_SIZE_GUARD
