@@ -30,6 +30,7 @@ from .errors import ParameterError
 from .functors import _glue
 from .graphs import (
     Digraph,
+    by_rows,
     complete_graph,
     enumerate_graphs,
     is_oriented_tree,
@@ -43,17 +44,18 @@ from .adjoints import arc_graph
 
 def shift_graph(n, k, directed=True):
     """Shift graph on increasing k-tuples from an n-element chain:
-    (u_1..u_k) -> (v_1..v_k) iff u_{i+1} = v_i for all i.  The undirected
+    (u_1..u_k) -> (v_1..v_k) iff u_{i+1} = v_i for all i, so the
+    successors of t are t[1:] + (x,) for x > t[-1].  The undirected
     variant is the symmetrization."""
     if not 2 <= k <= n:
         raise ParameterError("shift graph needs 2 <= k <= n")
     limits.check_size(math.comb(n, k) + math.comb(n, k + 1), "shift graph")
     tuples = list(combinations(range(n), k))
-    index = {t: i for i, t in enumerate(tuples)}
-    arcs = []
-    for window in combinations(range(n), k + 1):
-        arcs.append((index[window[:-1]], index[window[1:]]))
-    d = Digraph(len(tuples), arcs)
+
+    def row(t):
+        return [t[1:] + (x,) for x in range(t[-1] + 1, n)]
+
+    d = Digraph._from_masks(len(tuples), by_rows(tuples, row, "shift graph"))
     return d if directed else symmetrization(d)
 
 

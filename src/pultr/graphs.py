@@ -3,9 +3,11 @@ orientation and enumeration utilities.
 
 Vertices are the dense integers 0..n-1.  Adjacency is stored as per-vertex
 out-neighbour bitmasks, which deduplicates arcs for free and is the layout
-the search kernels consume directly.  Constructions whose vertices are
-composite labels (tuples, subsets, vertex maps) sort the labels and
-renumber, so identical inputs always produce identical outputs.
+the search kernels consume directly.  Constructions write these rows
+themselves, by a formula or through `by_rows`, and build no arc list.
+Constructions whose vertices are composite labels (tuples, subsets,
+vertex maps) sort the labels and renumber, so identical inputs always
+produce identical outputs.
 
 Graphs are digraphs whose arc set is closed under reversal; an undirected
 edge is the arc pair (u,v),(v,u) and a loop is the single arc (u,u).
@@ -104,7 +106,8 @@ class Digraph:
         return tuple(arcs)
 
     def reverse(self):
-        return Digraph(self.n, ((v, u) for u, v in self.arcs()))
+        """Every arc reversed; a Digraph, also for a Graph."""
+        return Digraph._from_masks(self.n, self.in_masks)
 
     def relabel(self, perm):
         """Return the same-type graph with vertex u renamed perm[u]."""
@@ -119,17 +122,19 @@ class Digraph:
         return type(self)._from_masks(self.n, masks)
 
     def induced(self, verts):
-        """Induced subgraph on `verts` (renumbered in the given order)."""
+        """Induced subgraph on `verts`, distinct vertices of this graph,
+        renumbered in the given order."""
         index = {v: i for i, v in enumerate(verts)}
-        arcs = [
-            (index[u], index[v])
+        if len(index) != len(verts) or not all(0 <= v < self.n for v in index):
+            raise ParameterError(
+                f"induced subgraph needs distinct vertices of 0..{self.n - 1}"
+            )
+        keep = sum(1 << v for v in index)
+        rows = [
+            sum(1 << index[v] for v in iter_bits(self.out_masks[u] & keep))
             for u in verts
-            for v in iter_bits(self.out_masks[u])
-            if v in index
         ]
-        return type(self)._from_masks(
-            len(verts), _mask_rows(len(verts), arcs)
-        )
+        return type(self)._from_masks(len(verts), rows)
 
     def __eq__(self, other):
         return (
@@ -143,10 +148,9 @@ class Digraph:
 
     def __repr__(self):
         kind = "Graph" if isinstance(self, Graph) else "Digraph"
-        arcs = list(self.arcs())
-        if len(arcs) > 12:
+        if self.arc_count > 12:
             return f"{kind}(n={self.n}, arcs={self.arc_count})"
-        return f"{kind}({self.n}, {arcs})"
+        return f"{kind}({self.n}, {list(self.arcs())})"
 
 
 class Graph(Digraph):
@@ -176,14 +180,8 @@ class Graph(Digraph):
 
     @cached_property
     def edge_count(self):
-        return sum(1 for _ in self.edges())
-
-
-def _mask_rows(n, arcs):
-    masks = [0] * n
-    for u, v in arcs:
-        masks[u] |= 1 << v
-    return masks
+        """An edge u != v is two arcs, a loop one."""
+        return (self.arc_count + self.loop_mask.bit_count()) // 2
 
 
 def as_graph(d):
@@ -209,9 +207,11 @@ def loop_free_graph(d):
 
 
 def complete_graph(n):
+    """K_n: row u is every vertex but u."""
     if n < 0:
         raise ParameterError("order must be non-negative")
-    return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+    full = (1 << n) - 1
+    return Graph._from_masks(n, [full ^ 1 << u for u in range(n)])
 
 
 def cycle_graph(n):
@@ -241,21 +241,21 @@ def directed_cycle(n):
 
 
 def transitive_tournament(n):
+    """T_n, with u -> v iff u < v: row u is every vertex above u."""
     if n < 1:
         raise ParameterError("tournaments need at least 1 vertex")
-    return Digraph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+    full = (1 << n) - 1
+    return Digraph._from_masks(n, [full >> u + 1 << u + 1 for u in range(n)])
 
 
 def circular_complete(n, m):
-    """Circular complete graph on Z_n: u ~ v iff (u-v) mod n in {m..n-m}."""
+    """Circular complete graph on Z_n: u ~ v iff (u-v) mod n in {m..n-m}.
+    Row u is the band of bits m..n-m rotated left by u within n bits."""
     _check_fraction(n, m)
     limits.check_size(n + n * (n - 2 * m + 1), "circular complete graph")
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if m <= (v - u) % n <= n - m:
-                edges.append((u, v))
-    return Graph(n, edges)
+    full = (1 << n) - 1
+    band = (1 << n - 2 * m + 1) - 1 << m
+    return Graph._from_masks(n, [(band << u | band >> n - u) & full for u in range(n)])
 
 
 def _check_fraction(n, m):
@@ -268,29 +268,28 @@ def _check_fraction(n, m):
 
 
 def kneser_pairs(n):
-    """Kneser graph K(n,2): 2-subsets of {0..n-1}, adjacent iff disjoint.
-    Its C(n,2) vertices and C(n,2) C(n-2,2) arcs are checked before the
+    """Kneser graph K(n,2): 2-subsets of {0..n-1}, adjacent iff disjoint,
+    so the row of a pair lists the 2-subsets of its complement.  Its
+    C(n,2) vertices and C(n,2) C(n-2,2) arcs are checked before the
     build."""
     if n < 2:
         raise ParameterError("K(n,2) needs n >= 2")
     size = math.comb(n, 2)
     limits.check_size(size + size * math.comb(n - 2, 2), "Kneser graph")
     pairs = list(combinations(range(n), 2))
-    edges = [
-        (i, j)
-        for i, a in enumerate(pairs)
-        for j, b in enumerate(pairs)
-        if i < j and not (set(a) & set(b))
-    ]
-    return Graph(len(pairs), edges)
+
+    def row(pair):
+        return combinations([x for x in range(n) if x not in pair], 2)
+
+    return Graph._from_masks(len(pairs), by_rows(pairs, row, "Kneser graph"))
 
 
 def oriented_path(spec):
     """Oriented path from an orientation string: character i is '1' for the
     forward arc i -> i+1 and '0' for the reversed arc i+1 -> i."""
     _check_orientation(spec)
-    arcs = [(i, i + 1) if b == "1" else (i + 1, i) for i, b in enumerate(spec)]
-    return Digraph(len(spec) + 1, arcs)
+    m = len(spec)
+    return _orient(m + 1, zip(range(m), range(1, m + 1)), map("1".__eq__, spec))
 
 
 def _check_orientation(spec):
@@ -303,36 +302,35 @@ def _check_orientation(spec):
 # ---------------------------------------------------------------------------
 
 
+def _blocks(g, width):
+    """Per vertex u of g, the mask with bit v*width for each out-neighbour
+    v: times a row below 2^width, it gives that row in each block v."""
+    return [sum(1 << v * width for v in iter_bits(row)) for row in g.out_masks]
+
+
 def tensor_product(g, h):
-    """Categorial (tensor) product: arc (u,x)->(v,y) iff u->v and x->y."""
+    """Categorial (tensor) product: arc (u,x)->(v,y) iff u->v and x->y.
+    Row (u,x) is h's row x in the block of each out-neighbour of u."""
     limits.check_size(g.n * h.n + g.arc_count * h.arc_count, "tensor product")
-    arcs = [
-        (u * h.n + x, v * h.n + y)
-        for u, v in g.arcs()
-        for x, y in h.arcs()
-    ]
-    rows = _mask_rows(g.n * h.n, arcs)
+    rows = [x * s for s in _blocks(g, h.n) for x in h.out_masks]
     cls = Graph if isinstance(g, Graph) and isinstance(h, Graph) else Digraph
     return cls._from_masks(g.n * h.n, rows)
 
 
 def lexicographic_product(g, h):
     """Lexicographic product G[H]: (u,x) ~ (v,y) iff uv is an edge of G, or
-    u = v and xy an edge of H.  Undirected inputs only (as_graph)."""
+    u = v and xy an edge of H.  Undirected inputs only (as_graph).  Row
+    (u,x) is every full block v ~ u, and h's row x in u's own block."""
     g, h = as_graph(g), as_graph(h)
     limits.check_size(
         g.n * h.n + g.arc_count * h.n * h.n + g.n * h.arc_count,
         "lexicographic product",
     )
-    arcs = []
-    for u, v in g.arcs():
-        for x in range(h.n):
-            for y in range(h.n):
-                arcs.append((u * h.n + x, v * h.n + y))
-    for u in range(g.n):
-        for x, y in h.arcs():
-            arcs.append((u * h.n + x, u * h.n + y))
-    return Graph._from_masks(g.n * h.n, _mask_rows(g.n * h.n, arcs))
+    full = (1 << h.n) - 1
+    rows = []
+    for u, s in enumerate(_blocks(g, h.n)):
+        rows += [full * s | x << u * h.n for x in h.out_masks]
+    return Graph._from_masks(g.n * h.n, rows)
 
 
 def by_rows(verts, row, what):
@@ -386,10 +384,7 @@ def orient_edges(g, spec):
         raise ParameterError(
             f"orientation length {len(spec)} != edge count {len(edges)}"
         )
-    arcs = [
-        (u, v) if b == "1" else (v, u) for (u, v), b in zip(edges, spec)
-    ]
-    return Digraph._from_masks(g.n, _mask_rows(g.n, arcs))
+    return _orient(g.n, edges, map("1".__eq__, spec))
 
 
 def orientations(g):
@@ -399,13 +394,19 @@ def orientations(g):
     edges = list(g.edges())
     e = len(edges)
     for s in range(1 << e):
-        arcs = []
-        for i, (u, v) in enumerate(edges):
-            if s >> i & 1:
-                arcs.append((u, v))
-            else:
-                arcs.append((v, u))
-        yield Digraph._from_masks(g.n, _mask_rows(g.n, arcs))
+        yield _orient(g.n, edges, [s >> i & 1 for i in range(e)])
+
+
+def _orient(n, edges, forward):
+    """The digraph on n vertices with each edge (u, v) ORed into its
+    row as u -> v where its flag in `forward` is true, else as v -> u."""
+    masks = [0] * n
+    for (u, v), f in zip(edges, forward):
+        if f:
+            masks[u] |= 1 << v
+        else:
+            masks[v] |= 1 << u
+    return Digraph._from_masks(n, masks)
 
 
 def odd_girth(g):
@@ -452,14 +453,12 @@ def is_connected(d):
 
 
 def is_oriented_tree(d):
-    """Connected, loop-free, no antiparallel arc pairs, |arcs| = n - 1."""
+    """Connected, loop-free, no antiparallel arc pairs, |arcs| = n - 1.
+    The third follows from the others: an antiparallel pair would leave
+    fewer than n - 1 edges, too few to connect n vertices."""
     if d.n == 0 or d.loop_mask:
         return False
-    if d.arc_count != d.n - 1:
-        return False
-    if any(d.has_arc(v, u) for u, v in d.arcs()):
-        return False
-    return is_connected(d)
+    return d.arc_count == d.n - 1 and is_connected(d)
 
 
 def dominated_reduction(d):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -403,3 +404,20 @@ def test_powers_bound_is_certified_upper_value():
     for g in (cycle_graph(5), cycle_graph(7), complete_graph(3)):
         rep = circular_bound_via_powers(g, 2, 1)
         assert rep.value >= circular_chromatic_number(g)
+
+
+def test_large_k_costs_linear_memory():
+    """K_k, and T_k inside the Gallai-Roy certificate, are written as k
+    out-rows: no build lists their k^2/2 arcs."""
+    builds = (
+        lambda: complete_graph(1000),
+        lambda: gallai_roy_orientation(cycle_graph(5), 1000),
+    )
+    for build in builds:
+        tracemalloc.start()
+        try:
+            assert build() is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20

@@ -123,6 +123,15 @@ def test_relabel_and_equality():
     assert hash(g) == hash(h)
 
 
+def test_induced_checks_its_vertex_list():
+    g = Digraph(3, [(0, 1), (2, 2)])
+    assert g.induced([2, 0, 1]) == Digraph(3, [(0, 0), (1, 2)])
+    assert g.induced([]) == Digraph(0)
+    for verts in ([-1], [0, 0], [5], [1, 3]):
+        with pytest.raises(ParameterError):
+            g.induced(verts)
+
+
 def test_circular_complete_is_odd_cycle():
     # K_{5/2} has the adjacency u-v in {2,3} mod 5, which is C_5 relabelled
     assert engine.isomorphic(circular_complete(5, 2), cycle_graph(5))
