@@ -8,7 +8,9 @@ values in ascending order).  Propagation memoises, per call, the support
 of each domain mask along an arc.  Counting and enumeration use
 exhaustive DFS in vertex order with forward checking only, undone from a
 trail, so counts are exact and the enumeration order is lexicographic on
-the map tuple.
+the map tuple.  Both searches keep their open branches on an explicit
+stack, not on Python's call stack, so depth costs no recursion limit and
+a call leaves no reference cycle behind.
 
 tests/test_kernel_golden.py pins the witnesses, counts, enumeration
 orders and decision counts of all three modes.  engine.hom_exists
@@ -26,10 +28,6 @@ MODE_ENUM = 2
 
 STATUS_OK = 0
 STATUS_BUDGET = 1
-
-
-class _BudgetHit(Exception):
-    pass
 
 
 def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget):
@@ -82,44 +80,46 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget):
                     changed = True
         return True
 
-    def search_exists(doms):
-        nonlocal decisions
-        best = -1
-        best_pc = n_h + 1
-        for u in range(n_g):
-            pc = doms[u].bit_count()
-            if 1 < pc < best_pc:
-                best = u
-                best_pc = pc
-                if pc == 2:
-                    break
-        if best < 0:
-            return tuple(d.bit_length() - 1 for d in doms)
-        m = doms[best]
-        while m:
-            low = m & -m
-            m ^= low
-            decisions += 1
-            if decisions > budget:
-                raise _BudgetHit
-            nd = doms.copy()
-            nd[best] = low
-            if propagate(nd):
-                found = search_exists(nd)
-                if found is not None:
-                    return found
-        return None
-
     if mode == MODE_EXISTS:
         if n_g == 0:
             return STATUS_OK, (), decisions
         doms = list(doms0)
         if 0 in doms or not propagate(doms):
             return STATUS_OK, None, decisions
-        try:
-            return STATUS_OK, search_exists(doms), decisions
-        except _BudgetHit:
-            return STATUS_BUDGET, None, decisions
+        # One entry per open branch, deepest last: the domains it narrows,
+        # the vertex it branches on and that vertex's untried values.
+        stack = []
+        while True:
+            # Branch on the smallest open domain, ties to the lowest index.
+            best = -1
+            best_pc = n_h + 1
+            for u in range(n_g):
+                pc = doms[u].bit_count()
+                if 1 < pc < best_pc:
+                    best = u
+                    best_pc = pc
+                    if pc == 2:
+                        break
+            if best < 0:
+                return STATUS_OK, tuple(d.bit_length() - 1 for d in doms), decisions
+            stack.append([doms, best, doms[best]])
+            while True:
+                if not stack:
+                    return STATUS_OK, None, decisions
+                top = stack[-1]
+                parent, best, m = top
+                if not m:
+                    stack.pop()
+                    continue
+                low = m & -m
+                top[2] = m ^ low
+                decisions += 1
+                if decisions > budget:
+                    return STATUS_BUDGET, None, decisions
+                doms = parent.copy()
+                doms[best] = low
+                if propagate(doms):
+                    break
     if mode != MODE_COUNT and mode != MODE_ENUM:
         raise ValueError(f"unknown mode {mode}")
 
@@ -135,49 +135,54 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget):
     # Counting and enumeration share one DFS; only enumeration records
     # the maps.
     record = mode == MODE_ENUM
+    if n_g == 0:
+        return STATUS_OK, [()] if record else 1, decisions
+    if not all(doms0):
+        return STATUS_OK, [] if record else 0, decisions
     assign = [0] * n_g
     results = []
     found = 0
 
+    # The forward checks narrow `doms` in place.  Variable i keeps its
+    # untried values in rest[i] and the narrowings of its current value
+    # in trails[i], undone in reverse before its next value, since fwd[i]
+    # may list one j twice.
     doms = list(doms0)
-
-    def dfs(i):
-        """The forward checks narrow `doms` in place; each value undoes
-        its own narrowings from a trail, in reverse, since fwd[i] may
-        list one j twice."""
-        nonlocal decisions, found
-        if i == n_g:
-            found += 1
-            if record:
-                results.append(tuple(assign))
-            return
-        lst = fwd[i]
-        m = doms[i]
-        while m:
-            low = m & -m
-            m ^= low
-            val = low.bit_length() - 1
-            decisions += 1
-            if decisions > budget:
-                raise _BudgetHit
-            assign[i] = val
-            trail = []
-            for j, kind in lst:
-                dj = doms[j]
-                nj = dj & (out_masks[val] if kind == 0 else in_masks[val])
-                if not nj:
-                    break
-                if nj != dj:
-                    trail.append((j, dj))
-                    doms[j] = nj
+    rest = [0] * n_g
+    trails = [()] * n_g
+    rest[0] = doms[0]
+    last = n_g - 1
+    i = 0
+    while i >= 0:
+        for j, dj in reversed(trails[i]):
+            doms[j] = dj
+        m = rest[i]
+        if not m:
+            trails[i] = ()
+            i -= 1
+            continue
+        low = m & -m
+        rest[i] = m ^ low
+        val = low.bit_length() - 1
+        decisions += 1
+        if decisions > budget:
+            return STATUS_BUDGET, None, decisions
+        assign[i] = val
+        trails[i] = trail = []
+        for j, kind in fwd[i]:
+            dj = doms[j]
+            nj = dj & (out_masks[val] if kind == 0 else in_masks[val])
+            if not nj:
+                break
+            if nj != dj:
+                trail.append((j, dj))
+                doms[j] = nj
+        else:
+            if i == last:
+                found += 1
+                if record:
+                    results.append(tuple(assign))
             else:
-                dfs(i + 1)
-            for j, dj in reversed(trail):
-                doms[j] = dj
-
-    try:
-        if all(doms0):
-            dfs(0)
-    except _BudgetHit:
-        return STATUS_BUDGET, None, decisions
+                i += 1
+                rest[i] = doms[i]
     return STATUS_OK, results if record else found, decisions

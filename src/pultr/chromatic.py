@@ -91,7 +91,9 @@ def k_colourable(g, k):
     then the highest degree, then the lowest index.  levels[s] masks,
     over the ranks by (degree descending, index), the uncoloured
     vertices with s colours around them, so a pick is the lowest bit of
-    the highest non-empty level and a decision costs O(k + deg)."""
+    the highest non-empty level and a decision costs O(k + deg).  The
+    search keeps its coloured vertices on an explicit stack, so its depth
+    needs no change to Python's recursion limit."""
     g = loop_free_graph(g)
     if k < 0:
         raise ParameterError("colour count must be non-negative")
@@ -122,11 +124,17 @@ def k_colourable(g, k):
             levels[nbr_used[u].bit_count()] |= rank[u]
             uncoloured |= 1 << u
     decisions = 0
-
-    def dfs(assigned, max_used):
-        nonlocal decisions, uncoloured
-        if assigned == n:
-            return True
+    # The vertex v being coloured lives in locals: its untried colours,
+    # the colours in use before it, its colour bit and the neighbours
+    # whose saturation that colour raised.  Each vertex coloured before it
+    # waits on the stack as (v, avail, max_used, touched); its bit is
+    # read back from colours[v], and its level from nbr_used[v], which
+    # does not change while v is coloured.
+    stack = []
+    push, pop = stack.append, stack.pop
+    max_used = len(clique) - 1
+    left = n - len(clique)
+    while left:
         s = k
         while not levels[s]:
             s -= 1
@@ -135,7 +143,24 @@ def k_colourable(g, k):
         levels[s] ^= low
         uncoloured ^= 1 << v
         avail = ~nbr_used[v] & ((1 << min(k, max_used + 2)) - 1)
-        while avail:
+        bit = 0
+        touched = ()
+        while True:
+            for w in touched:
+                sw = nbr_used[w].bit_count()
+                nbr_used[w] ^= bit
+                levels[sw] ^= rank[w]
+                levels[sw - 1] |= rank[w]
+            if not avail:
+                colours[v] = -1
+                levels[nbr_used[v].bit_count()] |= rank[v]
+                uncoloured |= 1 << v
+                if not stack:
+                    return None
+                v, avail, max_used, touched = pop()
+                bit = 1 << colours[v]
+                left += 1
+                continue
             bit = avail & -avail
             avail ^= bit
             decisions += 1
@@ -157,20 +182,12 @@ def k_colourable(g, k):
                     levels[sw] |= rank[w]
                     if sw == k:
                         dead = True
-            if not dead and dfs(assigned + 1, c if c > max_used else max_used):
-                return True
-            for w in touched:
-                sw = nbr_used[w].bit_count()
-                nbr_used[w] ^= bit
-                levels[sw] ^= rank[w]
-                levels[sw - 1] |= rank[w]
-        colours[v] = -1
-        levels[s] |= low
-        uncoloured |= 1 << v
-        return False
-
-    if not limits.recursion_room(3 * n + 200, dfs, len(clique), len(clique) - 1):
-        return None
+            if not dead:
+                break
+        push((v, avail, max_used, touched))
+        left -= 1
+        if c > max_used:
+            max_used = c
     if not engine.verify_witness(g, complete_graph(k), colours):
         raise RuntimeError(
             f"colouring search produced an invalid {k}-colouring {colours} "

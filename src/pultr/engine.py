@@ -32,7 +32,6 @@ only its one row, `h.out_masks[v] >> v & 1`, which is checked in O(1).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -144,9 +143,6 @@ def kernel_args(g, h, mode, pins=None):
 
 
 def _solve(g, h, mode, pins=None):
-    need = g.n * 3 + 200
-    if sys.getrecursionlimit() < need:
-        return limits.recursion_room(need, _solve, g, h, mode, pins)
     status, payload, decisions = _kernel.solve(
         *kernel_args(g, h, mode, pins)
     )

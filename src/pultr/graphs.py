@@ -165,11 +165,16 @@ class Graph(Digraph):
         return self.out_masks
 
     def __init__(self, n, edges=()):
-        arcs = []
+        # ORs both arcs of each edge into the rows, with Digraph's order
+        # check and its range check on (u, v) as given.
+        super().__init__(n)
+        masks = [0] * n
         for u, v in edges:
-            arcs.append((u, v))
-            arcs.append((v, u))
-        super().__init__(n, arcs)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParameterError(f"arc ({u},{v}) out of range for order {n}")
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self.out_masks = tuple(masks)
 
     def edges(self):
         """Unordered edges as pairs (u, v) with u <= v."""

@@ -11,11 +11,11 @@ the only way to set them, in-process or from the CLI's `--budget` and
 `--unsafe-size`; no search function takes a budget argument, and no
 environment variable sets them.  `engine.kernel_args` and
 `chromatic.k_colourable` read the budget through `default_budget`.
-Searches that recurse once per vertex raise the recursion limit for one
-call only, through `recursion_room`.
+The searches keep their open branches on explicit stacks, so deep
+inputs need no change to Python's recursion limit, which is
+process-wide.
 """
 
-import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -61,13 +61,3 @@ def check_size(estimate, what="construction"):
 def default_budget():
     """The budget of the innermost scope, else DEFAULT_NODE_BUDGET."""
     return _limits.get()[0]
-
-
-def recursion_room(need, fn, *args):
-    """fn(*args) with the recursion limit at least `need` meanwhile."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, need))
-    try:
-        return fn(*args)
-    finally:
-        sys.setrecursionlimit(old)

@@ -477,8 +477,10 @@ def test_duality_obstructions_leave_the_kernel(monkeypatch):
     # Every member of the suite's families is an oriented path, so each
     # F -> G is a forest walk; the kernel sees only the G -> H side.
     # The pass builds only the 238 first members of the loop-free classes
-    # at nmax 4.  P2 is in paths/T2 and sproinks/delta(T3), and P3 in
-    # paths/T3 and sproinks/delta(T4); each is walked once per graph.
+    # at nmax 4.  The seven distinct members are P2, P3, P4 and the four
+    # longer sproinks of delta(T4); 42 walks order them, with P4 on top,
+    # and then a graph asks P4 first, whose yes settles every member.
+    # Walking each member once per graph took 818 walks (638 hits).
     counts = dict.fromkeys(("solve", "decisions", "walks", "hits", "yielded"), 0)
     solve = engine._kernel.solve
     walk = engine._forest_walk
@@ -507,31 +509,49 @@ def test_duality_obstructions_leave_the_kernel(monkeypatch):
     assert rep.verdict_line() == "VERDICT duality PASS checked=330331"
     # 20 calls order the five targets; then a graph takes 1.4 calls on
     # average for G -> H, where asking each job's target took 5 (1 190)
-    assert counts == dict(solve=353, decisions=257, walks=818, hits=638, yielded=238)
+    assert counts == dict(solve=353, decisions=257, walks=445, hits=244, yielded=238)
 
-    # a one-job pass has one target, so it orders nothing and asks the
-    # kernel once per loop-free class, as before the order was used
-    counts.update(solve=0, decisions=0)
+    # a one-job pass has one target and orders no member, so it asks the
+    # kernel once per loop-free class, as before the target order was
+    # used, and walks its family in order up to the first hit, as before
+    # the member order was used
+    counts.update(solve=0, decisions=0, walks=0, hits=0)
     assert verify_duality([directed_path(4)], transitive_tournament(4), 4).ok
-    assert (counts["solve"], counts["decisions"]) == (238, 105)
+    assert counts == dict(solve=238, decisions=105, walks=239, hits=199, yielded=476)
+    counts.update(solve=0, decisions=0, walks=0, hits=0)
+    assert verify_duality(
+        minimal_path_sproinks(4, 12), arc_graph(transitive_tournament(4)), 4
+    ).ok
+    assert counts == dict(solve=238, decisions=50, walks=340, hits=216, yielded=714)
 
 
-def _assert_memo_reads_hom_exists(targets, graphs):
-    """Every answer of the memo is engine.hom_exists', whatever order the
-    kernel is asked in and the targets are read in."""
-    n = len(targets.targets)
-    for order in (targets.order, targets.order[::-1]):
-        targets.order = order
-        for g in graphs:
-            truth = [
-                engine.hom_exists(g, h) is not None for h in targets.targets
-            ]
+def _maps_to_target(g, h):
+    return engine.hom_exists(g, h) is not None
+
+
+def _member_maps_into(g, f):
+    return engine.hom_exists(f, g) is not None
+
+
+def _assert_memo_reads_hom_exists(memo, graphs, truth=_maps_to_target, orders=()):
+    """Every answer of the memo (a _Targets or a _Members) is
+    engine.hom_exists', truth(g, item), whatever order the items are
+    asked about in and read in.  A read of several items is whether any
+    of them holds."""
+    n = len(memo.items)
+    wants = [[truth(g, x) for x in memo.items] for g in graphs]
+    full = (1 << n) - 1
+    masks = (0, full, 0b0101010 & full, 0b1010101 & full)
+    for order in (memo.order, memo.order[::-1], *orders):
+        memo.order = order
+        for g, want in zip(graphs, wants):
             for asked in (range(n), range(n - 1, -1, -1)):
                 # a new object, so the memo starts afresh
                 g = Digraph._from_masks(g.n, g.out_masks)
-                assert [targets.maps_into(g, i) for i in asked] == [
-                    truth[i] for i in asked
-                ]
+                assert [memo.read(g, 1 << i) for i in asked] == [want[i] for i in asked]
+            for mask in masks:
+                g = Digraph._from_masks(g.n, g.out_masks)
+                assert memo.read(g, mask) == any(want[i] for i in range(n) if mask >> i & 1)
 
 
 def test_target_order_memo_matches_the_kernel():
@@ -566,7 +586,7 @@ def test_target_order_memo_matches_the_kernel():
         DualityJob((Digraph(1, [(0, 0)]), Digraph(2, [(0, 1), (1, 0)])), c3),
     ]
     targets = duality._Targets([job.h for job in jobs])
-    assert targets.targets == [t3, c3, t2, delta_t3]
+    assert targets.items == [t3, c3, t2, delta_t3]
     assert targets.above == [0b0001, 0b0010, 0b1111, 0b1111]
     assert targets.below == [0b1101, 0b1110, 0b1100, 0b1100]
     assert targets.order == [0, 1, 2, 3]
@@ -575,6 +595,69 @@ def test_target_order_memo_matches_the_kernel():
     reports = verify_dualities(jobs, 3)
     assert reports == _labelled_reference(jobs, 3)
     assert [r.ok for r in reports] == [True, False, False, True, True, False]
+
+
+def test_member_order_memo_matches_the_kernel():
+    leaders = list(
+        enumerate_graphs(
+            4, directed=True, loops=False, all_orders=True, up_to_iso=True
+        )
+    )
+    graphs = leaders + [Digraph(1, [(0, 0)])]
+
+    # the suite's members: P2 < S11 < S9 < S7 < S5 < P3 < P4, where Sk is
+    # the sproink of delta(T4) on k vertices
+    suite_members = [directed_path(k) for k in (2, 3, 4)] + minimal_path_sproinks(4, 12)
+    members = duality._Members(suite_members)
+    assert [f.n for f in members.items] == [3, 4, 5, 6, 8, 10, 12]
+    assert members.below == [
+        0b0000001, 0b1111011, 0b1111111, 0b1111001, 0b1110001, 0b1100001, 0b1000001
+    ]
+    assert members.above == [
+        0b1111111, 0b0000110, 0b0000100, 0b0001110, 0b0011110, 0b0111110, 0b1111110
+    ]
+    assert members.order == [2, 1, 3, 4, 5, 6, 0]
+    rng = random.Random(31)
+    shuffled = [rng.sample(range(7), 7) for _ in range(3)]
+    _assert_memo_reads_hom_exists(members, graphs, _member_maps_into, shuffled)
+
+    # members that are not forests go to the kernel: the loop, the
+    # 2-cycle and the directed 3-cycle; the loop maps into no other
+    # member, and every member maps into it
+    loop = Digraph(1, [(0, 0)])
+    two_cycle = Digraph(2, [(0, 1), (1, 0)])
+    c3 = directed_cycle(3)
+    mixed = [directed_path(2), loop, two_cycle, c3, directed_path(3), oriented_path("101")]
+    members = duality._Members(mixed + [directed_path(2), Digraph(1, [(0, 0)])])
+    assert members.items == mixed
+    assert [members.plans[i] is None for i in range(6)] == [False, True, True, True, False, False]
+    assert members.above[1] == 0b000010
+    assert members.below[1] == 0b111111
+    shuffled = [rng.sample(range(6), 6) for _ in range(3)]
+    _assert_memo_reads_hom_exists(members, graphs, _member_maps_into, shuffled)
+
+    # a one-job pass orders nothing: each member is related to itself
+    # alone and asked in first-seen order
+    members = duality._Members(mixed, ordered=False)
+    assert members.above == members.below == [1 << i for i in range(6)]
+    assert members.order == list(range(6))
+    _assert_memo_reads_hom_exists(members, graphs, _member_maps_into)
+
+    # passes over mixed families against the labelled reference
+    t2, t3 = transitive_tournament(2), transitive_tournament(3)
+    jobs = [
+        DualityJob((directed_path(2),), t2),
+        DualityJob((loop, two_cycle, directed_path(3)), t3),
+        DualityJob((c3, directed_path(2)), t3),
+        DualityJob((oriented_path("101"), directed_path(2)), t2),
+        DualityJob((two_cycle, directed_path(2)), t2),
+        DualityJob((loop, c3), Digraph(2, [(0, 1), (1, 1)])),
+        _sproink_job(4, 12),
+        DualityJob((directed_path(3),), t3),
+    ]
+    reports = verify_dualities(jobs, 3)
+    assert reports == _labelled_reference(jobs, 3)
+    assert [r.ok for r in reports] == [True, True, False, False, True, False, True, True]
 
 
 def test_positions_follow_the_labelled_universe():

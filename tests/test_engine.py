@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 from itertools import combinations_with_replacement
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pultr import _fallback, engine, limits
+from pultr import _fallback, chromatic, engine, limits
 from pultr.chromatic import chromatic_number
 from pultr.engine import compose, verify_witness
 from pultr.errors import BudgetExceededError, ParameterError
@@ -494,13 +495,57 @@ def test_oriented_tree_counts():
 
 
 def test_deep_searches_restore_the_recursion_limit():
-    # Each search recurses once per vertex and raises the limit for
-    # itself only.
+    # Searches deeper than Python's default recursion limit leave the
+    # limit as they found it.
     limit = sys.getrecursionlimit()
     assert engine.hom_count(path_graph(8000), complete_graph(2)) == 2
     assert sys.getrecursionlimit() == limit
     assert chromatic_number(path_graph(1499)) == 2
     assert sys.getrecursionlimit() == limit
+
+
+def test_deep_searches_never_set_the_recursion_limit(monkeypatch):
+    # The kernel's searches and DSATUR keep their branches on explicit
+    # stacks, so no depth needs the process-wide recursion limit raised.
+    def refuse(limit):
+        raise AssertionError(f"sys.setrecursionlimit({limit})")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    assert engine.hom_count(path_graph(8000), complete_graph(2)) == 2
+    maps = engine.hom_enumerate(path_graph(2999), complete_graph(2))
+    assert [w.mapping for w in maps] == [
+        tuple(i % 2 for i in range(3000)),
+        tuple(1 - i % 2 for i in range(3000)),
+    ]
+    # 1 100 isolated vertices: the existence search branches once on each
+    w = engine.hom_exists(Digraph(1100), complete_graph(2))
+    assert w.mapping == (0,) * 1100
+    assert chromatic_number(path_graph(1499)) == 2
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # Every search frees what it built by reference counting alone, so a
+    # call leaves nothing for the cyclic collector.
+    c5, c7, k2, k3 = cycle_graph(5), cycle_graph(7), complete_graph(2), complete_graph(3)
+    calls = [
+        lambda: engine.hom_exists(c7, k3),
+        lambda: engine.hom_exists(c5, k2),
+        lambda: engine.hom_exists(directed_path(3), transitive_tournament(3)),
+        lambda: engine.hom_count(path_graph(8), k3),
+        lambda: engine.hom_enumerate(c5, k3),
+        lambda: chromatic.k_colourable(c7, 3),
+        lambda: chromatic.k_colourable(c7, 2),
+        lambda: chromatic.chromatic_number(kneser_pairs(7)),
+    ]
+    results = [call() for call in calls]
+    gc.collect()
+    gc.disable()
+    try:
+        for call, result in zip(calls, results):
+            assert call() == result
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_multiplicativity_trivial_target():

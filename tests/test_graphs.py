@@ -55,6 +55,30 @@ def test_graph_symmetry_and_edges():
         as_graph(Digraph(2, [(0, 1)]))
 
 
+def test_graph_rows_are_both_arcs_of_each_edge(rng):
+    # Graph ORs u -> v and v -> u into the rows in one pass; the rows are
+    # those of the Digraph on both arcs, for edges in either order, with
+    # loops and repeats, and a generator is read once
+    for n in range(6):
+        for _ in range(20):
+            edges = [
+                (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n + 1))
+            ]
+            arcs = [a for u, v in edges for a in ((u, v), (v, u))]
+            assert Graph(n, edges).out_masks == Digraph(n, arcs).out_masks
+            assert Graph(n, iter(edges)).out_masks == Digraph(n, arcs).out_masks
+    # the checks and messages of Digraph, on the edge as given
+    for n, edges, message in [
+        (-1, [], "order must be non-negative, got -1"),
+        (3, [(0, 1), (1, 3)], "arc (1,3) out of range for order 3"),
+        (3, [(3, 1)], "arc (3,1) out of range for order 3"),
+        (3, [(0, -1)], "arc (0,-1) out of range for order 3"),
+    ]:
+        with pytest.raises(ParameterError) as e:
+            Graph(n, edges)
+        assert str(e.value) == message
+
+
 def _transpose(g):
     """The transposed rows of g, read arc by arc from the out-rows."""
     return tuple(
