@@ -263,15 +263,14 @@ class _Order:
 
     above[i] and below[i] are bit masks of the items that items[i] maps
     into and of those that map into it, itself included.  The order is
-    decided once, on every ordered pair of distinct items (`_maps`), unless
-    `ordered` is false; then each item is related to itself alone.  To
-    read the answer for some items, the unknown items are asked about in
-    `order` until it is known: first the items that most items map into,
-    ties in first-seen order.  So a read of several items, as of a family,
-    stops at the first yes among them.  A subclass asks one question (`_ask`) and
-    says which items its answer settles.  Only facts between items of one
-    side are used: an answer about F -> g never settles g -> h, nor the
-    reverse."""
+    decided once, on every ordered pair of distinct items (`_maps`),
+    unless `ordered` is false; then each item is related to itself
+    alone.  A read of some items asks about the unknown items in `order`
+    until one of them is known to hold or all are known not to: first
+    the items that most items map into, ties in first-seen order.  A
+    subclass asks one question (`_ask`) and says which items its answer
+    settles.  Only facts between items of one side are used: an answer
+    about F -> g never settles g -> h, nor the reverse."""
 
     def __init__(self, items, ordered=True):
         self.items = items = list(dict.fromkeys(items))

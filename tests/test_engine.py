@@ -494,23 +494,16 @@ def test_oriented_tree_counts():
     assert counts == [1, 1, 3, 8, 27, 91, 350]
 
 
-def test_deep_searches_restore_the_recursion_limit():
-    # Searches deeper than Python's default recursion limit leave the
-    # limit as they found it.
-    limit = sys.getrecursionlimit()
-    assert engine.hom_count(path_graph(8000), complete_graph(2)) == 2
-    assert sys.getrecursionlimit() == limit
-    assert chromatic_number(path_graph(1499)) == 2
-    assert sys.getrecursionlimit() == limit
-
-
 def test_deep_searches_never_set_the_recursion_limit(monkeypatch):
     # The kernel's searches and DSATUR keep their branches on explicit
-    # stacks, so no depth needs the process-wide recursion limit raised.
+    # stacks, so no depth needs the process-wide recursion limit raised,
+    # and every search deeper than Python's default limit leaves it as
+    # it was.
     def refuse(limit):
         raise AssertionError(f"sys.setrecursionlimit({limit})")
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    limit = sys.getrecursionlimit()
     assert engine.hom_count(path_graph(8000), complete_graph(2)) == 2
     maps = engine.hom_enumerate(path_graph(2999), complete_graph(2))
     assert [w.mapping for w in maps] == [
@@ -521,6 +514,7 @@ def test_deep_searches_never_set_the_recursion_limit(monkeypatch):
     w = engine.hom_exists(Digraph(1100), complete_graph(2))
     assert w.mapping == (0,) * 1100
     assert chromatic_number(path_graph(1499)) == 2
+    assert sys.getrecursionlimit() == limit
 
 
 def test_searches_leave_no_cyclic_garbage():
