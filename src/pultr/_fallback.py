@@ -5,12 +5,26 @@ variables are the vertices of G, domains are vertex sets of H stored as
 int bitmasks.  Existence queries run AC-3 style propagation to a fixpoint
 and branch on the smallest open domain (ties to the lowest vertex index,
 values in ascending order).  Propagation memoises, per call, the support
-of each domain mask along an arc.  Counting and enumeration use
-exhaustive DFS in vertex order with forward checking only, undone from a
-trail, so counts are exact and the enumeration order is lexicographic on
-the map tuple.  Both searches keep their open branches on an explicit
-stack, not on Python's call stack, so depth costs no recursion limit and
-a call leaves no reference cycle behind.
+of each domain mask along an arc.
+
+Two rules keep the existence search where the arcs are, and neither can
+change a witness.  engine.kernel_args seeds each arc's tail with the arc
+tails of H and its head with H's arc heads: propagation would remove
+every other value before the first branch, and its fixpoint, the
+largest arc-consistent domains inside the initial ones, is the same
+either way.  And the search branches only on an endpoint of a
+(loop-free) arc.  No constraint reaches any other vertex, so the
+subtree below each of its values is the same: branching on it would
+find a map with its lowest value first, or refute that subtree once per
+value.  It takes its lowest value at the leaf instead, the map that
+branching would find, and each refutation is made once.
+
+Counting and enumeration use exhaustive DFS in vertex order with
+forward checking only, undone from a trail, so counts are exact and the
+enumeration order is lexicographic on the map tuple.  Both searches
+keep their open branches on an explicit stack, not on Python's call
+stack, so depth costs no recursion limit and a call leaves no reference
+cycle behind.
 
 tests/test_kernel_golden.py pins the witnesses, counts, enumeration
 orders and decision counts of all three modes.  engine.hom_exists
@@ -86,6 +100,9 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget):
         doms = list(doms0)
         if 0 in doms or not propagate(doms):
             return STATUS_OK, None, decisions
+        # Only an arc's endpoint is branched on; any other vertex keeps its
+        # domain and takes its lowest value at the leaf.
+        ends = sorted({x for arc in arcs for x in arc})
         # One entry per open branch, deepest last: the domains it narrows,
         # the vertex it branches on and that vertex's untried values.
         stack = []
@@ -93,7 +110,7 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget):
             # Branch on the smallest open domain, ties to the lowest index.
             best = -1
             best_pc = n_h + 1
-            for u in range(n_g):
+            for u in ends:
                 pc = doms[u].bit_count()
                 if 1 < pc < best_pc:
                     best = u
@@ -101,7 +118,11 @@ def solve(n_g, n_h, arcs, doms0, out_masks, in_masks, mode, budget):
                     if pc == 2:
                         break
             if best < 0:
-                return STATUS_OK, tuple(d.bit_length() - 1 for d in doms), decisions
+                return (
+                    STATUS_OK,
+                    tuple((d & -d).bit_length() - 1 for d in doms),
+                    decisions,
+                )
             stack.append([doms, best, doms[best]])
             while True:
                 if not stack:

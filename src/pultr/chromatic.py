@@ -91,7 +91,9 @@ def k_colourable(g, k):
     then the highest degree, then the lowest index.  levels[s] masks,
     over the ranks by (degree descending, index), the uncoloured
     vertices with s colours around them, so a pick is the lowest bit of
-    the highest non-empty level and a decision costs O(k + deg).  The
+    the highest non-empty level and a decision costs O(k + deg).  Each
+    vertex's neighbours are listed once, as a tuple that a decision walks
+    past the coloured ones, so no decision scans a row bit by bit.  The
     search keeps its coloured vertices on an explicit stack, so its depth
     needs no change to Python's recursion limit."""
     g = loop_free_graph(g)
@@ -107,22 +109,21 @@ def k_colourable(g, k):
     clique = greedy_clique(g)
     if len(clique) > k:
         return None
+    nbrs = [tuple(iter_bits(row)) for row in adj]
     colours = [-1] * n
     nbr_used = [0] * n  # mask over colours present in the neighbourhood
     for c, v in enumerate(clique):
         colours[v] = c
-        for w in iter_bits(adj[v]):
+        for w in nbrs[v]:
             nbr_used[w] |= 1 << c
     order = sorted(range(n), key=lambda u: (-adj[u].bit_count(), u))
     rank = [0] * n  # the bit of u's rank
     for r, u in enumerate(order):
         rank[u] = 1 << r
     levels = [0] * (k + 1)
-    uncoloured = 0
     for u in range(n):
         if colours[u] < 0:
             levels[nbr_used[u].bit_count()] |= rank[u]
-            uncoloured |= 1 << u
     decisions = 0
     # The vertex v being coloured lives in locals: its untried colours,
     # the colours in use before it, its colour bit and the neighbours
@@ -141,7 +142,6 @@ def k_colourable(g, k):
         low = levels[s] & -levels[s]
         v = order[low.bit_length() - 1]
         levels[s] ^= low
-        uncoloured ^= 1 << v
         avail = ~nbr_used[v] & ((1 << min(k, max_used + 2)) - 1)
         bit = 0
         touched = ()
@@ -154,7 +154,6 @@ def k_colourable(g, k):
             if not avail:
                 colours[v] = -1
                 levels[nbr_used[v].bit_count()] |= rank[v]
-                uncoloured |= 1 << v
                 if not stack:
                     return None
                 v, avail, max_used, touched = pop()
@@ -169,12 +168,8 @@ def k_colourable(g, k):
             colours[v] = c = bit.bit_length() - 1
             touched = []
             dead = False
-            m = adj[v] & uncoloured
-            while m:
-                wb = m & -m
-                m ^= wb
-                w = wb.bit_length() - 1
-                if not nbr_used[w] & bit:
+            for w in nbrs[v]:
+                if colours[w] < 0 and not nbr_used[w] & bit:
                     nbr_used[w] |= bit
                     touched.append(w)
                     sw = nbr_used[w].bit_count()

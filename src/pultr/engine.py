@@ -129,12 +129,21 @@ def kernel_args(g, h, mode, pins=None):
     g -> h: the `domains`, the loop-free arcs of g as the binary
     constraints, and the budget of the enclosing `limits.scope`.  The
     arc list and the mask rows are the graphs' cached tuples, not
-    copies."""
+    copies.  For an existence search each arc's tail starts among h's
+    arc tails and its head among h's arc heads, values the kernel's
+    propagation would remove anyway."""
+    arcs = g.loop_free_arcs
+    doms = domains(g, h, pins)
+    if mode == MODE_EXISTS:
+        tails, heads = h.arc_ends
+        for u, v in arcs:
+            doms[u] &= tails
+            doms[v] &= heads
     return (
         g.n,
         h.n,
-        g.loop_free_arcs,
-        domains(g, h, pins),
+        arcs,
+        doms,
         h.out_masks,
         h.in_masks,
         mode,
@@ -224,12 +233,14 @@ def _forest_walk(f, plan, d):
 def hom_exists(g, h):
     """A verified homomorphism witness g -> h, or None.
 
-    Deterministic: propagation plus smallest-domain-first backtracking,
-    values in ascending order.  Two loop rules answer without a search:
-    if h has a loop, the witness is the constant map onto its lowest
-    looped vertex v, checked in O(1) by reading the loop bit of row v
-    (RuntimeError if it is clear); if h has no loop and g has one, the
-    answer is None.  Every other query goes to the kernel.
+    Deterministic: propagation plus smallest-domain-first backtracking
+    over the endpoints of g's arcs, values in ascending order; every
+    other vertex takes the lowest value of its domain.  Two loop rules
+    answer without a search: if h has a loop, the witness is the
+    constant map onto its lowest looped vertex v, checked in O(1) by
+    reading the loop bit of row v (RuntimeError if it is clear); if h
+    has no loop and g has one, the answer is None.  Every other query
+    goes to the kernel.
     """
     if g.n == 0:
         return HomWitness(0, h.n, ())
@@ -285,7 +296,9 @@ def hom_equivalent(g, h):
 def isomorphic(g, h):
     """Exact isomorphism test by backtracking: each vertex of g maps onto
     the vertices of h with its (out-degree, in-degree, loop) triple, the
-    vertex with the fewest candidates first."""
+    vertex with the fewest candidates first.  The search keeps one
+    candidate iterator per depth in a list, not on Python's call stack,
+    so a call leaves no reference cycle behind."""
     if g.n != h.n or g.arc_count != h.arc_count:
         return False
     if g.n > ISO_CAP:
@@ -306,12 +319,18 @@ def isomorphic(g, h):
     order = sorted(range(g.n), key=lambda u: (len(cands[u]), u))
     image = [-1] * g.n
     used = [False] * h.n
-
-    def extend(i):
-        if i == g.n:
-            return True
+    # rest[i] iterates over the untried candidates of order[i]; the search
+    # is at depth i, and order[i] gives up its image before the next try.
+    rest = [None] * g.n
+    if g.n:
+        rest[0] = iter(cands[order[0]])
+    i = 0
+    while 0 <= i < g.n:
         u = order[i]
-        for v in cands[u]:
+        if image[u] >= 0:
+            used[image[u]] = False
+            image[u] = -1
+        for v in rest[i]:
             if used[v]:
                 continue
             for w in order[:i]:
@@ -321,12 +340,14 @@ def isomorphic(g, h):
             else:
                 image[u] = v
                 used[v] = True
-                if extend(i + 1):
-                    return True
-                used[v] = False
-        return False
-
-    return extend(0)
+                break
+        else:
+            i -= 1
+            continue
+        i += 1
+        if i < g.n:
+            rest[i] = iter(cands[order[i]])
+    return i == g.n
 
 
 # ---------------------------------------------------------------------------

@@ -172,14 +172,18 @@ def _lambda_with_labels(t, g):
 def _forest_rows(t, k, plan):
     """The rows of Gamma_T(K) by semijoin passes, when P = K_1, Q is a
     forest and `plan` is rooted at eps2[0]: the pass with eps1 pinned to
-    a leaves at the root exactly the row of a.  The size is checked
-    after each row."""
+    a leaves at the root exactly the row of a.  The domains of Q -> K are
+    built once, and each pass runs on a copy with eps1's domain cut to a.
+    The size is checked after each row."""
     both = tuple(o & i for o, i in zip(k.out_masks, k.in_masks))
     up = (None, k.out_masks, k.in_masks, both)
+    base = engine.domains(t.q, k)
+    pin = t.eps1[0]
     rows = []
     size = k.n
     for a in range(k.n):
-        doms = engine.domains(t.q, k, {t.eps1[0]: a})
+        doms = base.copy()
+        doms[pin] &= 1 << a
         rows.append(doms[t.eps2[0]] if _semijoin(plan, doms, up) else 0)
         size += rows[-1].bit_count()
         limits.check_size(size, "gamma functor")

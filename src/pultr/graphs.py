@@ -62,6 +62,15 @@ class Digraph:
         return tuple(masks)
 
     @cached_property
+    def arc_ends(self):
+        """(tails, heads): the masks of the vertices with an out-arc and
+        of those with an in-arc, loops included."""
+        return (
+            sum(1 << u for u, row in enumerate(self.out_masks) if row),
+            sum(1 << u for u, row in enumerate(self.in_masks) if row),
+        )
+
+    @cached_property
     def arc_count(self):
         return sum(row.bit_count() for row in self.out_masks)
 

@@ -268,11 +268,11 @@ VERIFY_OUTPUT = {
 
 # The kernel calls and decisions of each suite at its default nmax.
 KERNEL_COUNTS = {
-    "adjunction": (3012, 24262),
-    "omega": (196, 848),
-    "duality": (353, 257),
+    "adjunction": (3012, 23391),
+    "omega": (196, 638),
+    "duality": (353, 186),
     "shift": (0, 0),
-    "yeh-zhu": (8, 676),
+    "yeh-zhu": (8, 320),
     "ordering": (412, 3667),
     "powers-chi-c": (4, 8),
 }

@@ -509,7 +509,7 @@ def test_duality_obstructions_leave_the_kernel(monkeypatch):
     assert rep.verdict_line() == "VERDICT duality PASS checked=330331"
     # 20 calls order the five targets; then a graph takes 1.4 calls on
     # average for G -> H, where asking each job's target took 5 (1 190)
-    assert counts == dict(solve=353, decisions=257, walks=445, hits=244, yielded=238)
+    assert counts == dict(solve=353, decisions=186, walks=445, hits=244, yielded=238)
 
     # a one-job pass has one target and orders no member, so it asks the
     # kernel once per loop-free class, as before the target order was
@@ -517,12 +517,12 @@ def test_duality_obstructions_leave_the_kernel(monkeypatch):
     # the member order was used
     counts.update(solve=0, decisions=0, walks=0, hits=0)
     assert verify_duality([directed_path(4)], transitive_tournament(4), 4).ok
-    assert counts == dict(solve=238, decisions=105, walks=239, hits=199, yielded=476)
+    assert counts == dict(solve=238, decisions=88, walks=239, hits=199, yielded=476)
     counts.update(solve=0, decisions=0, walks=0, hits=0)
     assert verify_duality(
         minimal_path_sproinks(4, 12), arc_graph(transitive_tournament(4)), 4
     ).ok
-    assert counts == dict(solve=238, decisions=50, walks=340, hits=216, yielded=714)
+    assert counts == dict(solve=238, decisions=34, walks=340, hits=216, yielded=714)
 
 
 def _maps_to_target(g, h):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pultr import _fallback, chromatic, engine, limits
+from pultr import _fallback, chromatic, engine, limits, suites
 from pultr.chromatic import chromatic_number
 from pultr.engine import compose, verify_witness
 from pultr.errors import BudgetExceededError, ParameterError
@@ -530,6 +530,8 @@ def test_searches_leave_no_cyclic_garbage():
         lambda: chromatic.k_colourable(c7, 3),
         lambda: chromatic.k_colourable(c7, 2),
         lambda: chromatic.chromatic_number(kneser_pairs(7)),
+        lambda: engine.isomorphic(cycle_graph(6), cycle_graph(6)),
+        lambda: suites.run_suite("shift").verdict_line(),
     ]
     results = [call() for call in calls]
     gc.collect()

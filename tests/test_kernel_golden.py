@@ -25,7 +25,7 @@ from pathlib import Path
 from pultr import _fallback, limits
 from pultr.adjoints import omega_odd_path
 from pultr.engine import MODE_COUNT, MODE_ENUM, MODE_EXISTS, kernel_args
-from pultr.graphs import Digraph, cycle_graph, enumerate_graphs
+from pultr.graphs import Digraph, complete_graph, cycle_graph, enumerate_graphs
 
 CORPUS = Path(__file__).with_name("data") / "kernel_golden.json"
 RANDOM_SEED = 0x5EED
@@ -105,11 +105,11 @@ def test_fallback_matches_golden_corpus():
 # (exists payload, decisions) for the first 40 graphs of
 # enumerate_graphs(3, directed=False, loops=True) into Omega_5(C_5).
 OMEGA_CASES = [
-    ((0, 0, 0), 3), (None, 0), ((33, 75, 0), 3), (None, 0),
-    ((33, 0, 75), 3), (None, 0), ((33, 75, 75), 3), (None, 0),
+    ((0, 0, 0), 0), (None, 0), ((33, 75, 0), 2), (None, 0),
+    ((33, 0, 75), 2), (None, 0), ((33, 75, 75), 3), (None, 0),
     (None, 0), (None, 0), (None, 0), (None, 0),
     (None, 0), (None, 0), (None, 0), (None, 0),
-    ((0, 33, 75), 3), (None, 0), ((33, 75, 33), 3), (None, 0),
+    ((0, 33, 75), 2), (None, 0), ((33, 75, 33), 3), (None, 0),
     ((33, 33, 75), 3), (None, 0), (None, 25), (None, 0),
 ] + [(None, 0)] * 16
 
@@ -127,6 +127,37 @@ def test_multi_word_domains():
             assert status == 0
             got.append((payload, decisions))
     assert got == OMEGA_CASES
+
+
+def _padded(g, pad):
+    """g with `pad` isolated vertices put before it."""
+    return Digraph(g.n + pad, [(u + pad, v + pad) for u, v in g.arc_list])
+
+
+def test_vertices_off_the_arcs_are_not_branched_on():
+    # Three isolated vertices before C_5 -> K_2: the refutation is made
+    # once, as for C_5 alone, not once per value of the isolated ones.
+    k2 = complete_graph(2)
+    with limits.scope(budget=limits.DEFAULT_NODE_BUDGET):
+        alone = _fallback.solve(*kernel_args(cycle_graph(5), k2, MODE_EXISTS))
+        padded = _fallback.solve(
+            *kernel_args(_padded(cycle_graph(5), 3), k2, MODE_EXISTS)
+        )
+    assert alone[1] is None and alone[2] > 0
+    assert padded == alone
+
+    # A positive case: each isolated vertex takes the lowest value of its
+    # domain, and C_6 keeps its own witness and decision count.
+    k3 = complete_graph(3)
+    with limits.scope(budget=limits.DEFAULT_NODE_BUDGET):
+        status, mapping, decisions = _fallback.solve(
+            *kernel_args(cycle_graph(6), k3, MODE_EXISTS)
+        )
+        args = list(kernel_args(_padded(cycle_graph(6), 3), k3, MODE_EXISTS))
+        args[3][:3] = [0b110, 0b101, 0b100]
+        padded = _fallback.solve(*args)
+    assert status == 0 and decisions > 0
+    assert padded == (0, (1, 0, 2, *mapping), decisions)
 
 
 def test_budget_cutoffs():
