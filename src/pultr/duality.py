@@ -9,20 +9,22 @@ digraphs once, on its first member: the classes are the isomorphism
 classes of loop-free digraphs, and the looped digraphs.  The pass builds
 only the first member of each loop-free class (`enumerate_graphs` with
 up_to_iso=True) and the one-vertex loop; `checked` still counts the
-whole labelled universe.  F -> G takes the forest walk
-`engine._forest_walk` when F is an oriented forest, as in every family
-of the suite, and `engine.hom_exists` otherwise.  Both sides are read
-off a homomorphism order that the pass decides once: that of the jobs'
-distinct targets, where a yes for G -> T settles every target above T
-and a no every target below it, and, when the pass has more than one
-job, that of their distinct family members, where a yes for F -> G
-settles every member below F and a no every member above it.
+whole labelled universe.  Both sides are read off one class, `_Order`,
+which holds the homomorphism order of one side's distinct digraphs,
+decided once per pass, and one decider per digraph.  For the jobs'
+targets, read as G -> T, a yes settles every target above T and a no
+every target below it.  For their family members, read as F -> G, a yes
+settles every member below F and a no every member above it; F -> G is
+the forest walk `engine._forest_walk` when F is an oriented forest, as
+in every family of the suite, and `engine.hom_exists` otherwise.  A pass
+with one job orders no member.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import partial
 from itertools import accumulate, combinations, permutations
 
 from . import engine, limits
@@ -247,43 +249,61 @@ class DualityJob(namedtuple("DualityJob", "family h")):
     __slots__ = ()
 
 
-def _walk_plan(f):
-    """The `engine._forest_plan` of f if f is an oriented forest, the
-    case `engine._forest_walk` decides, else None."""
-    plan = None if f.loop_mask else engine._forest_plan(f, 0)
-    if plan is not None and any(kind == 3 for _, _, kind in plan):
-        return None
-    return plan
-
-
 class _Order:
     """The distinct digraphs of one side of a pass, interned by digraph
     equality, with their homomorphism order and the answers for the last
     graph g asked about.
 
+    The side is "targets", read as g -> t, or "members", read as F -> g.
+    Each item has one decider, fixed here: g -> t is `engine.hom_exists`,
+    and F -> g is `engine._forest_walk` when F is an oriented forest and
+    `engine.hom_exists` otherwise; both hand out only verified maps.
     above[i] and below[i] are bit masks of the items that items[i] maps
     into and of those that map into it, itself included.  The order is
-    decided once, on every ordered pair of distinct items (`_maps`),
-    unless `ordered` is false; then each item is related to itself
-    alone.  A read of some items asks about the unknown items in `order`
-    until one of them is known to hold or all are known not to: first
-    the items that most items map into, ties in first-seen order.  A
-    subclass asks one question (`_ask`) and says which items its answer
-    settles.  Only facts between items of one side are used: an answer
-    about F -> g never settles g -> h, nor the reverse."""
+    decided once, on every ordered pair of distinct items, by the
+    deciders, unless `ordered` is false; then each item is related to
+    itself alone.  g -> t gives g -> t' for every t' above t, and
+    g -/-> t gives g -/-> t'' for every t'' below t; F -> g gives F' -> g
+    for every F' below F, and F -/-> g gives F'' -/-> g for every F''
+    above F.  A read of some items asks about the unknown items in
+    `order` until one of them is known to hold or all are known not to:
+    first the items that most items map into, ties in first-seen order.
+    Only facts between items of one side are used: an answer about
+    F -> g never settles g -> h, nor the reverse."""
 
-    def __init__(self, items, ordered=True):
+    def __init__(self, items, side, ordered=True):
         self.items = items = list(dict.fromkeys(items))
         self.index = {x: i for i, x in enumerate(items)}
+        targets = side == "targets"
+        self.decide = []
+        for x in items:
+            if targets:
+                decide = lambda g, t=x: engine.hom_exists(g, t)
+            else:
+                plan = None if x.loop_mask else engine._forest_plan(x, 0)
+                if plan is None or any(kind == 3 for _, _, kind in plan):
+                    decide = partial(engine.hom_exists, x)
+                else:
+                    decide = partial(engine._forest_walk, x, plan)
+            self.decide.append(decide)
         self.above = [1 << i for i in range(len(items))]
         self.below = list(self.above)
         if ordered:
             for i, j in permutations(range(len(items)), 2):
-                if self._maps(i, items[j]):
+                if targets:
+                    maps = self.decide[j](items[i])
+                else:
+                    maps = self.decide[i](items[j])
+                if maps is not None:
                     self.above[i] |= 1 << j
                     self.below[j] |= 1 << i
         self.order = sorted(
             range(len(items)), key=lambda i: -self.below[i].bit_count()
+        )
+        # a yes for items[j] settles the items in yes_settles[j], a no
+        # those in no_settles[j]
+        self.yes_settles, self.no_settles = (
+            (self.above, self.below) if targets else (self.below, self.above)
         )
         self.g = None
         self.yes = self.no = 0
@@ -300,75 +320,11 @@ class _Order:
             if not mask & ~self.no:
                 return False
             if not (self.yes | self.no) >> j & 1:
-                self._ask(g, j)
+                if self.decide[j](g) is not None:
+                    self.yes |= self.yes_settles[j]
+                else:
+                    self.no |= self.no_settles[j]
         return bool(self.yes & mask)
-
-
-class _Targets(_Order):
-    """The jobs' targets h, read as g -> h.  g -> t gives g -> t' for
-    every t' above t (t -> t'), and g -/-> t gives g -/-> t'' for every
-    t'' below t (t'' -> t).  The kernel decides the order and each
-    g -> t, so a no settles many targets at once."""
-
-    def _maps(self, i, d):
-        return engine.hom_exists(self.items[i], d) is not None
-
-    def _ask(self, g, j):
-        if engine.hom_exists(g, self.items[j]) is not None:
-            self.yes |= self.above[j]
-        else:
-            self.no |= self.below[j]
-
-
-class _Members(_Order):
-    """The jobs' family members F, read as F -> g.  F -> g gives F' -> g
-    for every F' below F (F' -> F), and F -/-> g gives F'' -/-> g for
-    every F'' above F (F -> F'').  F -> d is `engine._forest_walk` when F
-    is an oriented forest, and `engine.hom_exists` otherwise; both hand
-    out only verified maps.  A yes for the top member settles every
-    member below it."""
-
-    def __init__(self, fs, ordered=True):
-        fs = list(dict.fromkeys(fs))
-        self.plans = [_walk_plan(f) for f in fs]
-        super().__init__(fs, ordered)
-
-    def _maps(self, i, d):
-        f = self.items[i]
-        plan = self.plans[i]
-        if plan is None:
-            return engine.hom_exists(f, d) is not None
-        return engine._forest_walk(f, plan, d) is not None
-
-    def _ask(self, g, j):
-        if self._maps(j, g):
-            self.yes |= self.below[j]
-        else:
-            self.no |= self.above[j]
-
-
-class _OpenJob:
-    """The running state of one job during the pass: the bit of its
-    target in the pass's _Targets and the mask of its family members in
-    the pass's _Members, which intern both across the jobs."""
-
-    def __init__(self, job, members, targets):
-        self.members = members
-        self.targets = targets
-        self.h = 1 << targets.index[job.h]
-        self.family = 0
-        for f in job.family:
-            self.family |= 1 << members.index[f]
-
-    def failure(self, g):
-        """The direction in which g refutes the duality, or None."""
-        to_h = self.targets.read(g, self.h)
-        hit = self.members.read(g, self.family)
-        if to_h and hit:
-            return "false-obstruction"
-        if not to_h and not hit:
-            return "missing-obstruction"
-        return None
 
 
 def _position(g):
@@ -399,28 +355,37 @@ def verify_dualities(jobs, nmax):
     `checked` is its labelled position (_position), and a report that
     passes counts every labelled graph.
 
-    g -> h is read from the jobs' targets in their homomorphism order
-    (_Targets), decided once per pass: with the suite's five targets a
-    graph takes 1.4 kernel calls on average, not 5.  F -> g is read the
-    same way from the jobs' distinct family members (_Members), top
-    first: with the suite's seven members a graph takes 1.7 walks on
-    average, not 3.4.  A one-job pass orders no member, since its family
-    is read by one `any` and an order would cost M(M - 1) walks for M
-    members; it asks each member once per graph, in family order, up to
-    the first hit.  Neither side is ever inferred from the other, which
-    is the duality under test.  nmax below 1 is a ParameterError."""
+    Each job is a pair inside the pass: the bit of its target in the
+    targets' _Order and the mask of its family in the members' _Order;
+    each family is read once, so any iterable will do.  g -> h is read
+    from the jobs' distinct targets in their homomorphism order, decided
+    once per pass: with the suite's five targets a graph takes 1.4
+    kernel calls on average, not 5.  F -> g is read the same way from
+    the jobs' distinct family members, top first: with the suite's seven
+    members a graph takes 1.7 walks on average, not 3.4.  A one-job pass
+    orders no member, since its family is read by one `any` and an order
+    would cost M(M - 1) walks for M members; it asks each member once
+    per graph, in family order, up to the first hit.  Neither side is
+    ever inferred from the other, which is the duality under test.  nmax
+    below 1 is a ParameterError."""
     if nmax < 1:
         raise ParameterError(f"nmax must be at least 1, got {nmax}")
-    members = _Members([f for job in jobs for f in job.family], len(jobs) > 1)
-    targets = _Targets([job.h for job in jobs])
-    states = [_OpenJob(job, members, targets) for job in jobs]
-    reports = [None] * len(states)
-    open_jobs = list(range(len(states)))
+    families = [tuple(job.family) for job in jobs]
+    members = _Order([f for fs in families for f in fs], "members", len(jobs) > 1)
+    targets = _Order([job.h for job in jobs], "targets")
+    pairs = [
+        (1 << targets.index[job.h], sum({1 << members.index[f] for f in fs}))
+        for job, fs in zip(jobs, families)
+    ]
+    reports = [None] * len(jobs)
+    open_jobs = list(range(len(jobs)))
 
     def step(g):
         for i in list(open_jobs):
-            direction = states[i].failure(g)
-            if direction is not None:
+            h, family = pairs[i]
+            to_h = targets.read(g, h)
+            if to_h == members.read(g, family):
+                direction = "false-obstruction" if to_h else "missing-obstruction"
                 reports[i] = DualityReport(False, _position(g), g, direction)
                 open_jobs.remove(i)
 
@@ -444,4 +409,4 @@ def verify_duality(family, h, nmax):
     """Check over every digraph G on up to nmax vertices (loops allowed)
     that G admits no homomorphism to h exactly when some member of the
     family maps into G.  This is verify_dualities with a single job."""
-    return verify_dualities([DualityJob(tuple(family), h)], nmax)[0]
+    return verify_dualities([DualityJob(family, h)], nmax)[0]

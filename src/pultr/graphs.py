@@ -485,7 +485,8 @@ def dominated_reduction(d):
     the subgraph induced on the survivors.  Dropping x can newly dominate
     only a neighbour of x, so `todo` holds the live vertices not checked
     since they last lost a neighbour.  u's dominators are the live w != u
-    with an arc to each out-neighbour of u and from each in-neighbour."""
+    with an arc to each out-neighbour of u other than u and from each
+    such in-neighbour; a neighbour with a loop may itself be w."""
     out, inn = d.out_masks, d.in_masks
     alive = todo = (1 << d.n) - 1
     while todo:
@@ -497,7 +498,7 @@ def dominated_reduction(d):
             dominators &= d.loop_mask
         for row, cols in ((out[u], inn), (inn[u], out)):
             for a in iter_bits(row & alive & ~ubit):
-                dominators &= cols[a] & ~(1 << a)
+                dominators &= cols[a]
         if dominators:
             alive ^= ubit
             todo |= (out[u] | inn[u]) & alive

@@ -255,6 +255,16 @@ def test_verify_dualities_equals_one_call_per_job():
     assert verify_dualities([], 3) == []
 
 
+def test_verify_dualities_reads_each_family_once():
+    # a one-shot iterable family is read as its tuple
+    p2, t2 = directed_path(2), transitive_tournament(2)
+    passed = [DualityReport(True, 530)]
+    assert verify_dualities([DualityJob((p2,), t2)], 3) == passed
+    assert verify_dualities([DualityJob(iter([p2]), t2)], 3) == passed
+    assert verify_dualities([DualityJob(iter([p2]), t2), DualityJob((), t2)], 3)[0].ok
+    assert verify_duality(iter([p2]), t2, 3) == passed[0]
+
+
 def test_verify_dualities_stops_when_every_job_is_closed(monkeypatch):
     yielded = []
 
@@ -446,14 +456,15 @@ def test_verify_dualities_matches_labelled_reference_on_the_suite(monkeypatch):
 
 
 def test_verify_dualities_decides_each_class_once(monkeypatch):
-    # one failure call per class and job: the loop-free classes, as
+    # one read per class, job and side: the loop-free classes, as
     # enumerate_graphs yields their first members, and the looped class
     calls = {}
-    failure = duality._OpenJob.failure
+    read = duality._Order.read
 
-    def counting(self, g):
-        calls[id(self)] = calls.get(id(self), 0) + 1
-        return failure(self, g)
+    def counting(self, g, mask):
+        key = (id(self), mask)
+        calls[key] = calls.get(key, 0) + 1
+        return read(self, g, mask)
 
     yielded = []
 
@@ -462,7 +473,7 @@ def test_verify_dualities_decides_each_class_once(monkeypatch):
             yielded.append(g)
             yield g
 
-    monkeypatch.setattr(duality._OpenJob, "failure", counting)
+    monkeypatch.setattr(duality._Order, "read", counting)
     monkeypatch.setattr(duality, "enumerate_graphs", counting_enumerate)
     jobs = [
         DualityJob((directed_path(3),), transitive_tournament(3)),
@@ -470,7 +481,9 @@ def test_verify_dualities_decides_each_class_once(monkeypatch):
     ]
     assert [r.ok for r in verify_dualities(jobs, 3)] == [True, True]
     assert len(yielded) == 20
-    assert list(calls.values()) == [21, 21]
+    # each job reads its target and its family: two orders, two masks each
+    assert len({order for order, _ in calls}) == 2
+    assert list(calls.values()) == [21, 21, 21, 21]
 
 
 def test_duality_obstructions_leave_the_kernel(monkeypatch):
@@ -534,7 +547,7 @@ def _member_maps_into(g, f):
 
 
 def _assert_memo_reads_hom_exists(memo, graphs, truth=_maps_to_target, orders=()):
-    """Every answer of the memo (a _Targets or a _Members) is
+    """Every answer of the memo (an _Order of targets or of members) is
     engine.hom_exists', truth(g, item), whatever order the items are
     asked about in and read in.  A read of several items is whether any
     of them holds."""
@@ -566,7 +579,7 @@ def test_target_order_memo_matches_the_kernel():
     # the suite's targets: T2 ~ delta(T3) < delta(T4) < T3 < T4
     t2, t3, t4 = (transitive_tournament(k) for k in (2, 3, 4))
     delta_t3 = arc_graph(t3)
-    targets = duality._Targets([t2, t3, t4, delta_t3, arc_graph(t4)])
+    targets = duality._Order([t2, t3, t4, delta_t3, arc_graph(t4)], "targets")
     assert targets.above == [0b11111, 0b00110, 0b00100, 0b11111, 0b10110]
     assert targets.below == [0b01001, 0b11011, 0b11111, 0b01001, 0b11001]
     assert targets.order == [2, 1, 4, 0, 3]
@@ -585,7 +598,7 @@ def test_target_order_memo_matches_the_kernel():
         DualityJob(tuple(minimal_path_sproinks(3, 12)), delta_t3),
         DualityJob((Digraph(1, [(0, 0)]), Digraph(2, [(0, 1), (1, 0)])), c3),
     ]
-    targets = duality._Targets([job.h for job in jobs])
+    targets = duality._Order([job.h for job in jobs], "targets")
     assert targets.items == [t3, c3, t2, delta_t3]
     assert targets.above == [0b0001, 0b0010, 0b1111, 0b1111]
     assert targets.below == [0b1101, 0b1110, 0b1100, 0b1100]
@@ -597,7 +610,7 @@ def test_target_order_memo_matches_the_kernel():
     assert [r.ok for r in reports] == [True, False, False, True, True, False]
 
 
-def test_member_order_memo_matches_the_kernel():
+def test_member_order_memo_matches_the_kernel(monkeypatch):
     leaders = list(
         enumerate_graphs(
             4, directed=True, loops=False, all_orders=True, up_to_iso=True
@@ -608,7 +621,7 @@ def test_member_order_memo_matches_the_kernel():
     # the suite's members: P2 < S11 < S9 < S7 < S5 < P3 < P4, where Sk is
     # the sproink of delta(T4) on k vertices
     suite_members = [directed_path(k) for k in (2, 3, 4)] + minimal_path_sproinks(4, 12)
-    members = duality._Members(suite_members)
+    members = duality._Order(suite_members, "members")
     assert [f.n for f in members.items] == [3, 4, 5, 6, 8, 10, 12]
     assert members.below == [
         0b0000001, 0b1111011, 0b1111111, 0b1111001, 0b1110001, 0b1100001, 0b1000001
@@ -628,9 +641,33 @@ def test_member_order_memo_matches_the_kernel():
     two_cycle = Digraph(2, [(0, 1), (1, 0)])
     c3 = directed_cycle(3)
     mixed = [directed_path(2), loop, two_cycle, c3, directed_path(3), oriented_path("101")]
-    members = duality._Members(mixed + [directed_path(2), Digraph(1, [(0, 0)])])
+    sources = {}
+
+    def recording(name, decide):
+        def record(f, *args):
+            sources.setdefault(name, []).append(f)
+            return decide(f, *args)
+
+        monkeypatch.setattr(engine, name, record)
+
+    recording("hom_exists", engine.hom_exists)
+    recording("_forest_walk", engine._forest_walk)
+    members = duality._Order(mixed + [directed_path(2), Digraph(1, [(0, 0)])], "members")
     assert members.items == mixed
-    assert [members.plans[i] is None for i in range(6)] == [False, True, True, True, False, False]
+    # deciding the order asks each member about the five others
+    asked = {name: [mixed.index(f) for f in fs] for name, fs in sources.items()}
+    assert asked == {
+        "hom_exists": [1] * 5 + [2] * 5 + [3] * 5,
+        "_forest_walk": [0] * 5 + [4] * 5 + [5] * 5,
+    }
+    # and a read asks each member through the same decider: unordered,
+    # a graph no member maps into is asked about every member in turn
+    sources.clear()
+    unordered = duality._Order(mixed, "members", ordered=False)
+    assert not unordered.read(Digraph(1), 0b111111)
+    monkeypatch.undo()
+    asked = {name: [mixed.index(f) for f in fs] for name, fs in sources.items()}
+    assert asked == {"hom_exists": [1, 2, 3], "_forest_walk": [0, 4, 5]}
     assert members.above[1] == 0b000010
     assert members.below[1] == 0b111111
     shuffled = [rng.sample(range(6), 6) for _ in range(3)]
@@ -638,7 +675,7 @@ def test_member_order_memo_matches_the_kernel():
 
     # a one-job pass orders nothing: each member is related to itself
     # alone and asked in first-seen order
-    members = duality._Members(mixed, ordered=False)
+    members = duality._Order(mixed, "members", ordered=False)
     assert members.above == members.below == [1 << i for i in range(6)]
     assert members.order == list(range(6))
     _assert_memo_reads_hom_exists(members, graphs, _member_maps_into)

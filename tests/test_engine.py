@@ -288,6 +288,14 @@ def test_oriented_path_budget_cutoffs():
         assert engine.hom_exists(g, h).mapping == (0, 1, 0, 1, 3, 0)
 
 
+def test_pins_out_of_range_are_rejected():
+    c5, k3 = cycle_graph(5), complete_graph(3)
+    assert engine.hom_exists_pinned(c5, k3, {4: 2}) is not None
+    for pins in ({0: 3}, {5: 0}, {-1: 0}):
+        with pytest.raises(ParameterError):
+            engine.hom_exists_pinned(c5, k3, pins)
+
+
 def test_odd_cycle_to_bipartite_fails():
     assert engine.hom_exists(complete_graph(3), complete_graph(2)) is None
 

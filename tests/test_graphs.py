@@ -592,6 +592,29 @@ def test_dominated_reduction_keeps_hom_class(rng):
     assert dominated_reduction(star).n == 2
 
 
+def _has_dominated_vertex(d):
+    """Whether some u has a w != u with N_out(u)-{u} <= N_out(w),
+    N_in(u)-{u} <= N_in(w), and a loop at w if u has one."""
+    out, inn, loops = d.out_masks, d.in_masks, d.loop_mask
+    return any(
+        not out[u] & ~(1 << u) & ~out[w]
+        and not inn[u] & ~(1 << u) & ~inn[w]
+        and (loops >> w & 1 or not loops >> u & 1)
+        for u, w in permutations(range(d.n), 2)
+    )
+
+
+def test_dominated_reduction_leaves_no_dominated_vertex():
+    # every graph with loops on at most 4 vertices and every digraph
+    # with loops on at most 3: a looped neighbour of u may dominate it
+    assert dominated_reduction(Digraph(2, [(0, 1), (1, 1)])) == Digraph(1, [(0, 0)])
+    for directed, nmax in ((False, 4), (True, 3)):
+        for g in enumerate_graphs(nmax, directed=directed, loops=True, all_orders=True):
+            r = dominated_reduction(g)
+            assert not _has_dominated_vertex(r)
+            assert engine.hom_equivalent(g, r)
+
+
 def test_size_guard():
     with limits.scope(size_guard=10):
         with pytest.raises(SizeGuardError):
